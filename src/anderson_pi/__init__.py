@@ -7,7 +7,6 @@ and a diagnostics layer that turns the method's stability bounds into
 runnable checks.
 """
 
-from ._kernels import active_backend
 from .anderson import (
     AndersonHistory,
     HistoryMatrices,
@@ -83,7 +82,6 @@ __all__ = [
     "SolverConfig",
     "SolverTrace",
     "TabularMdp",
-    "active_backend",
     "alpha_to_tau",
     "apply_bellman",
     "boltzmann_softmax",

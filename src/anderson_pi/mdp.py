@@ -1,15 +1,16 @@
 """Finite tabular MDPs: construction, generators, validation, JSON persistence.
 
-A :class:`TabularMdp` bundles the transition tensor ``P[s, a, s']``, the
-reward table ``R[s, a]`` and the discount.  Instances are immutable after
-construction (the arrays are frozen), so they can be shared freely across
-concurrent solver runs.
+A :class:`TabularMdp` bundles the transitions, stored as padded successor
+lists, the reward table ``R[s, a]`` and the discount.  Instances are
+immutable after construction (the arrays are frozen), so they can be
+shared freely across concurrent solver runs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,15 +23,42 @@ class MdpFormatError(ValueError):
     """An MDP file violates the on-disk schema."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    out = np.ascontiguousarray(np.asarray(a, dtype=dtype))
     out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True)
+def _successor_major(a, dtype) -> np.ndarray:
+    """Read-only ``(S, A, k)`` view of a contiguous ``(k, S, A)`` copy of ``a``."""
+    return _frozen(np.moveaxis(np.asarray(a, dtype=dtype), 2, 0), dtype).transpose(1, 2, 0)
+
+
+def _successor_lists(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of a dense ``(S, A, S)`` tensor as padded rows."""
+    ns, na, _ = p.shape
+    flat = p.reshape(ns * na, ns)
+    rows, cols = np.nonzero(flat)  # row-major, so ascending within a row
+    counts = np.bincount(rows, minlength=ns * na)
+    k = max(int(counts.max()), 1)
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    successors = np.zeros((ns * na, k), dtype=np.intp)
+    probs = np.zeros((ns * na, k))
+    successors[rows, slots] = cols
+    probs[rows, slots] = flat[rows, cols]
+    return successors.reshape(ns, na, k), probs.reshape(ns, na, k)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class TabularMdp:
-    """Finite MDP with dense transitions, rewards and a discount factor.
+    """Finite MDP with sparse transitions, rewards and a discount factor.
+
+    Row ``(s, a)`` of the transitions is ``successors[s, a]`` (ascending)
+    with probabilities ``probs[s, a]``.  Both are ``(S, A, k)`` arrays,
+    ``k`` the largest support size; shorter rows are padded with
+    successor 0 at probability 0.0.  The constructor takes the dense
+    tensor ``P[s, a, s']``; :meth:`from_successors` takes the lists.
+    :meth:`expectation` is the transition matvec the Bellman sweep uses.
 
     Structural problems (wrong shapes, non-positive sizes) fail at
     construction; probabilistic invariants are reported by
@@ -39,31 +67,93 @@ class TabularMdp:
 
     n_states: int
     n_actions: int
-    transitions: np.ndarray
+    successors: np.ndarray
+    probs: np.ndarray
     rewards: np.ndarray
     gamma: float
 
-    def __post_init__(self):
-        if self.n_states < 1 or self.n_actions < 1:
-            raise ValueError(
-                f"n_states and n_actions must be positive, got "
-                f"({self.n_states}, {self.n_actions})"
-            )
-        p = _frozen(self.transitions)
-        r = _frozen(self.rewards)
-        expected_p = (self.n_states, self.n_actions, self.n_states)
-        expected_r = (self.n_states, self.n_actions)
+    def __init__(self, n_states, n_actions, transitions, rewards, gamma):
+        _check_sizes(n_states, n_actions)
+        p = np.asarray(transitions, dtype=np.float64)
+        expected_p = (n_states, n_actions, n_states)
         if p.shape != expected_p:
             raise ValueError(f"transitions shape {p.shape} != {expected_p}")
+        self._store(n_states, n_actions, *_successor_lists(p), rewards, gamma)
+
+    @classmethod
+    def from_successors(
+        cls, n_states, n_actions, successors, probs, rewards, gamma
+    ) -> TabularMdp:
+        """Build from padded successor lists, never touching a dense tensor."""
+        _check_sizes(n_states, n_actions)
+        succ = np.asarray(successors)
+        if (
+            succ.ndim != 3
+            or succ.shape[:2] != (n_states, n_actions)
+            or succ.shape[2] < 1
+            or np.shape(probs) != succ.shape
+        ):
+            raise ValueError(
+                f"successors {succ.shape} and probs {np.shape(probs)} must both "
+                f"be ({n_states}, {n_actions}, k) with k >= 1"
+            )
+        if succ.min() < 0 or succ.max() >= n_states:
+            raise ValueError(f"successor index outside [0, {n_states})")
+        mdp = object.__new__(cls)
+        mdp._store(n_states, n_actions, succ, probs, rewards, gamma)
+        return mdp
+
+    def _store(self, n_states, n_actions, successors, probs, rewards, gamma):
+        r = _frozen(rewards)
+        expected_r = (n_states, n_actions)
         if r.shape != expected_r:
             raise ValueError(f"rewards shape {r.shape} != {expected_r}")
-        object.__setattr__(self, "transitions", p)
-        object.__setattr__(self, "rewards", r)
-        object.__setattr__(self, "gamma", float(self.gamma))
+        for name, value in (
+            ("n_states", n_states),
+            ("n_actions", n_actions),
+            ("successors", _successor_major(successors, np.intp)),
+            ("probs", _successor_major(probs, np.float64)),
+            ("rewards", r),
+            ("gamma", float(gamma)),
+        ):
+            object.__setattr__(self, name, value)
+
+    def expectation(self, v: np.ndarray) -> np.ndarray:
+        """``sum_t P[s, a, t] * v[t]`` for every ``(s, a)``, as an ``(S, A)`` array.
+
+        The lists are stored successor-major, ``(k, S, A)`` in memory, so
+        the sum over successors adds ``k`` contiguous planes instead of
+        looping over ``S * A`` rows of length ``k``.
+        """
+        terms = v.take(self.successors.transpose(2, 0, 1))
+        terms *= self.probs.transpose(2, 0, 1)
+        return terms.sum(axis=0)
+
+    @cached_property
+    def transitions(self) -> np.ndarray:
+        """Dense read-only ``P[s, a, s']``, built on first access.
+
+        Only validation and persistence read it; the Bellman sweep works
+        on the successor lists.
+        """
+        ns, na, k = self.successors.shape
+        p = np.zeros((ns * na, ns))
+        cols = self.successors.transpose(2, 0, 1).reshape(k, -1)
+        np.add.at(p, (np.arange(ns * na), cols), self.probs.transpose(2, 0, 1).reshape(k, -1))
+        p = p.reshape(ns, na, ns)
+        p.setflags(write=False)
+        return p
 
     @property
     def n_entries(self) -> int:
         return self.n_states * self.n_actions
+
+
+def _check_sizes(n_states, n_actions) -> None:
+    if n_states < 1 or n_actions < 1:
+        raise ValueError(
+            f"n_states and n_actions must be positive, got ({n_states}, {n_actions})"
+        )
 
 
 def validate(mdp: TabularMdp) -> list[str]:
@@ -107,22 +197,29 @@ def generate_random_mdp(
     """Random MDP where every (s, a) supports exactly ``branching`` successors.
 
     Fully deterministic given the arguments: the same seed produces
-    bitwise-identical tensors.
+    bitwise-identical arrays.  The successor lists are filled directly,
+    so no dense tensor is ever allocated.
     """
     if n_states < 1 or n_actions < 1:
         raise ValueError(f"need n_states, n_actions >= 1, got ({n_states}, {n_actions})")
     if not (1 <= branching <= n_states):
         raise ValueError(f"branching must be in [1, n_states], got {branching}")
     rng = np.random.default_rng(seed)
-    p = np.zeros((n_states, n_actions, n_states))
+    successors = np.empty((n_states, n_actions, branching), dtype=np.intp)
+    probs = np.empty((n_states, n_actions, branching))
     for s in range(n_states):
         for a in range(n_actions):
-            support = rng.choice(n_states, size=branching, replace=False)
+            successors[s, a] = rng.choice(n_states, size=branching, replace=False)
             # strictly positive so the support size is exactly `branching`
             weights = 0.5 * (1.0 + rng.random(branching))
-            p[s, a, support] = weights / weights.sum()
+            probs[s, a] = weights / weights.sum()
+    order = np.argsort(successors, axis=2)
+    successors = np.take_along_axis(successors, order, axis=2)
+    probs = np.take_along_axis(probs, order, axis=2)
     rewards = rng.uniform(-reward_scale, reward_scale, size=(n_states, n_actions))
-    return TabularMdp(n_states, n_actions, p, rewards, gamma)
+    return TabularMdp.from_successors(
+        n_states, n_actions, successors, probs, rewards, gamma
+    )
 
 
 def generate_gridworld(

@@ -10,8 +10,11 @@ row aggregators share the interface ``row -> scalar``:
 * ``boltzmann_softmax`` -- exp-weighted average; NOT non-expansive in
                            general, kept for comparison runs.
 
-``apply_bellman`` lifts the chosen aggregator to the full table:
-``(TQ)[s, a] = R[s, a] + gamma * sum_t P[s, a, t] * agg(Q[t, :])``.
+All three are the 1-row case of ``aggregate_rows``, which reduces every
+row of a table at once; its exponentials are max-shifted, so rows with
+``|omega * q|`` up to 1e6 do not overflow.  ``apply_bellman`` lifts the
+chosen aggregator to the full table over the MDP's successor lists:
+``(TQ)[s, a] = R[s, a] + gamma * sum_i probs[s, a, i] * agg(Q[successors[s, a, i], :])``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .mdp import TabularMdp
 
 
@@ -30,12 +32,6 @@ class OperatorKind(enum.Enum):
     MELLOW_MAX = "mellowmax"
     BOLTZMANN_SOFTMAX = "softmax"
 
-
-_KIND_CODE = {
-    OperatorKind.HARD_MAX: _kernels.HARD_MAX_CODE,
-    OperatorKind.MELLOW_MAX: _kernels.MELLOW_MAX_CODE,
-    OperatorKind.BOLTZMANN_SOFTMAX: _kernels.BOLTZMANN_CODE,
-}
 
 CONTRACTIVE_KINDS = (OperatorKind.HARD_MAX, OperatorKind.MELLOW_MAX)
 
@@ -55,25 +51,39 @@ class OperatorSpec:
         if self.kind is not OperatorKind.HARD_MAX and not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
 
-    @property
-    def code(self) -> int:
-        return _KIND_CODE[self.kind]
-
     def label(self) -> str:
         if self.kind is OperatorKind.HARD_MAX:
             return self.kind.value
         return f"{self.kind.value}(omega={self.omega:g})"
 
 
-def _check_row(row) -> np.ndarray:
+def aggregate_rows(q: np.ndarray, kind: OperatorKind, omega: float) -> np.ndarray:
+    """Per-row aggregate of a ``(rows, actions)`` table: max, mellowmax or softmax."""
+    shift = q.max(axis=1)
+    if kind is OperatorKind.HARD_MAX:
+        return shift
+    w = np.exp(omega * (q - shift[:, None]))
+    if kind is OperatorKind.MELLOW_MAX:
+        return shift + np.log(w.sum(axis=1) / q.shape[1]) / omega
+    return (q * w).sum(axis=1) / w.sum(axis=1)
+
+
+def _check_row(row, omega: float | None = None) -> np.ndarray:
     arr = np.asarray(row, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("row must be a nonempty 1-D vector")
+    if omega is not None and not omega > 0.0:
+        raise ValueError(f"omega must be positive, got {omega}")
     return arr
 
 
+def _aggregate_row(row, kind: OperatorKind, omega: float | None) -> float:
+    arr = _check_row(row, omega)
+    return float(aggregate_rows(arr[None, :], kind, omega)[0])
+
+
 def hard_max(row) -> float:
-    return float(np.max(_check_row(row)))
+    return _aggregate_row(row, OperatorKind.HARD_MAX, None)
 
 
 def mellowmax(row, omega: float) -> float:
@@ -81,11 +91,7 @@ def mellowmax(row, omega: float) -> float:
 
     Always lies between min(row) and max(row).
     """
-    arr = _check_row(row)
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    shift = arr.max()
-    return float(shift + np.log(np.exp(omega * (arr - shift)).mean()) / omega)
+    return _aggregate_row(row, OperatorKind.MELLOW_MAX, omega)
 
 
 def mellowmax_grad(row, omega: float) -> np.ndarray:
@@ -93,28 +99,14 @@ def mellowmax_grad(row, omega: float) -> np.ndarray:
 
     A probability vector: nonnegative entries summing to one.
     """
-    arr = _check_row(row)
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    arr = _check_row(row, omega)
     w = np.exp(omega * (arr - arr.max()))
     return w / w.sum()
 
 
 def boltzmann_softmax(row, omega: float) -> float:
     """sum_i row_i * exp(omega*row_i) / sum_i exp(omega*row_i), max-shifted."""
-    arr = _check_row(row)
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    w = np.exp(omega * (arr - arr.max()))
-    return float((arr * w).sum() / w.sum())
-
-
-def aggregate(row, op: OperatorSpec) -> float:
-    if op.kind is OperatorKind.HARD_MAX:
-        return hard_max(row)
-    if op.kind is OperatorKind.MELLOW_MAX:
-        return mellowmax(row, op.omega)
-    return boltzmann_softmax(row, op.omega)
+    return _aggregate_row(row, OperatorKind.BOLTZMANN_SOFTMAX, omega)
 
 
 def _check_q(mdp: TabularMdp, q) -> np.ndarray:
@@ -130,11 +122,12 @@ def _check_q(mdp: TabularMdp, q) -> np.ndarray:
 
 
 def apply_bellman(mdp: TabularMdp, q, op: OperatorSpec) -> np.ndarray:
-    """One Bellman sweep; the input Q is never modified."""
-    arr = _check_q(mdp, q)
-    return _kernels.bellman_apply(
-        mdp.transitions, mdp.rewards, mdp.gamma, arr, op.code, op.omega
-    )
+    """One Bellman sweep over the successor lists; the input Q is never modified."""
+    v = aggregate_rows(_check_q(mdp, q), op.kind, op.omega)
+    out = mdp.expectation(v)
+    out *= mdp.gamma
+    out += mdp.rewards
+    return out
 
 
 def residual(mdp: TabularMdp, q, op: OperatorSpec) -> np.ndarray:

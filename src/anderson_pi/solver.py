@@ -476,12 +476,18 @@ def run_ensemble(
         mdp_seeds = [None] * len(mdps)
     if mdp_labels is None:
         mdp_labels = [f"mdp{j}" for j in range(len(mdps))]
-    config_labels = [c.label() for c in configs]
+    labels = [c.label() for c in configs]
+    # a label shared by configs that differ (say in beta) gets their hash
+    config_labels = [
+        f"{label}#{cfg.config_hash()}" if labels.count(label) > 1 else label
+        for label, cfg in zip(labels, configs)
+    ]
 
-    oracles: dict[tuple[int, str], np.ndarray | None] = {}
+    # keyed by the exact operator: labels round omega
+    oracles: dict[tuple[int, OperatorSpec], np.ndarray | None] = {}
     for j, mdp in enumerate(mdps):
         for cfg in configs:
-            key = (j, cfg.operator.label())
+            key = (j, cfg.operator)
             if key in oracles:
                 continue
             if cfg.operator.kind in CONTRACTIVE_KINDS:
@@ -494,7 +500,7 @@ def run_ensemble(
     def one(task: tuple[int, int]):
         i, j = task
         cfg, mdp = configs[i], mdps[j]
-        oracle = oracles[(j, cfg.operator.label())]
+        oracle = oracles[(j, cfg.operator)]
         try:
             trace = run(mdp, cfg)
         except DivergenceError as exc:

@@ -194,6 +194,25 @@ class TestCompare:
         lines = [json.loads(l) for l in (out / "report.jsonl").read_text().splitlines()]
         assert lines[0]["iterations"] == lines[2]["iterations"]
 
+    def test_colliding_labels_stay_apart(self, tmp_path):
+        out = tmp_path / "cmp"
+        proc = run_cli(
+            "compare", "--scheme", "kkt:m=5", "--scheme", "kkt:m=5,beta=0.5",
+            "--scheme", "vanilla", "--gen", "random", "--seeds", "0:2",
+            "--op", "mellowmax", "--omega", 5, "-o", out,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [json.loads(l) for l in (out / "report.jsonl").read_text().splitlines()]
+        kkt_labels = {f"kkt m=5#{r['config_hash']}" for r in rows if r["scheme"] != "vanilla"}
+        assert len(kkt_labels) == 2
+        labels = kkt_labels | {"vanilla"}
+        assert {r["scheme"] for r in rows} == labels
+        agg = json.loads((out / "aggregate.json").read_text())
+        assert set(agg["mean_iterations"]) == labels
+        assert len(agg["win_rate"]) == 6
+        curves = (out / "curves.csv").read_text().splitlines()[1:]
+        assert {line.split(",")[0] for line in curves} == labels
+
     def test_single_scheme_is_usage_error(self, tmp_path):
         proc = run_cli(
             "compare", "--scheme", "vanilla", "--gen", "random", "--seeds", "0:2",

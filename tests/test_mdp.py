@@ -55,6 +55,30 @@ class TestRandomGenerator:
         assert np.abs(mdp.rewards).max() <= 0.25
 
 
+class TestFromSuccessors:
+    def test_rejects_mismatched_shapes(self):
+        succ = np.zeros((3, 2, 2), dtype=int)
+        with pytest.raises(ValueError, match="successors"):
+            ap.TabularMdp.from_successors(3, 2, succ, np.zeros((3, 2, 1)), np.zeros((3, 2)), 0.9)
+        with pytest.raises(ValueError, match="successors"):
+            ap.TabularMdp.from_successors(3, 2, succ[:, :, :0], np.zeros((3, 2, 0)), np.zeros((3, 2)), 0.9)
+        with pytest.raises(ValueError, match="rewards"):
+            ap.TabularMdp.from_successors(3, 2, succ, np.full((3, 2, 2), 0.5), np.zeros(3), 0.9)
+
+    def test_rejects_out_of_range_successor(self):
+        succ = np.zeros((3, 2, 1), dtype=int)
+        succ[2, 1, 0] = 3
+        with pytest.raises(ValueError, match="outside"):
+            ap.TabularMdp.from_successors(3, 2, succ, np.ones((3, 2, 1)), np.zeros((3, 2)), 0.9)
+
+    def test_arrays_immutable(self):
+        mdp = ap.generate_random_mdp(0, 5, 2, 2, 1.0, 0.9)
+        with pytest.raises(ValueError):
+            mdp.successors[0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            mdp.probs[0, 0, 0] = 0.5
+
+
 class TestGridworld:
     def test_degenerate_grid_is_absorbing(self):
         mdp = ap.generate_gridworld(1, 1, 0.0, 1.0, 0.9)

@@ -238,6 +238,46 @@ class TestEnsemble:
         err = rep.summaries[0].final_error_vs_oracle
         assert err is not None and err <= 1e-8
 
+    def test_oracle_keyed_by_exact_omega(self, monkeypatch):
+        # the two omegas print alike under %g but have different fixed points
+        ops = [
+            OperatorSpec(OperatorKind.MELLOW_MAX, 5.0),
+            OperatorSpec(OperatorKind.MELLOW_MAX, 5.0000001),
+        ]
+        assert ops[0].label() == ops[1].label()
+        oracle = ap.solver.fixed_point_oracle
+        calls = []
+
+        def counting_oracle(mdp, op, *args, **kwargs):
+            calls.append(op)
+            return oracle(mdp, op, *args, **kwargs)
+
+        monkeypatch.setattr(ap.solver, "fixed_point_oracle", counting_oracle)
+        configs = [cfg_for(Scheme.ANDERSON_KKT, op, m=5, tol=1e-12) for op in ops]
+        configs.append(cfg_for(Scheme.VANILLA_VI, ops[0], tol=1e-12))
+        mdps = [ap.generate_random_mdp(s, 12, 3, 3, 1.0, 0.9) for s in range(2)]
+        rep = ap.run_ensemble(configs, mdps)
+        assert len(calls) == 4  # one per (mdp, exact operator)
+        for i, cfg in enumerate(configs):
+            for j, mdp in enumerate(mdps):
+                own = oracle(mdp, cfg.operator)
+                expected = float(np.abs(rep.traces[(i, j)].final_q - own).max())
+                assert rep.summary(i, j).final_error_vs_oracle == expected
+
+    def test_colliding_labels_get_config_hash(self, mm5):
+        configs = [
+            cfg_for(Scheme.ANDERSON_KKT, mm5, m=5),
+            cfg_for(Scheme.ANDERSON_KKT, mm5, m=5, beta=0.5),
+            cfg_for(Scheme.VANILLA_VI, mm5),
+        ]
+        rep = ap.run_ensemble(configs, [ap.generate_random_mdp(0, 8, 2, 2, 1.0, 0.9)])
+        assert rep.config_labels == [
+            f"kkt m=5#{configs[0].config_hash()}",
+            f"kkt m=5#{configs[1].config_hash()}",
+            "vanilla",
+        ]
+        assert [s.scheme for s in rep.summaries] == rep.config_labels
+
 
 class TestTraceCsv:
     def test_schema_and_determinism(self, tmp_path, mm5):

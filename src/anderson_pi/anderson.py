@@ -37,11 +37,12 @@ that unit vector -- a plain damped step -- and the solution is flagged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularSystemError, _solve_spd_impl
+from .linalg import SingularSystemError, _solve_spd_impl, spectral_norm
 
 GAIN_ZERO_TOL = 1e-14
 CERT_RTOL = 1e-10
@@ -176,6 +177,12 @@ def transformation_matrix(p: int) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=None)
+def transform_cond2(p: int) -> float:
+    """2-norm condition number of :func:`transformation_matrix`, cached per p."""
+    return float(np.linalg.cond(transformation_matrix(p)))
+
+
 def tau_to_alpha(tau) -> np.ndarray:
     tau = np.asarray(tau, dtype=np.float64).ravel()
     if not np.isfinite(tau).all():
@@ -276,18 +283,23 @@ def solve_alpha_kkt(matrices: HistoryMatrices) -> MixingSolution:
     return _finish(alpha, alpha_to_tau(alpha), KIND_KKT, 0.0, lam, False, matrices)
 
 
+def _ridge_scale(matrices: HistoryMatrices, eta: float) -> float:
+    """The ridge penalty ``eta * (||D||_F^2 + ||H||_F^2)``; 0 for eta = 0."""
+    if not eta > 0.0:
+        return 0.0
+    return eta * (
+        float(np.linalg.norm(matrices.delta_q)) ** 2
+        + float(np.linalg.norm(matrices.delta_e)) ** 2
+    )
+
+
 def _solve_tau(matrices: HistoryMatrices, eta: float, kind: str) -> MixingSolution:
     h = matrices.delta_e
     p = h.shape[1]
     if p == 0:
         return _finish([1.0], [], kind, eta, 0.0, False, matrices)
     e_new = matrices.e_newest
-    scale = 0.0
-    if eta > 0.0:
-        scale = eta * (
-            float(np.linalg.norm(matrices.delta_q)) ** 2
-            + float(np.linalg.norm(h)) ** 2
-        )
+    scale = _ridge_scale(matrices, eta)
     gram = h.T @ h
     if scale > 0.0:
         gram = gram + scale * np.eye(p)
@@ -360,22 +372,62 @@ def materialize_update_matrix(
 
     ``G = (D + beta H)(H^T H + reg I)^{-1} H^T - beta I`` where reg
     combines the ridge scale and any jitter the coefficient solve used.
-    Intended for diagnostics only; the solvers never form it.
+    For tests and ``quasi_newton_update(materialize=True)`` only; the
+    solvers never form it and :func:`update_matrix_norms` gives its norms.
     """
     n = matrices.residuals.shape[0]
     h = matrices.delta_e
     p = h.shape[1]
     if fallback or p == 0:
         return -beta * np.eye(n)
-    scale = 0.0
-    if eta > 0.0:
-        scale = eta * (
-            float(np.linalg.norm(matrices.delta_q)) ** 2
-            + float(np.linalg.norm(h)) ** 2
-        )
-    k = h.T @ h + (scale + jitter) * np.eye(p)
+    k = h.T @ h + (_ridge_scale(matrices, eta) + jitter) * np.eye(p)
     w = np.linalg.solve(k, h.T)
     return (matrices.delta_q + beta * h) @ w - beta * np.eye(n)
+
+
+def update_matrix_norms(
+    matrices: HistoryMatrices,
+    beta: float,
+    eta: float,
+    jitter: float = 0.0,
+    fallback: bool = False,
+    with_ratio: bool = False,
+) -> tuple[float, float | None]:
+    """Exact ``||G~||_2`` and ``||G~^{-1} G||_2`` without any n x n matrix.
+
+    ``G~`` is what :func:`materialize_update_matrix` forms from the same
+    arguments, ``G`` its unregularized, jitter-free counterpart.  Both
+    equal ``-beta I`` off the span of ``[D + beta H, H] = Q [R_U, R_H]``
+    and ``M = R_U K^{-1} R_H^T - beta I`` on it, so the norms come from
+    an SVD of the at most 2p x 2p matrices ``M~`` and ``M~^{-1} M0``,
+    raised to ``beta`` and 1 if Q has a complement.  The ratio is None
+    unless asked for, and when ``G~`` or ``H^T H`` is singular.
+    """
+    h = matrices.delta_e
+    n, p = h.shape
+    if p == 0:
+        return beta, (1.0 if with_ratio and beta > 0.0 else None)
+    r = np.linalg.qr(np.hstack([matrices.delta_q + beta * h, h]), mode="r")
+    rank = r.shape[0]
+    complement = n > rank
+    eye = np.eye(rank)
+    gram = h.T @ h
+
+    def restricted(k: np.ndarray) -> np.ndarray:
+        return r[:, :p] @ np.linalg.solve(k, r[:, p:].T) - beta * eye
+
+    if fallback:
+        m_tilde = -beta * eye
+    else:
+        m_tilde = restricted(gram + (_ridge_scale(matrices, eta) + jitter) * np.eye(p))
+    norm = max(spectral_norm(m_tilde), beta if complement else 0.0)
+    if not with_ratio or (complement and beta == 0.0):
+        return norm, None
+    try:
+        ratio = np.linalg.solve(m_tilde, restricted(gram))
+    except np.linalg.LinAlgError:
+        return norm, None
+    return norm, max(spectral_norm(ratio), 1.0 if complement else 0.0)
 
 
 def quasi_newton_update(

@@ -1,4 +1,4 @@
-"""Small dense kernels: guarded SPD solves and power-iteration norms.
+"""Small dense kernels: guarded SPD solves and exact spectral norms.
 
 The coefficient systems in this package are tiny (history depth <= 10),
 so plain normal equations with a diagonal-jitter ladder are enough;
@@ -72,31 +72,14 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def spectral_norm(m: np.ndarray, max_iter: int = 200, rtol: float = 1e-12) -> float:
-    """Largest singular value via power iteration on the Gram matrix."""
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value, from an exact SVD rather than an iterative estimate."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"need a 2-D matrix, got shape {a.shape}")
     if a.size == 0 or not np.abs(a).max(initial=0.0) > 0.0:
         return 0.0
-    # iterate on the smaller Gram matrix
-    g = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(g.shape[0])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = g @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        est = float(v @ (g @ v))
-        if abs(est - prev) <= rtol * max(est, 1e-300):
-            prev = est
-            break
-        prev = est
-    return float(np.sqrt(max(prev, 0.0)))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def frobenius_norm(m: np.ndarray) -> float:

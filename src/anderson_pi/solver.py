@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import anderson, linalg
+from . import anderson
 from .mdp import TabularMdp
 from .operators import CONTRACTIVE_KINDS, OperatorSpec, apply_bellman
 
@@ -175,6 +175,9 @@ class TraceRecord:
     coeff_gap_rhs: float | None = None
     update_norm_lhs: float | None = None
     update_norm_rhs: float | None = None
+    update_ratio: float | None = None
+    update_ratio_skip: str | None = None
+    # always None: full diagnostics keep the norms above, not the n x n matrices
     g_tilde: np.ndarray | None = None
     g_unreg: np.ndarray | None = None
 
@@ -193,18 +196,6 @@ class SolverTrace:
 
     def thetas(self) -> np.ndarray:
         return np.array([r.theta for r in self.records])
-
-
-_COND_A_CACHE: dict[int, float] = {}
-
-
-def _cond2_transform(p: int) -> float:
-    if p not in _COND_A_CACHE:
-        a = anderson.transformation_matrix(p)
-        _COND_A_CACHE[p] = linalg.spectral_norm(a) * linalg.spectral_norm(
-            np.linalg.inv(a)
-        )
-    return _COND_A_CACHE[p]
 
 
 def _solve_coefficients(
@@ -297,25 +288,36 @@ def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> Sol
             rec.coeff_norm_lhs = float(np.linalg.norm(sol.alpha) ** 2)
             rec.coeff_norm_rhs = 4.0 * (1.0 + res_l2**2 / cfg.eta**2)
         if full_diag and cfg.eta > 0.0 and len(history) >= 2:
-            g_tilde = anderson.materialize_update_matrix(
-                matrices, beta, cfg.eta, jitter=sol.jitter, fallback=sol.fallback
-            )
-            rec.g_tilde = g_tilde
-            rec.update_norm_lhs = linalg.spectral_norm(g_tilde)
-            rec.update_norm_rhs = abs(2.0 / cfg.eta - beta)
-            try:
-                rec.g_unreg = anderson.materialize_update_matrix(
-                    matrices, beta, 0.0
-                )
-            except np.linalg.LinAlgError:
-                rec.g_unreg = None
             sol_non = anderson.solve_tau_unconstrained(matrices)
+            # the ratio compares the zero-jitter G_tilde with G, which exists
+            # only if H^T H passed its solve without jitter
+            if sol_non.jitter > 0.0:
+                rec.update_ratio_skip = (
+                    "unregularized update matrix unavailable "
+                    "(difference Gram singular at zero jitter)"
+                )
+            elif sol.jitter > 0.0 or sol.fallback:
+                rec.update_ratio_skip = (
+                    "coefficient solve needed jitter/fallback, "
+                    "G_tilde not the zero-jitter matrix"
+                )
+            rec.update_norm_lhs, rec.update_ratio = anderson.update_matrix_norms(
+                matrices,
+                beta,
+                cfg.eta,
+                jitter=sol.jitter,
+                fallback=sol.fallback,
+                with_ratio=rec.update_ratio_skip is None,
+            )
+            if rec.update_ratio_skip is None and rec.update_ratio is None:
+                rec.update_ratio_skip = "G_tilde singular, inverse undefined"
+            rec.update_norm_rhs = abs(2.0 / cfg.eta - beta)
             p = matrices.delta_e.shape[1]
             rec.coeff_gap_lhs = float(
                 np.linalg.norm(sol.alpha - sol_non.alpha) ** 2
             )
             rec.coeff_gap_rhs = float(
-                _cond2_transform(p) ** 2 * np.linalg.norm(sol_non.alpha) ** 2
+                anderson.transform_cond2(p) ** 2 * np.linalg.norm(sol_non.alpha) ** 2
                 - (2.0 * p + 1.0) / (p + 1.0)
             )
         rec.wall_nanos = time.perf_counter_ns() - t0

@@ -5,16 +5,20 @@ from hypothesis import given, strategies as st
 import anderson_pi as ap
 from anderson_pi.anderson import (
     AndersonHistory,
+    HistoryMatrices,
     build_history_matrices,
     gain_theta,
     mixed_update,
+    materialize_update_matrix,
     quasi_newton_update,
     solve_alpha_kkt,
     solve_tau_regularized,
     solve_tau_unconstrained,
     tau_to_alpha,
     alpha_to_tau,
+    transform_cond2,
     transformation_matrix,
+    update_matrix_norms,
     vanilla_solution,
 )
 from anderson_pi.operators import OperatorKind, OperatorSpec, apply_bellman
@@ -367,3 +371,92 @@ class TestCertificates:
             solve_tau_regularized(m, 0.1),
         ):
             assert np.linalg.norm(m.residuals @ sol.alpha) <= e_norm * (1 + 1e-9)
+
+
+def dense_norms(m, beta, eta):
+    """||G~||_2 and ||G~^-1 G||_2 from the dense n x n matrices."""
+    g_tilde = materialize_update_matrix(m, beta, eta)
+    g = materialize_update_matrix(m, beta, 0.0)
+    return (
+        np.linalg.norm(g_tilde, 2),
+        np.linalg.norm(np.linalg.solve(g_tilde, g), 2),
+    )
+
+
+class TestUpdateMatrixNorms:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_matches_dense(self, p):
+        rng = np.random.default_rng(100 + p)
+        for beta, eta in [(1.0, 0.1), (0.6, 0.5), (1.0, 1.0), (0.3, 2.0)]:
+            m = build_history_matrices(random_history(rng, 24, p + 1))
+            norm, ratio = update_matrix_norms(m, beta, eta, with_ratio=True)
+            dense_norm, dense_ratio = dense_norms(m, beta, eta)
+            assert norm == pytest.approx(dense_norm, rel=1e-12)
+            assert ratio == pytest.approx(dense_ratio, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_no_complement_block(self, p):
+        # n <= 2p leaves no complement to the QR basis; up to 3p, a small one
+        rng = np.random.default_rng(200 + p)
+        for n in range(p, 3 * p + 1):
+            m = build_history_matrices(random_history(rng, n, p + 1))
+            norm, ratio = update_matrix_norms(m, 1.0, 0.2, with_ratio=True)
+            dense_norm, dense_ratio = dense_norms(m, 1.0, 0.2)
+            assert norm == pytest.approx(dense_norm, rel=1e-12)
+            assert ratio == pytest.approx(dense_ratio, rel=1e-6)
+
+    def test_rank_deficient_h(self):
+        rng = np.random.default_rng(7)
+        n = 20
+        dq = rng.standard_normal((n, 3))
+        de = rng.standard_normal((n, 3))
+        de[:, 2] = de[:, 0]  # two equal residual differences: H^T H singular
+        m = HistoryMatrices(rng.standard_normal((n, 4)), dq, de)
+        norm, ratio = update_matrix_norms(m, 1.0, 0.1, with_ratio=True)
+        assert norm == pytest.approx(
+            np.linalg.norm(materialize_update_matrix(m, 1.0, 0.1), 2), rel=1e-12
+        )
+        assert ratio is None
+        # the zero-jitter unconstrained solve flags the same history
+        assert solve_tau_unconstrained(m).jitter > 0.0
+
+    def test_jitter_matches_dense(self):
+        rng = np.random.default_rng(9)
+        m = build_history_matrices(random_history(rng, 15, 4))
+        norm, _ = update_matrix_norms(m, 0.8, 0.3, jitter=1e-3)
+        dense = materialize_update_matrix(m, 0.8, 0.3, jitter=1e-3)
+        assert norm == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
+
+    def test_fallback_and_empty_history_give_beta(self):
+        rng = np.random.default_rng(11)
+        m = build_history_matrices(random_history(rng, 12, 4))
+        assert update_matrix_norms(m, 0.7, 0.1, fallback=True) == (0.7, None)
+        single = build_history_matrices(random_history(rng, 12, 1))
+        assert update_matrix_norms(single, 0.7, 0.1) == (0.7, None)
+        assert update_matrix_norms(single, 0.7, 0.1, with_ratio=True) == (0.7, 1.0)
+
+    def test_ratio_at_least_one_off_the_span(self):
+        # both matrices are -beta I off span([D + beta H, H]), so n > 2p
+        # forces ||G~^-1 G||_2 >= 1
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            m = build_history_matrices(random_history(rng, 11, 6))
+            _, ratio = update_matrix_norms(m, 1.0, 0.1, with_ratio=True)
+            assert ratio >= 1.0
+
+    def test_singular_g_tilde_has_no_ratio(self):
+        rng = np.random.default_rng(17)
+        m = build_history_matrices(random_history(rng, 12, 3))
+        # beta = 0 leaves G~ = U K^-1 H^T, of rank 2 < n
+        norm, ratio = update_matrix_norms(m, 0.0, 0.1, with_ratio=True)
+        assert ratio is None
+        assert norm == pytest.approx(
+            np.linalg.norm(materialize_update_matrix(m, 0.0, 0.1), 2), rel=1e-12
+        )
+
+
+class TestTransformCond2:
+    @pytest.mark.parametrize("p", [0, 1, 3, 5])
+    def test_matches_svd(self, p):
+        s = np.linalg.svd(transformation_matrix(p), compute_uv=False)
+        assert transform_cond2(p) == pytest.approx(s[0] / s[-1], rel=1e-12)

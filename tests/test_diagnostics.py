@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import anderson_pi as ap
+from anderson_pi import anderson
 from anderson_pi.anderson import (
     AndersonHistory,
     build_history_matrices,
@@ -97,6 +98,43 @@ class TestUpdateNormBound:
         inv = [r for r in records if r.context == "spectral_norm(G_tilde^-1 G)"]
         assert inv or skipped
         assert all(not r.asserted for r in inv)
+
+    def test_ratio_only_where_unconstrained_solve_needs_no_jitter(
+        self, monkeypatch
+    ):
+        # the ratio needs G, which exists only if H^T H solves at zero jitter;
+        # this is the Theorem3 run of ``check --seed 1``, where 118 of 292
+        # iterations need jitter there
+        verdicts = []
+        solve = anderson.solve_tau_unconstrained
+
+        def recording(matrices):
+            sol = solve(matrices)
+            verdicts.append(sol.jitter == 0.0)
+            return sol
+
+        monkeypatch.setattr(anderson, "solve_tau_unconstrained", recording)
+        mdp = ap.generate_random_mdp(1, 20, 3, 3, 1.0, 0.95)
+        cfg = SolverConfig(
+            scheme=Scheme.STABLE_AA,
+            operator=OperatorSpec(OperatorKind.MELLOW_MAX, 5.0),
+            m=5,
+            eta=0.1,
+            tol=1e-10,
+            diagnostics_level="full",
+        )
+        trace = ap.run(mdp, cfg)
+        # one unconstrained solve per iteration with a norm, in order
+        diag_iters = [r.k for r in trace.records if r.update_norm_lhs is not None]
+        assert len(diag_iters) == len(verdicts)
+        clean = dict(zip(diag_iters, verdicts))
+        records, skipped = check_update_norm_bound(trace, 0.1, 1.0)
+        ratio_iters = [
+            r.iter for r in records if r.context == "spectral_norm(G_tilde^-1 G)"
+        ]
+        assert ratio_iters and all(clean[k] for k in ratio_iters)
+        unavailable = [s for s in skipped if "unregularized" in s]
+        assert len(unavailable) == sum(not v for v in verdicts)
 
     def test_late_iterations_approach_beta(self):
         # as the history differences vanish the update matrix tends to

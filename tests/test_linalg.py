@@ -85,6 +85,17 @@ class TestSpectralNorm:
                 np.linalg.svd(m, compute_uv=False)[0], rel=1e-8
             )
 
+    def test_exact_on_clustered_spectrum(self):
+        # power iteration stalls when the two top singular values nearly
+        # coincide and stops below the norm; the bound checks need the norm
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        s = np.array([1.0, 1.0 - 1e-6, 0.5, 0.2, 0.1, 0.0])
+        m = (u * s) @ v.T
+        exact = np.linalg.svd(m, compute_uv=False)[0]
+        assert spectral_norm(m) == pytest.approx(exact, rel=1e-14)
+
 
 class TestFrobeniusNorm:
     def test_identity(self):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,12 +152,32 @@ class TestRun:
             diagnostics_level="full",
         )
         tr = ap.run(mdp, cfg)
-        with_g = [r for r in tr.records if r.g_tilde is not None]
-        assert with_g
-        for rec in with_g:
+        # the first iteration has one history entry; every later one has two
+        assert tr.records[0].update_norm_lhs is None
+        assert len(tr.records) > 2
+        for rec in tr.records[1:]:
             assert rec.update_norm_lhs is not None
             assert rec.update_norm_rhs == pytest.approx(abs(2.0 / 0.5 - 1.0))
             assert rec.coeff_gap_lhs is not None
+            # the ratio or the reason it was skipped, never both
+            assert (rec.update_ratio is None) != (rec.update_ratio_skip is None)
+        assert all(r.g_tilde is None and r.g_unreg is None for r in tr.records)
+
+    def test_full_diagnostics_memory_bounded(self, mm5):
+        # two dense 120 x 120 matrices kept per iteration would need about 460 MB
+        mdp = ap.generate_random_mdp(0, 30, 4, 3, 1.0, 0.99)
+        cfg = cfg_for(
+            Scheme.STABLE_AA, mm5, m=5, eta=0.1, tol=1e-10,
+            diagnostics_level="full",
+        )
+        tracemalloc.start()
+        try:
+            tr = ap.run(mdp, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.converged and tr.iterations > 1000
+        assert peak < 8e6
 
     def test_theta_certificates_on_run(self, mm5):
         mdp = ap.generate_random_mdp(6, 20, 3, 3, 1.0, 0.95)

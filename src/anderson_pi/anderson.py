@@ -42,7 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularSystemError, _solve_spd_impl, spectral_norm
+from .linalg import (
+    SingularSystemError,
+    _solve_spd_impl,
+    frobenius_norm,
+    spectral_norm,
+)
 
 GAIN_ZERO_TOL = 1e-14
 CERT_RTOL = 1e-10
@@ -55,22 +60,37 @@ KIND_VANILLA = "Vanilla"
 
 
 class AndersonHistory:
-    """Ring buffer of the most recent iterates and their operator images.
+    """Window of the most recent iterates and their operator images.
 
-    Oldest-first; appending beyond ``depth + 1`` entries evicts the
-    oldest pair.  One solver run owns one history -- not thread safe.
+    Preallocated buffers hold the iterates X, the images F and the
+    residuals E = F - X, oldest first (n x (depth + 1) each), and the
+    iterate and residual differences D and H, newest first (n x depth
+    each).  :meth:`push` writes the new columns and one new difference
+    column of each kind in place; once the window is full it evicts the
+    oldest pair by shifting every column one place.
+
+    The matrices handed out by :meth:`iterate_matrix`,
+    :meth:`image_matrix`, :meth:`newest_iterate` and
+    :func:`build_history_matrices` are views of these buffers, each
+    column contiguous in memory.  They stay valid until the next
+    :meth:`push` or :meth:`clear_keep_newest`, which overwrite the
+    buffers in place: copy what must outlive that.  One solver run owns
+    one history -- not thread safe.
     """
 
     def __init__(self, depth: int):
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
         self.depth = depth
-        self._iterates: list[np.ndarray] = []
-        self._images: list[np.ndarray] = []
+        self._len = 0
         self._n: int | None = None
+        # row j of _xfe[0], _xfe[1], _xfe[2] is column j of X, F, E;
+        # row i of _dh[0], _dh[1] is column i of D, H
+        self._xfe = np.empty((3, depth + 1, 0))
+        self._dh = np.empty((2, depth, 0))
 
     def __len__(self) -> int:
-        return len(self._iterates)
+        return self._len
 
     @property
     def n(self) -> int:
@@ -79,35 +99,50 @@ class AndersonHistory:
         return self._n
 
     def push(self, q: np.ndarray, tq: np.ndarray) -> None:
+        """Copy ``q`` and ``tq`` into the window, evicting the oldest pair if full."""
         q = np.asarray(q, dtype=np.float64).ravel()
         tq = np.asarray(tq, dtype=np.float64).ravel()
         if q.shape != tq.shape:
             raise ValueError("iterate and image must have the same length")
         if self._n is None:
             self._n = q.size
+            self._xfe = np.empty((3, self.depth + 1, q.size))
+            self._dh = np.empty((2, self.depth, q.size))
         elif q.size != self._n:
             raise ValueError(f"vector length {q.size} != history dimension {self._n}")
-        self._iterates.append(q)
-        self._images.append(tq)
-        while len(self._iterates) > self.depth + 1:
-            self._iterates.pop(0)
-            self._images.pop(0)
+        k, n = self._len, self._n
+        xfe, dh = self._xfe, self._dh
+        # shift each buffer as one flat run: numpy moves an overlapping 1-D
+        # slice in place, where a 2-D one goes through a temporary copy
+        if k == self.depth + 1:
+            for flat in xfe.reshape(3, -1):
+                flat[:-n] = flat[n:]
+            k -= 1
+        if k > 1:
+            for flat in dh.reshape(2, -1):
+                flat[n : k * n] = flat[: (k - 1) * n]
+        xfe[0, k] = q
+        xfe[1, k] = tq
+        np.subtract(tq, q, out=xfe[2, k])
+        if k:
+            np.subtract(xfe[::2, k], xfe[::2, k - 1], out=dh[:, 0])
+        self._len = k + 1
 
     def clear_keep_newest(self) -> None:
-        if self._iterates:
-            self._iterates = self._iterates[-1:]
-            self._images = self._images[-1:]
+        if self._len:
+            self._xfe[:, 0] = self._xfe[:, self._len - 1]
+            self._len = 1
 
     def iterate_matrix(self) -> np.ndarray:
-        return np.column_stack(self._iterates)
+        return self._xfe[0, : self._len].T
 
     def image_matrix(self) -> np.ndarray:
-        return np.column_stack(self._images)
+        return self._xfe[1, : self._len].T
 
     def newest_iterate(self) -> np.ndarray:
-        if not self._iterates:
+        if not self._len:
             raise ValueError("history is empty")
-        return self._iterates[-1]
+        return self._xfe[0, self._len - 1]
 
 
 @dataclass
@@ -128,16 +163,18 @@ class HistoryMatrices:
 
 
 def build_history_matrices(history: AndersonHistory) -> HistoryMatrices:
-    """Assemble E, D, H from the window; with one entry D and H are empty."""
-    if len(history) == 0:
+    """E, D and H of the window; with one entry D and H are empty.
+
+    The matrices are views of the history's buffers, valid until its next
+    ``push`` or ``clear_keep_newest``.
+    """
+    k = len(history)
+    if k == 0:
         raise ValueError("cannot build matrices from an empty history")
-    x = history.iterate_matrix()
-    f = history.image_matrix()
-    e = f - x
-    # adjacent differences, then reverse so the newest difference is column 0
-    dq = (x[:, 1:] - x[:, :-1])[:, ::-1]
-    de = (e[:, 1:] - e[:, :-1])[:, ::-1]
-    return HistoryMatrices(residuals=e, delta_q=dq, delta_e=de)
+    dh = history._dh[:, : k - 1]
+    return HistoryMatrices(
+        residuals=history._xfe[2, :k].T, delta_q=dh[0].T, delta_e=dh[1].T
+    )
 
 
 @dataclass
@@ -145,18 +182,24 @@ class MixingSolution:
     """Coefficients produced by one of the solvers, plus diagnostics.
 
     ``alpha`` always sums to one; ``tau`` is its unconstrained
-    counterpart.  ``jitter`` is the diagonal level the Gram solve needed
-    (0.0 for a clean solve) and ``fallback`` marks the unit-vector
-    safety path.
+    counterpart and ``mixed_residual`` is ``E alpha``.  ``jitter`` is the
+    diagonal level the Gram solve needed (0.0 for a clean solve) and
+    ``fallback`` marks the unit-vector safety path.  A regularized solve
+    with ``eta > 0`` and ``p > 0`` also records its ridge scale
+    ``eta (||D||_F^2 + ||H||_F^2)`` and ``trace(H^T H)``; ``gram_trace``
+    is None otherwise.
     """
 
     alpha: np.ndarray
     tau: np.ndarray
+    mixed_residual: np.ndarray
     gain_theta: float
     solver_kind: str
     eta: float = 0.0
     jitter: float = 0.0
     fallback: bool = False
+    ridge_scale: float = 0.0
+    gram_trace: float | None = None
 
 
 def transformation_matrix(p: int) -> np.ndarray:
@@ -184,12 +227,16 @@ def transform_cond2(p: int) -> float:
 
 
 def tau_to_alpha(tau) -> np.ndarray:
+    """``transformation_matrix(p) @ (1, tau)`` in closed form.
+
+    The rows of the map are the adjacent differences of
+    ``(0, tau_{p-1}, ..., tau_0, 1)``.
+    """
     tau = np.asarray(tau, dtype=np.float64).ravel()
     if not np.isfinite(tau).all():
         raise ValueError("tau contains non-finite entries")
-    p = tau.size
-    tau_tilde = np.concatenate(([1.0], tau))
-    return transformation_matrix(p) @ tau_tilde
+    s = np.concatenate(([0.0], tau[::-1], [1.0]))
+    return s[1:] - s[:-1]
 
 
 def alpha_to_tau(alpha) -> np.ndarray:
@@ -207,46 +254,72 @@ def alpha_to_tau(alpha) -> np.ndarray:
     return partial[::-1].copy()
 
 
-def gain_theta(alpha, residuals: np.ndarray) -> float:
-    """Gain of the mixed residual: ||E alpha||_inf / ||e_k||_inf.
+def gain_theta(mixed: np.ndarray, e_newest: np.ndarray) -> float:
+    """Gain of the mixed residual ``E alpha``: ||E alpha||_inf / ||e_k||_inf.
 
     Defined as 0 once the newest residual is at numerical zero
     (below 1e-14): the iteration has converged.
     """
-    alpha = np.asarray(alpha, dtype=np.float64).ravel()
-    e_new = residuals[:, -1]
-    denom = float(np.abs(e_new).max(initial=0.0))
+    denom = float(np.abs(e_newest).max(initial=0.0))
     if denom < GAIN_ZERO_TOL:
         return 0.0
-    mixed = residuals @ alpha
     return float(np.abs(mixed).max(initial=0.0) / denom)
 
 
-def _unit_alpha(n_cols: int) -> np.ndarray:
-    alpha = np.zeros(n_cols)
+def coefficient_bounds(
+    alpha_reg: np.ndarray,
+    alpha_non: np.ndarray | None,
+    e_norm: float,
+    eta: float,
+    p: int,
+) -> tuple[float, float, float | None, float | None]:
+    """Left and right sides of the coefficient bounds of a regularized solve.
+
+    Prop2_1: ``||alpha_reg||^2 <= 4 (1 + ||e_k||_2^2 / eta^2)``.  Prop2_2,
+    against the unregularized coefficients ``alpha_non`` (its sides are
+    None without them): ``||alpha_reg - alpha_non||^2 <= cond2(A)^2
+    ||alpha_non||^2 - (2p + 1) / (p + 1)`` with ``A =
+    transformation_matrix(p)``.
+    """
+    norm_lhs = frobenius_norm(alpha_reg) ** 2
+    norm_rhs = 4.0 * (1.0 + e_norm**2 / eta**2)
+    if alpha_non is None:
+        return norm_lhs, norm_rhs, None, None
+    gap_lhs = frobenius_norm(alpha_reg - alpha_non) ** 2
+    gap_rhs = transform_cond2(p) ** 2 * frobenius_norm(alpha_non) ** 2 - (
+        2.0 * p + 1.0
+    ) / (p + 1.0)
+    return norm_lhs, norm_rhs, gap_lhs, gap_rhs
+
+
+def _solution(
+    matrices, alpha, tau, mixed, kind, eta, jitter, fallback
+) -> MixingSolution:
+    gain = gain_theta(mixed, matrices.e_newest)
+    return MixingSolution(alpha, tau, mixed, gain, kind, eta, jitter, fallback)
+
+
+def _plain_step(
+    matrices: HistoryMatrices,
+    kind: str,
+    eta: float = 0.0,
+    jitter: float = 0.0,
+    fallback: bool = False,
+) -> MixingSolution:
+    """Unit weight on the newest column, whose mixed residual is e_k itself."""
+    cols = matrices.n_columns
+    alpha = np.zeros(cols)
     alpha[-1] = 1.0
-    return alpha
+    tau, mixed = np.zeros(cols - 1), matrices.e_newest.copy()
+    return _solution(matrices, alpha, tau, mixed, kind, eta, jitter, fallback)
 
 
-def _certified(alpha: np.ndarray, residuals: np.ndarray) -> bool:
+def _certified(alpha: np.ndarray, mixed: np.ndarray, e_newest: np.ndarray) -> bool:
     """Accept alpha only if it does at least as well as the plain step."""
     if not np.isfinite(alpha).all():
         return False
-    mixed_norm = float(np.linalg.norm(residuals @ alpha))
-    newest_norm = float(np.linalg.norm(residuals[:, -1]))
-    return mixed_norm <= newest_norm * (1.0 + CERT_RTOL) + 1e-300
-
-
-def _finish(alpha, tau, kind, eta, jitter, fallback, matrices) -> MixingSolution:
-    return MixingSolution(
-        alpha=np.asarray(alpha, dtype=np.float64),
-        tau=np.asarray(tau, dtype=np.float64),
-        gain_theta=gain_theta(alpha, matrices.residuals),
-        solver_kind=kind,
-        eta=eta,
-        jitter=jitter,
-        fallback=fallback,
-    )
+    mixed_norm = frobenius_norm(mixed)
+    return mixed_norm <= frobenius_norm(e_newest) * (1.0 + CERT_RTOL) + 1e-300
 
 
 def solve_alpha_kkt(matrices: HistoryMatrices) -> MixingSolution:
@@ -260,62 +333,57 @@ def solve_alpha_kkt(matrices: HistoryMatrices) -> MixingSolution:
     e = matrices.residuals
     cols = e.shape[1]
     if cols == 1:
-        return _finish([1.0], [], KIND_KKT, 0.0, 0.0, False, matrices)
-    gram = e.T @ e
-    ones = np.ones(cols)
+        return _plain_step(matrices, KIND_KKT)
     try:
-        y, lam = _solve_spd_impl(gram, ones)
+        y, lam = _solve_spd_impl(e.T @ e, np.ones(cols))
     except SingularSystemError as exc:
-        return _finish(
-            _unit_alpha(cols),
-            alpha_to_tau(_unit_alpha(cols)),
-            KIND_KKT,
-            0.0,
-            exc.jitter,
-            True,
-            matrices,
-        )
+        return _plain_step(matrices, KIND_KKT, jitter=exc.jitter, fallback=True)
     total = float(y.sum())
-    alpha = y / total if total != 0.0 else _unit_alpha(cols)
-    if total == 0.0 or not _certified(alpha, e):
-        alpha = _unit_alpha(cols)
-        return _finish(alpha, alpha_to_tau(alpha), KIND_KKT, 0.0, lam, True, matrices)
-    return _finish(alpha, alpha_to_tau(alpha), KIND_KKT, 0.0, lam, False, matrices)
+    if total != 0.0:
+        alpha = y / total
+        mixed = e @ alpha
+        if _certified(alpha, mixed, matrices.e_newest):
+            return _solution(
+                matrices, alpha, alpha_to_tau(alpha), mixed, KIND_KKT, 0.0, lam, False
+            )
+    return _plain_step(matrices, KIND_KKT, jitter=lam, fallback=True)
 
 
-def _ridge_scale(matrices: HistoryMatrices, eta: float) -> float:
-    """The ridge penalty ``eta * (||D||_F^2 + ||H||_F^2)``; 0 for eta = 0."""
+def _ridge_scale(matrices: HistoryMatrices, eta: float) -> tuple[float, float]:
+    """The ridge penalty ``eta * (||D||_F^2 + ||H||_F^2)`` and ``||H||_F^2``.
+
+    ``||H||_F^2`` is ``trace(H^T H)``.  Both are 0 for eta = 0.
+    """
     if not eta > 0.0:
-        return 0.0
-    return eta * (
-        float(np.linalg.norm(matrices.delta_q)) ** 2
-        + float(np.linalg.norm(matrices.delta_e)) ** 2
-    )
+        return 0.0, 0.0
+    h_sq = frobenius_norm(matrices.delta_e) ** 2
+    return eta * (frobenius_norm(matrices.delta_q) ** 2 + h_sq), h_sq
 
 
 def _solve_tau(matrices: HistoryMatrices, eta: float, kind: str) -> MixingSolution:
     h = matrices.delta_e
     p = h.shape[1]
     if p == 0:
-        return _finish([1.0], [], kind, eta, 0.0, False, matrices)
+        return _plain_step(matrices, kind, eta)
     e_new = matrices.e_newest
-    scale = _ridge_scale(matrices, eta)
+    scale, h_sq = _ridge_scale(matrices, eta)
     gram = h.T @ h
     if scale > 0.0:
-        gram = gram + scale * np.eye(p)
-    rhs = h.T @ e_new
+        gram.flat[:: p + 1] += scale
     try:
-        tau, lam = _solve_spd_impl(gram, rhs)
+        tau, lam = _solve_spd_impl(gram, h.T @ e_new)
     except SingularSystemError as exc:
-        tau = np.zeros(p)
-        return _finish(
-            tau_to_alpha(tau), tau, kind, eta, exc.jitter, True, matrices
-        )
-    alpha = tau_to_alpha(tau)
-    if not _certified(alpha, matrices.residuals):
-        tau = np.zeros(p)
-        return _finish(tau_to_alpha(tau), tau, kind, eta, lam, True, matrices)
-    return _finish(alpha, tau, kind, eta, lam, False, matrices)
+        sol = _plain_step(matrices, kind, eta, exc.jitter, True)
+    else:
+        alpha = tau_to_alpha(tau)
+        mixed = matrices.residuals @ alpha
+        if _certified(alpha, mixed, e_new):
+            sol = _solution(matrices, alpha, tau, mixed, kind, eta, lam, False)
+        else:
+            sol = _plain_step(matrices, kind, eta, lam, True)
+    if eta > 0.0:
+        sol.ridge_scale, sol.gram_trace = scale, h_sq
+    return sol
 
 
 def solve_tau_unconstrained(matrices: HistoryMatrices) -> MixingSolution:
@@ -341,8 +409,7 @@ def solve_tau_regularized(matrices: HistoryMatrices, eta: float) -> MixingSoluti
 
 def vanilla_solution(matrices: HistoryMatrices) -> MixingSolution:
     """Unit weight on the newest column: the plain (damped) step."""
-    alpha = _unit_alpha(matrices.n_columns)
-    return _finish(alpha, alpha_to_tau(alpha), KIND_VANILLA, 0.0, 0.0, False, matrices)
+    return _plain_step(matrices, KIND_VANILLA)
 
 
 def mixed_update(
@@ -351,14 +418,14 @@ def mixed_update(
     """Damped linear mixing: (1-beta) * X alpha + beta * F alpha."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if len(history) != solution.alpha.size:
+    k = len(history)
+    if k != solution.alpha.size:
         raise ValueError(
             f"alpha length {solution.alpha.size} does not match history "
-            f"length {len(history)}"
+            f"length {k}"
         )
-    x = history.iterate_matrix()
-    f = history.image_matrix()
-    return (1.0 - beta) * (x @ solution.alpha) + beta * (f @ solution.alpha)
+    x_alpha, f_alpha = solution.alpha @ history._xfe[:2, :k]
+    return (1.0 - beta) * x_alpha + beta * f_alpha
 
 
 def materialize_update_matrix(
@@ -380,7 +447,7 @@ def materialize_update_matrix(
     p = h.shape[1]
     if fallback or p == 0:
         return -beta * np.eye(n)
-    k = h.T @ h + (_ridge_scale(matrices, eta) + jitter) * np.eye(p)
+    k = h.T @ h + (_ridge_scale(matrices, eta)[0] + jitter) * np.eye(p)
     w = np.linalg.solve(k, h.T)
     return (matrices.delta_q + beta * h) @ w - beta * np.eye(n)
 
@@ -419,7 +486,8 @@ def update_matrix_norms(
     if fallback:
         m_tilde = -beta * eye
     else:
-        m_tilde = restricted(gram + (_ridge_scale(matrices, eta) + jitter) * np.eye(p))
+        reg = _ridge_scale(matrices, eta)[0] + jitter
+        m_tilde = restricted(gram + reg * np.eye(p))
     norm = max(spectral_norm(m_tilde), beta if complement else 0.0)
     if not with_ratio or (complement and beta == 0.0):
         return norm, None

@@ -190,27 +190,27 @@ def check_coefficient_bounds(
     """
     if not eta > 0.0:
         raise ValueError("the coefficient-bound check requires eta > 0")
-    e_norm2 = float(np.linalg.norm(e_k)) ** 2
+    norm_lhs, norm_rhs, gap_lhs, gap_rhs = anderson.coefficient_bounds(
+        sol_reg.alpha, sol_non.alpha, float(np.linalg.norm(e_k)), eta, m
+    )
     rec1 = _record(
         "Prop2_1",
-        float(np.linalg.norm(sol_reg.alpha)) ** 2,
-        4.0 * (1.0 + e_norm2 / eta**2),
+        norm_lhs,
+        norm_rhs,
         COEFF_BOUND_SLACK,
         iter_idx,
         config_hash,
         context=f"eta={eta:g}",
         asserted=True,
     )
-    cond = anderson.transform_cond2(m)
     rec2 = _record(
         "Prop2_2",
-        float(np.linalg.norm(sol_reg.alpha - sol_non.alpha)) ** 2,
-        cond**2 * float(np.linalg.norm(sol_non.alpha)) ** 2
-        - (2.0 * m + 1.0) / (m + 1.0),
+        gap_lhs,
+        gap_rhs,
         0.0,
         iter_idx,
         config_hash,
-        context=f"cond2(A)={cond!r}",
+        context=f"cond2(A)={anderson.transform_cond2(m)!r}",
         asserted=False,
     )
     return rec1, rec2
@@ -276,7 +276,7 @@ def check_form_equivalence(
     records = []
     for k in range(n_iters):
         tq = apply_bellman(mdp, q, op)
-        history.push(q.ravel().copy(), tq.ravel().copy())
+        history.push(q, tq)
         matrices = anderson.build_history_matrices(history)
         sol = (
             anderson.solve_tau_regularized(matrices, eta)

@@ -8,6 +8,8 @@ than by an orthogonal factorization.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SOLVE_RTOL = 1e-8
@@ -25,17 +27,35 @@ class SingularSystemError(RuntimeError):
 
 
 def jitter_ladder(a: np.ndarray) -> list[float]:
-    """Jitter levels to try: 0, then base..base*10^4 scaled by trace/n."""
+    """Levels tried after the zero-jitter attempt: base..base*10^4, scaled by trace/n."""
     n = a.shape[0]
     lam0 = BASE_JITTER * max(1.0, float(np.trace(a)) / n)
-    return [0.0] + [lam0 * 10.0**i for i in range(JITTER_STEPS + 1)]
+    return [lam0 * 10.0**i for i in range(JITTER_STEPS + 1)]
+
+
+def _accepted(m: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float):
+    """The solution of ``m x = b``, or None.
+
+    None unless ``m`` is positive definite and ``x`` solves ``a x = b``
+    within ``tol``.
+    """
+    try:
+        np.linalg.cholesky(m)  # positive-definiteness gate
+        x = np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(x).all() or frobenius_norm(a @ x - b) > tol:
+        return None
+    return x
 
 
 def _solve_spd_impl(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve ``a @ x = b`` for symmetric PSD-ish ``a``; returns (x, jitter used).
 
-    Each ladder level is accepted only if the solution reproduces ``b``
-    against the ORIGINAL matrix within ``SOLVE_RTOL * (1 + ||b||)``.
+    ``a`` itself is tried first, then ``a + lam I`` for each level of
+    :func:`jitter_ladder`.  Each attempt is accepted only if the solution
+    reproduces ``b`` against the ORIGINAL matrix within
+    ``SOLVE_RTOL * (1 + ||b||)``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -46,20 +66,14 @@ def _solve_spd_impl(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within 1e-10")
-    b_norm = float(np.linalg.norm(b))
-    tol = SOLVE_RTOL * (1.0 + b_norm)
+    tol = SOLVE_RTOL * (1.0 + frobenius_norm(b))
+    x = _accepted(a, a, b, tol)
+    if x is not None:
+        return x, 0.0
     eye = np.eye(a.shape[0])
-    lam = 0.0
     for lam in jitter_ladder(a):
-        m = a + lam * eye if lam else a
-        try:
-            np.linalg.cholesky(m)  # positive-definiteness gate
-            x = np.linalg.solve(m, b)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.isfinite(x).all():
-            continue
-        if float(np.linalg.norm(a @ x - b)) <= tol:
+        x = _accepted(a + lam * eye, a, b, tol)
+        if x is not None:
             return x, lam
     raise SingularSystemError(
         f"system remained singular/indefinite after jitter {lam:g}", jitter=lam
@@ -83,5 +97,11 @@ def spectral_norm(m: np.ndarray) -> float:
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(np.asarray(m, dtype=np.float64)))
+    """Square root of the sum of squared entries (the 2-norm of a vector).
+
+    The value of ``np.linalg.norm(m)``, computed the same way (one dot
+    product over the entries in memory order) without its dispatch
+    overhead, which dominates at the sizes of one Anderson iteration.
+    """
+    x = np.asarray(m, dtype=np.float64).ravel(order="K")
+    return math.sqrt(x.dot(x))

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import anderson
+from .linalg import frobenius_norm
 from .mdp import TabularMdp
 from .operators import CONTRACTIVE_KINDS, OperatorSpec, apply_bellman
 
@@ -90,7 +91,6 @@ class SolverConfig:
     eta: float = 0.0
     tol: float = 1e-10
     max_iter: int = 10000
-    seed: int = 0
     safeguard: bool = False
     diagnostics_level: str = "basic"
 
@@ -136,7 +136,6 @@ class SolverConfig:
             "eta": self.eta,
             "tol": self.tol,
             "max_iter": self.max_iter,
-            "seed": self.seed,
             "safeguard": self.safeguard,
             "diagnostics_level": self.diagnostics_level,
         }
@@ -177,6 +176,9 @@ class TraceRecord:
     update_norm_rhs: float | None = None
     update_ratio: float | None = None
     update_ratio_skip: str | None = None
+    # stable-aa with p > 0: ridge scale eta (||D||_F^2 + ||H||_F^2) over
+    # trace(H^T H) (inf when H = 0); None otherwise, and not in trace.csv
+    reg_share: float | None = None
     # always None: full diagnostics keep the norms above, not the n x n matrices
     g_tilde: np.ndarray | None = None
     g_unreg: np.ndarray | None = None
@@ -251,31 +253,28 @@ def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> Sol
             raise DivergenceError(
                 f"Bellman image non-finite at iteration {k}", partial_trace(k)
             )
-        e = (tq - q).ravel()
+        history.push(q, tq)
+        matrices = anderson.build_history_matrices(history)
+        e = matrices.e_newest
         res_inf = float(np.abs(e).max(initial=0.0))
-        res_l2 = float(np.linalg.norm(e))
-        history.push(q.ravel().copy(), tq.ravel().copy())
+        res_l2 = frobenius_norm(e)
         safeguard_hit = False
         if cfg.safeguard and prev_res is not None and res_inf > 2.0 * prev_res:
             history.clear_keep_newest()
+            matrices = anderson.build_history_matrices(history)
             safeguard_hit = True
-        matrices = anderson.build_history_matrices(history)
         sol = _solve_coefficients(cfg.scheme, matrices, cfg.eta)
-        theta_inf = sol.gain_theta
-        denom_l2 = float(np.linalg.norm(matrices.e_newest))
-        if denom_l2 < anderson.GAIN_ZERO_TOL:
+        if res_l2 < anderson.GAIN_ZERO_TOL:
             theta_l2 = 0.0
         else:
-            theta_l2 = float(
-                np.linalg.norm(matrices.residuals @ sol.alpha) / denom_l2
-            )
+            theta_l2 = frobenius_norm(sol.mixed_residual) / res_l2
         rec = TraceRecord(
             k=k,
             residual_inf=res_inf,
             residual_l2=res_l2,
-            theta=theta_inf,
+            theta=sol.gain_theta,
             theta_l2=theta_l2,
-            alpha=sol.alpha.copy(),
+            alpha=sol.alpha,
             beta_used=beta,
             jitter_flag=bool(sol.jitter > 0.0 or sol.fallback),
             jitter=sol.jitter,
@@ -284,11 +283,29 @@ def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> Sol
             solver_kind=sol.solver_kind,
             wall_nanos=0,
         )
-        if sol.solver_kind == anderson.KIND_REGULARIZED and cfg.eta > 0.0:
-            rec.coeff_norm_lhs = float(np.linalg.norm(sol.alpha) ** 2)
-            rec.coeff_norm_rhs = 4.0 * (1.0 + res_l2**2 / cfg.eta**2)
-        if full_diag and cfg.eta > 0.0 and len(history) >= 2:
+        p = matrices.delta_e.shape[1]
+        if sol.gram_trace is not None:
+            rec.reg_share = (
+                sol.ridge_scale / sol.gram_trace if sol.gram_trace > 0.0 else np.inf
+            )
+        # eta > 0 with p > 0 means stable-aa: the only full-diagnostics case
+        sol_non = None
+        if full_diag and cfg.eta > 0.0 and p > 0:
             sol_non = anderson.solve_tau_unconstrained(matrices)
+        if sol.solver_kind == anderson.KIND_REGULARIZED and cfg.eta > 0.0:
+            (
+                rec.coeff_norm_lhs,
+                rec.coeff_norm_rhs,
+                rec.coeff_gap_lhs,
+                rec.coeff_gap_rhs,
+            ) = anderson.coefficient_bounds(
+                sol.alpha,
+                None if sol_non is None else sol_non.alpha,
+                res_l2,
+                cfg.eta,
+                p,
+            )
+        if sol_non is not None:
             # the ratio compares the zero-jitter G_tilde with G, which exists
             # only if H^T H passed its solve without jitter
             if sol_non.jitter > 0.0:
@@ -312,14 +329,6 @@ def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> Sol
             if rec.update_ratio_skip is None and rec.update_ratio is None:
                 rec.update_ratio_skip = "G_tilde singular, inverse undefined"
             rec.update_norm_rhs = abs(2.0 / cfg.eta - beta)
-            p = matrices.delta_e.shape[1]
-            rec.coeff_gap_lhs = float(
-                np.linalg.norm(sol.alpha - sol_non.alpha) ** 2
-            )
-            rec.coeff_gap_rhs = float(
-                anderson.transform_cond2(p) ** 2 * np.linalg.norm(sol_non.alpha) ** 2
-                - (2.0 * p + 1.0) / (p + 1.0)
-            )
         rec.wall_nanos = time.perf_counter_ns() - t0
         records.append(rec)
         if res_inf <= cfg.tol:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import anderson_pi as ap
+from anderson_pi import anderson as anderson_module
 from anderson_pi.anderson import (
     AndersonHistory,
     HistoryMatrices,
@@ -21,6 +22,7 @@ from anderson_pi.anderson import (
     update_matrix_norms,
     vanilla_solution,
 )
+from anderson_pi.linalg import SingularSystemError
 from anderson_pi.operators import OperatorKind, OperatorSpec, apply_bellman
 
 
@@ -83,6 +85,75 @@ class TestHistoryMatrices:
             h.push(np.array([float(i)]), np.array([float(i + 1)]))
         assert len(h) == 2
         assert h.iterate_matrix()[0, 0] == 3.0
+
+
+def reference_window(pairs):
+    """X, F, E, D, H of a window by column_stack, the list-based construction."""
+    x = np.column_stack([q for q, _ in pairs])
+    f = np.column_stack([tq for _, tq in pairs])
+    e = f - x
+    return x, f, e, (x[:, 1:] - x[:, :-1])[:, ::-1], (e[:, 1:] - e[:, :-1])[:, ::-1]
+
+
+def assert_window(h, pairs):
+    x, f, e, dq, de = reference_window(pairs)
+    m = build_history_matrices(h)
+    assert len(h) == len(pairs)
+    for got, want in [
+        (h.iterate_matrix(), x),
+        (h.image_matrix(), f),
+        (m.residuals, e),
+        (m.delta_q, dq),
+        (m.delta_e, de),
+        (h.newest_iterate(), x[:, -1]),
+    ]:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+class TestHistoryBuffers:
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_views_match_column_stack_past_the_window(self, depth):
+        rng = np.random.default_rng(depth)
+        h = AndersonHistory(depth)
+        pairs = []
+        for _ in range(depth + 6):
+            pair = (rng.standard_normal(7), rng.standard_normal(7))
+            pairs.append(pair)
+            h.push(*pair)
+            assert_window(h, pairs[-(depth + 1):])
+
+    def test_clear_keep_newest(self):
+        rng = np.random.default_rng(11)
+        h = AndersonHistory(3)
+        pairs = [(rng.standard_normal(5), rng.standard_normal(5)) for _ in range(9)]
+        for pair in pairs[:6]:
+            h.push(*pair)
+        h.clear_keep_newest()
+        assert_window(h, pairs[5:6])
+        for j in range(6, 9):
+            h.push(*pairs[j])
+            assert_window(h, pairs[5 : j + 1])
+
+    def test_views_alias_the_buffers_until_the_next_push(self):
+        # the docstring's promise: views, valid until the next push, which
+        # overwrites them in place; a copy taken before keeps the old window
+        rng = np.random.default_rng(12)
+        h = AndersonHistory(2)
+        pairs = [(rng.standard_normal(4), rng.standard_normal(4)) for _ in range(4)]
+        for pair in pairs[:3]:
+            h.push(*pair)
+        old = build_history_matrices(h)
+        kept = [old.residuals.copy(), old.delta_q.copy(), old.delta_e.copy()]
+        h.push(*pairs[3])
+        new = build_history_matrices(h)
+        assert np.shares_memory(old.residuals, new.residuals)
+        assert np.shares_memory(old.delta_q, new.delta_q)
+        assert np.shares_memory(old.delta_e, new.delta_e)
+        assert not np.array_equal(old.residuals, kept[0])
+        _, _, e, dq, de = reference_window(pairs[:3])
+        assert all(np.array_equal(a, b) for a, b in zip(kept, [e, dq, de]))
+        assert_window(h, pairs[1:])
 
 
 class TestKktSolver:
@@ -254,16 +325,17 @@ class TestGainTheta:
     def test_unit_alpha_gives_exactly_one(self):
         rng = np.random.default_rng(2)
         e = rng.standard_normal((6, 3))
-        assert gain_theta([0.0, 0.0, 1.0], e) == 1.0
+        assert gain_theta(e @ [0.0, 0.0, 1.0], e[:, -1]) == 1.0
 
     def test_zero_residual_convention(self):
         e = np.zeros((4, 2))
-        assert gain_theta([0.5, 0.5], e) == 0.0
+        assert gain_theta(e @ [0.5, 0.5], e[:, -1]) == 0.0
 
     def test_hand_case(self):
         m = build_history_matrices(two_column_history())
         # E alpha = [0.4, 0.8], ||e_k||_inf = 1
-        assert gain_theta([0.2, 0.8], m.residuals) == pytest.approx(0.8, abs=1e-14)
+        mixed = m.residuals @ [0.2, 0.8]
+        assert gain_theta(mixed, m.e_newest) == pytest.approx(0.8, abs=1e-14)
 
 
 class TestMixedUpdate:
@@ -371,6 +443,43 @@ class TestCertificates:
             solve_tau_regularized(m, 0.1),
         ):
             assert np.linalg.norm(m.residuals @ sol.alpha) <= e_norm * (1 + 1e-9)
+
+    @staticmethod
+    def all_solutions(m):
+        return [
+            vanilla_solution(m),
+            solve_alpha_kkt(m),
+            solve_tau_unconstrained(m),
+            solve_tau_regularized(m, 0.1),
+        ]
+
+    @pytest.mark.parametrize("length", [1, 2, 4, 6])
+    def test_carried_mixed_residual_is_e_alpha(self, length):
+        rng = np.random.default_rng(40 + length)
+        m = build_history_matrices(random_history(rng, 9, length))
+        for sol in self.all_solutions(m):
+            mixed = m.residuals @ sol.alpha
+            assert np.array_equal(sol.mixed_residual, mixed)
+            assert sol.gain_theta == gain_theta(mixed, m.e_newest)
+
+    def test_carried_mixed_residual_on_the_fallback_path(self, monkeypatch):
+        def singular(a, b):
+            raise SingularSystemError("forced", jitter=1.0)
+
+        rng = np.random.default_rng(47)
+        m = build_history_matrices(random_history(rng, 9, 4))
+        monkeypatch.setattr(anderson_module, "_solve_spd_impl", singular)
+        cases = [(m, sol) for sol in self.all_solutions(m)[1:]]
+        monkeypatch.undo()
+        # and a natural one: E = 0 leaves the KKT system without a solution
+        zero = build_history_matrices(
+            history_from_pairs([(np.ones(3), np.ones(3))] * 4)
+        )
+        cases.append((zero, solve_alpha_kkt(zero)))
+        for matrices, sol in cases:
+            assert sol.fallback
+            assert np.array_equal(sol.alpha, [0.0, 0.0, 0.0, 1.0])
+            assert np.array_equal(sol.mixed_residual, matrices.residuals @ sol.alpha)
 
 
 def dense_norms(m, beta, eta):

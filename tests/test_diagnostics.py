@@ -180,6 +180,33 @@ class TestCoefficientBounds:
         assert rec1.lhs == pytest.approx(1.0, abs=1e-12)
         assert rec1.rhs == pytest.approx(4.0, abs=1e-12)
 
+    def test_one_formula_for_run_records_and_check(self, mm5):
+        # the values the solver's and the check's own formulas gave, bitwise
+        eta = 0.1
+        tr = ap.run(
+            ap.generate_random_mdp(4, 12, 3, 2, 1.0, 0.95),
+            SolverConfig(Scheme.STABLE_AA, mm5, m=3, eta=eta, diagnostics_level="full"),
+        )
+        for rec in tr.records:
+            assert rec.coeff_norm_lhs == float(np.linalg.norm(rec.alpha) ** 2)
+            assert rec.coeff_norm_rhs == 4.0 * (1.0 + rec.residual_l2**2 / eta**2)
+        rng = np.random.default_rng(5)
+        for p in (1, 2, 4):
+            h = AndersonHistory(p)
+            for _ in range(p + 1):
+                h.push(rng.standard_normal(9), rng.standard_normal(9))
+            m = build_history_matrices(h)
+            reg, non = solve_tau_regularized(m, eta), solve_tau_unconstrained(m)
+            rec1, rec2 = check_coefficient_bounds(reg, non, m.e_newest, eta, p)
+            e_l2 = float(np.linalg.norm(m.e_newest))
+            cond = anderson.transform_cond2(p)
+            assert (rec1.lhs, rec1.rhs, rec2.lhs, rec2.rhs) == (
+                float(np.linalg.norm(reg.alpha) ** 2),
+                4.0 * (1.0 + e_l2**2 / eta**2),
+                float(np.linalg.norm(reg.alpha - non.alpha) ** 2),
+                float(cond**2 * np.linalg.norm(non.alpha) ** 2 - (2.0 * p + 1.0) / (p + 1.0)),
+            )
+
     def test_requires_positive_eta(self):
         h = history_from_pairs([([0, 0], [2, 0]), ([0, 0], [0, 1])])
         m = build_history_matrices(h)

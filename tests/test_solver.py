@@ -40,6 +40,15 @@ class TestConfigValidation:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 
+    def test_no_seed_field(self, mm5):
+        # a seed changed nothing but the hash: configs that run identically
+        # must hash identically
+        a = cfg_for(Scheme.STABLE_AA, mm5, m=5, eta=0.1)
+        assert "seed" not in a.to_dict()
+        assert a.config_hash() == cfg_for(Scheme.STABLE_AA, mm5, m=5, eta=0.1).config_hash()
+        with pytest.raises(TypeError):
+            cfg_for(Scheme.STABLE_AA, mm5, m=5, eta=0.1, seed=1)
+
 
 class TestRun:
     def test_self_loop_converges_to_geometric_series(self, self_loop_mdp, hardmax_op):
@@ -190,6 +199,66 @@ class TestRun:
             for rec in tr.records:
                 assert -1e-9 <= rec.theta <= np.sqrt(tr.n) + 1e-9
                 assert rec.theta_l2 <= 1.0 + 1e-9
+
+
+    def test_reg_share_against_independent_recomputation(self, mm5):
+        # a list-based window advanced with the run's own coefficients
+        mdp = ap.generate_random_mdp(0, 30, 4, 3, 1.0, 0.99)
+        eta, m = 0.1, 3
+        tr = ap.run(mdp, cfg_for(Scheme.STABLE_AA, mm5, m=m, eta=eta, max_iter=25))
+        q, window = np.zeros((30, 4)), []
+        for rec in tr.records:
+            tq = ap.apply_bellman(mdp, q, mm5)
+            window = (window + [(q.ravel(), tq.ravel())])[-(m + 1):]
+            x = np.column_stack([w[0] for w in window])
+            e = np.column_stack([w[1] for w in window]) - x
+            d, h = np.diff(x, axis=1), np.diff(e, axis=1)
+            if len(window) == 1:
+                assert rec.reg_share is None
+            else:
+                ridge = eta * (np.sum(d * d) + np.sum(h * h))
+                assert rec.reg_share == pytest.approx(ridge / np.trace(h.T @ h), rel=1e-9)
+            f = np.column_stack([w[1] for w in window])
+            q = (f @ rec.alpha).reshape(30, 4)
+        assert len(tr.records) == 26
+
+    def test_reg_share_only_for_stable_aa(self, mm5):
+        mdp = ap.generate_random_mdp(1, 12, 3, 2, 1.0, 0.95)
+        for scheme, kw in [
+            (Scheme.VANILLA_VI, {}),
+            (Scheme.ANDERSON_KKT, dict(m=3)),
+            (Scheme.ANDERSON_UNCONSTRAINED, dict(m=3)),
+        ]:
+            tr = ap.run(mdp, cfg_for(scheme, mm5, **kw))
+            assert all(r.reg_share is None for r in tr.records)
+
+
+class TestIterationCounts:
+    """Sweeps per run at the values the list-based window gave.
+
+    A cheaper iteration that needs more sweeps is a regression.
+    """
+
+    @pytest.mark.parametrize(
+        "seed,counts", [(0, (2217, 39, 39, 2019)), (1, (2232, 39, 39, 2032)),
+                        (2, (2156, 35, 35, 1963))],
+    )
+    def test_ensemble_configs_30x4(self, mm5, seed, counts):
+        mdp = ap.generate_random_mdp(seed, 30, 4, 3, 1.0, 0.99)
+        configs = [
+            cfg_for(Scheme.VANILLA_VI, mm5),
+            cfg_for(Scheme.ANDERSON_KKT, mm5, m=5),
+            cfg_for(Scheme.ANDERSON_UNCONSTRAINED, mm5, m=5),
+            cfg_for(Scheme.STABLE_AA, mm5, m=5, eta=0.1),
+        ]
+        assert tuple(ap.run(mdp, c).iterations for c in configs) == counts
+
+    def test_kkt_and_stable_aa_2000x8(self, hardmax_op):
+        mdp = ap.generate_random_mdp(0, 2000, 8, 3, 1.0, 0.95)
+        kkt = ap.run(mdp, cfg_for(Scheme.ANDERSON_KKT, hardmax_op, m=5))
+        stable = ap.run(mdp, cfg_for(Scheme.STABLE_AA, hardmax_op, m=5, eta=0.1))
+        assert (kkt.iterations, stable.iterations) == (64, 305)
+        assert kkt.converged and stable.converged
 
 
 class TestOracle:

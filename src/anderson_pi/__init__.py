@@ -25,9 +25,7 @@ from .anderson import (
 from .diagnostics import (
     BoundCheckRecord,
     check_contraction,
-    check_coefficient_bounds,
     check_update_norm_bound,
-    empirical_rate_report,
     run_check_suite,
 )
 from .linalg import SingularSystemError, frobenius_norm, solve_spd, spectral_norm
@@ -87,9 +85,7 @@ __all__ = [
     "boltzmann_softmax",
     "build_history_matrices",
     "check_contraction",
-    "check_coefficient_bounds",
     "check_update_norm_bound",
-    "empirical_rate_report",
     "fixed_point_oracle",
     "frobenius_norm",
     "gain_theta",

@@ -24,9 +24,9 @@ well-conditioned histories:
 formula ``tau_i = sum_{j<=p-i-1} alpha_j``.
 
 The next iterate can be formed in two algebraically identical ways:
-the damped linear mixing ``(1-beta) X alpha + beta F alpha`` or the
-quasi-Newton step ``Q - G e_k`` with
-``G = (D + beta H)(H^T H + reg I)^{-1} H^T - beta I``.
+the damped linear mixing ``(1-beta) X alpha + beta F alpha`` (computed
+as ``F alpha - (1-beta) E alpha``) or the quasi-Newton step
+``Q - G e_k`` with ``G = (D + beta H)(H^T H + reg I)^{-1} H^T - beta I``.
 
 Solvers guard themselves: each candidate coefficient vector must
 certify ``||E alpha||_2 <= ||e_k||_2`` (which the exact minimizer
@@ -69,8 +69,7 @@ class AndersonHistory:
     column of each kind in place; once the window is full it evicts the
     oldest pair by shifting every column one place.
 
-    The matrices handed out by :meth:`iterate_matrix`,
-    :meth:`image_matrix`, :meth:`newest_iterate` and
+    The matrices handed out by :meth:`newest_iterate` and
     :func:`build_history_matrices` are views of these buffers, each
     column contiguous in memory.  They stay valid until the next
     :meth:`push` or :meth:`clear_keep_newest`, which overwrite the
@@ -132,12 +131,6 @@ class AndersonHistory:
         if self._len:
             self._xfe[:, 0] = self._xfe[:, self._len - 1]
             self._len = 1
-
-    def iterate_matrix(self) -> np.ndarray:
-        return self._xfe[0, : self._len].T
-
-    def image_matrix(self) -> np.ndarray:
-        return self._xfe[1, : self._len].T
 
     def newest_iterate(self) -> np.ndarray:
         if not self._len:
@@ -415,7 +408,11 @@ def vanilla_solution(matrices: HistoryMatrices) -> MixingSolution:
 def mixed_update(
     history: AndersonHistory, solution: MixingSolution, beta: float
 ) -> np.ndarray:
-    """Damped linear mixing: (1-beta) * X alpha + beta * F alpha."""
+    """Damped linear mixing: (1-beta) * X alpha + beta * F alpha.
+
+    Formed with one product as ``F alpha - (1-beta) * E alpha`` from the
+    solution's ``mixed_residual``, which must be ``E alpha`` of this window.
+    """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
     k = len(history)
@@ -424,8 +421,8 @@ def mixed_update(
             f"alpha length {solution.alpha.size} does not match history "
             f"length {k}"
         )
-    x_alpha, f_alpha = solution.alpha @ history._xfe[:2, :k]
-    return (1.0 - beta) * x_alpha + beta * f_alpha
+    f_alpha = solution.alpha @ history._xfe[1, :k]
+    return f_alpha - (1.0 - beta) * solution.mixed_residual
 
 
 def materialize_update_matrix(
@@ -439,8 +436,10 @@ def materialize_update_matrix(
 
     ``G = (D + beta H)(H^T H + reg I)^{-1} H^T - beta I`` where reg
     combines the ridge scale and any jitter the coefficient solve used.
-    For tests and ``quasi_newton_update(materialize=True)`` only; the
-    solvers never form it and :func:`update_matrix_norms` gives its norms.
+    The dense reference the tests check :func:`update_matrix_norms` and
+    :func:`quasi_newton_update` against; the package never forms it, and
+    it stays only as that reference and because ``perfbench/tracing.py``
+    wraps it by name.
     """
     n = matrices.residuals.shape[0]
     h = matrices.delta_e
@@ -458,59 +457,42 @@ def update_matrix_norms(
     eta: float,
     jitter: float = 0.0,
     fallback: bool = False,
-    with_ratio: bool = False,
-) -> tuple[float, float | None]:
-    """Exact ``||G~||_2`` and ``||G~^{-1} G||_2`` without any n x n matrix.
+) -> float:
+    """Exact ``||G~||_2`` without any n x n matrix.
 
     ``G~`` is what :func:`materialize_update_matrix` forms from the same
-    arguments, ``G`` its unregularized, jitter-free counterpart.  Both
-    equal ``-beta I`` off the span of ``[D + beta H, H] = Q [R_U, R_H]``
-    and ``M = R_U K^{-1} R_H^T - beta I`` on it, so the norms come from
-    an SVD of the at most 2p x 2p matrices ``M~`` and ``M~^{-1} M0``,
-    raised to ``beta`` and 1 if Q has a complement.  The ratio is None
-    unless asked for, and when ``G~`` or ``H^T H`` is singular.
+    arguments.  It equals ``-beta I`` off the span of ``[D + beta H, H] =
+    Q [R_U, R_H]`` and ``M~ = R_U K^{-1} R_H^T - beta I`` on it, so the
+    norm is the largest singular value of the at most 2p x 2p matrix
+    ``M~``, raised to ``beta`` if Q has a complement.
     """
     h = matrices.delta_e
     n, p = h.shape
     if p == 0:
-        return beta, (1.0 if with_ratio and beta > 0.0 else None)
+        return beta
     r = np.linalg.qr(np.hstack([matrices.delta_q + beta * h, h]), mode="r")
     rank = r.shape[0]
-    complement = n > rank
     eye = np.eye(rank)
-    gram = h.T @ h
-
-    def restricted(k: np.ndarray) -> np.ndarray:
-        return r[:, :p] @ np.linalg.solve(k, r[:, p:].T) - beta * eye
-
     if fallback:
         m_tilde = -beta * eye
     else:
         reg = _ridge_scale(matrices, eta)[0] + jitter
-        m_tilde = restricted(gram + reg * np.eye(p))
-    norm = max(spectral_norm(m_tilde), beta if complement else 0.0)
-    if not with_ratio or (complement and beta == 0.0):
-        return norm, None
-    try:
-        ratio = np.linalg.solve(m_tilde, restricted(gram))
-    except np.linalg.LinAlgError:
-        return norm, None
-    return norm, max(spectral_norm(ratio), 1.0 if complement else 0.0)
+        k = h.T @ h + reg * np.eye(p)
+        m_tilde = r[:, :p] @ np.linalg.solve(k, r[:, p:].T) - beta * eye
+    return max(spectral_norm(m_tilde), beta if n > rank else 0.0)
 
 
 def quasi_newton_update(
     history: AndersonHistory,
     beta: float,
     eta: float,
-    materialize: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
     """Quasi-Newton form of the mixed step: ``Q + beta e_k - (D + beta H) tau``.
 
     Applies the update matrix-free through the same tau solve as
     :func:`solve_tau_regularized` (``eta = 0`` gives the unregularized
     form), so the result matches :func:`mixed_update` under matched
-    coefficients up to floating-point reordering.  The dense matrix is
-    formed only when ``materialize`` is set.
+    coefficients up to floating-point reordering.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
@@ -518,13 +500,5 @@ def quasi_newton_update(
         raise ValueError("quasi-Newton update needs at least 2 history entries")
     matrices = build_history_matrices(history)
     sol = _solve_tau(matrices, eta, KIND_REGULARIZED if eta > 0 else KIND_UNCONSTRAINED)
-    e_new = matrices.e_newest
-    q = history.newest_iterate()
     step = (matrices.delta_q + beta * matrices.delta_e) @ sol.tau
-    nxt = q + beta * e_new - step
-    g = None
-    if materialize:
-        g = materialize_update_matrix(
-            matrices, beta, eta, jitter=sol.jitter, fallback=sol.fallback
-        )
-    return nxt, g
+    return history.newest_iterate() + beta * matrices.e_newest - step

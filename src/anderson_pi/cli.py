@@ -417,7 +417,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
-    records, skipped = diagnostics.run_check_suite(
+    records = diagnostics.run_check_suite(
         seed=args.seed,
         n_pairs=args.pairs,
         eta=args.eta,
@@ -429,7 +429,6 @@ def cmd_check(args) -> int:
     diagnostics.write_check_report(
         records,
         outdir / "check_report.jsonl",
-        skipped=skipped,
         extra_header={
             "seed": args.seed,
             "pairs": args.pairs,
@@ -443,8 +442,7 @@ def cmd_check(args) -> int:
     report_only_bad = [r for r in records if not r.asserted and not r.satisfied]
     print(
         f"check: {len(asserted)} asserted records, {len(failures)} failures; "
-        f"{len(report_only_bad)} report-only findings; "
-        f"{len(skipped)} skipped checks"
+        f"{len(report_only_bad)} report-only findings"
     )
     if failures:
         for rec in failures[:20]:

@@ -11,6 +11,10 @@ asserted:    Theta01 (gain certificates), Contraction (hard max /
 report-only: Theorem3 with right side below beta (the bound degenerates
              near eta = 2/beta), Prop2_2 (unclear additive constant),
              and Boltzmann-softmax contraction (known to fail).
+
+Theorem3 bounds ``||G_tilde||_2`` only.  The Prop2 and Theorem3 records
+come from the values a run stored in its trace, never from a second
+computation.
 """
 
 from __future__ import annotations
@@ -130,11 +134,10 @@ def check_update_norm_bound(
     Needs a full-diagnostics run with eta > 0.  The bound is asserted
     only where its right side |2/eta - beta| is at least beta; smaller
     right sides (eta near 2/beta) are recorded as report-only findings.
-    The companion check ||G_tilde^{-1} G||_2 < 1 is recorded where the
-    run could compute it and skipped with the run's reason elsewhere.
+    Returns ``(records, skipped)``; every stored norm gives a record, so
+    ``skipped`` is always empty.
     """
     records: list[BoundCheckRecord] = []
-    skipped: list[str] = []
     rhs = abs(2.0 / eta - beta)
     asserted = rhs >= beta
     bound_id = "Theorem3" if asserted else "Theorem3(rhs<beta)"
@@ -154,106 +157,7 @@ def check_update_norm_bound(
                 asserted=asserted,
             )
         )
-        if rec.update_ratio_skip is not None:
-            skipped.append(f"iter {rec.k}: {rec.update_ratio_skip}")
-            continue
-        records.append(
-            _record(
-                "Theorem3",
-                rec.update_ratio,
-                1.0,
-                0.0,
-                rec.k,
-                chash,
-                context="spectral_norm(G_tilde^-1 G)",
-                asserted=False,
-            )
-        )
-    return records, skipped
-
-
-def check_coefficient_bounds(
-    sol_reg: anderson.MixingSolution,
-    sol_non: anderson.MixingSolution,
-    e_k: np.ndarray,
-    eta: float,
-    m: int,
-    iter_idx: int | None = None,
-    config_hash: str = "",
-) -> tuple[BoundCheckRecord, BoundCheckRecord]:
-    """Coefficient-norm bounds for the regularized solve.
-
-    Record 1 (asserted): ||alpha_reg||^2 <= 4 (1 + ||e_k||^2 / eta^2).
-    Record 2 (report-only): the gap bound against the unregularized
-    coefficients, with the transform condition number computed
-    numerically.
-    """
-    if not eta > 0.0:
-        raise ValueError("the coefficient-bound check requires eta > 0")
-    norm_lhs, norm_rhs, gap_lhs, gap_rhs = anderson.coefficient_bounds(
-        sol_reg.alpha, sol_non.alpha, float(np.linalg.norm(e_k)), eta, m
-    )
-    rec1 = _record(
-        "Prop2_1",
-        norm_lhs,
-        norm_rhs,
-        COEFF_BOUND_SLACK,
-        iter_idx,
-        config_hash,
-        context=f"eta={eta:g}",
-        asserted=True,
-    )
-    rec2 = _record(
-        "Prop2_2",
-        gap_lhs,
-        gap_rhs,
-        0.0,
-        iter_idx,
-        config_hash,
-        context=f"cond2(A)={anderson.transform_cond2(m)!r}",
-        asserted=False,
-    )
-    return rec1, rec2
-
-
-def empirical_rate_report(items) -> list[dict]:
-    """Fitted per-iteration contraction factors from converged traces.
-
-    ``items`` is a sequence of (label, trace, gamma) triples.  For each
-    trace the geometric-mean ratio of successive residual norms over
-    the final half of the iterations is reported next to gamma, the
-    mean gain, and the smallest |alpha| seen (runs whose coefficients
-    approach zero are flagged, not failed).
-    """
-    out = []
-    for label, trace, gamma in items:
-        res = trace.residuals_inf()
-        entry = {
-            "label": label,
-            "iterations": int(trace.iterations),
-            "gamma": float(gamma),
-            "fitted_ratio": None,
-            "theta_mean": float(trace.thetas().mean()) if trace.records else None,
-            "min_abs_alpha": None,
-            "alpha_near_zero": False,
-            "insufficient_data": False,
-        }
-        if len(res) < 3:
-            entry["insufficient_data"] = True
-            out.append(entry)
-            continue
-        start = len(res) // 2
-        ratios = []
-        for k in range(max(start, 1), len(res)):
-            if res[k - 1] > 1e-300 and res[k] > 0.0:
-                ratios.append(res[k] / res[k - 1])
-        if ratios:
-            entry["fitted_ratio"] = float(np.exp(np.mean(np.log(ratios))))
-        min_alpha = min(float(np.abs(r.alpha).min()) for r in trace.records)
-        entry["min_abs_alpha"] = min_alpha
-        entry["alpha_near_zero"] = bool(min_alpha < 1e-6)
-        out.append(entry)
-    return out
+    return records, []
 
 
 def check_form_equivalence(
@@ -285,7 +189,7 @@ def check_form_equivalence(
         )
         nxt = anderson.mixed_update(history, sol, beta)
         if len(history) >= 2:
-            qn, _ = anderson.quasi_newton_update(history, beta, eta)
+            qn = anderson.quasi_newton_update(history, beta, eta)
             records.append(
                 _record(
                     "FormEquiv",
@@ -448,15 +352,13 @@ def run_check_suite(
     eta: float,
     beta: float,
     omega: float = 5.0,
-) -> tuple[list[BoundCheckRecord], list[str]]:
+) -> list[BoundCheckRecord]:
     """The property suite behind the ``check`` command.
 
     Entirely seeded: identical arguments produce identical records.
-    Returns (records, skipped-reason strings).
     """
     reg_eta = eta if eta > 0.0 else 0.1
     records: list[BoundCheckRecord] = []
-    skipped: list[str] = []
 
     small = generate_random_mdp(seed, 20, 3, 3, 1.0, 0.95)
     mid = generate_random_mdp(seed + 1, 30, 4, 3, 1.0, 0.9)
@@ -511,18 +413,15 @@ def run_check_suite(
         diagnostics_level="full",
     )
     t3_trace = run(small, t3_cfg)
-    t3_records, t3_skipped = check_update_norm_bound(t3_trace, reg_eta, beta)
-    records += t3_records
-    skipped += t3_skipped
+    records += check_update_norm_bound(t3_trace, reg_eta, beta)[0]
     records += coefficient_bound_records(t3_trace)
     records += theta_records(t3_trace)
-    return records, skipped
+    return records
 
 
 def write_check_report(
     records: list[BoundCheckRecord],
     path,
-    skipped: list[str] | None = None,
     extra_header: dict | None = None,
 ) -> None:
     """JSON-lines report: one header object, then one object per record."""
@@ -535,13 +434,5 @@ def write_check_report(
         header.update(extra_header)
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     lines += [r.to_json() for r in records]
-    for reason in skipped or []:
-        lines.append(
-            json.dumps(
-                {"kind": "skipped", "reason": reason},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -173,13 +173,11 @@ class TraceRecord:
     coeff_gap_lhs: float | None = None
     coeff_gap_rhs: float | None = None
     update_norm_lhs: float | None = None
-    update_norm_rhs: float | None = None
-    update_ratio: float | None = None
-    update_ratio_skip: str | None = None
     # stable-aa with p > 0: ridge scale eta (||D||_F^2 + ||H||_F^2) over
     # trace(H^T H) (inf when H = 0); None otherwise, and not in trace.csv
     reg_share: float | None = None
-    # always None: full diagnostics keep the norms above, not the n x n matrices
+    # always None: full diagnostics keep the norm above, not the n x n
+    # matrices; kept only because perfbench/workloads.py reads them
     g_tilde: np.ndarray | None = None
     g_unreg: np.ndarray | None = None
 
@@ -306,29 +304,9 @@ def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> Sol
                 p,
             )
         if sol_non is not None:
-            # the ratio compares the zero-jitter G_tilde with G, which exists
-            # only if H^T H passed its solve without jitter
-            if sol_non.jitter > 0.0:
-                rec.update_ratio_skip = (
-                    "unregularized update matrix unavailable "
-                    "(difference Gram singular at zero jitter)"
-                )
-            elif sol.jitter > 0.0 or sol.fallback:
-                rec.update_ratio_skip = (
-                    "coefficient solve needed jitter/fallback, "
-                    "G_tilde not the zero-jitter matrix"
-                )
-            rec.update_norm_lhs, rec.update_ratio = anderson.update_matrix_norms(
-                matrices,
-                beta,
-                cfg.eta,
-                jitter=sol.jitter,
-                fallback=sol.fallback,
-                with_ratio=rec.update_ratio_skip is None,
+            rec.update_norm_lhs = anderson.update_matrix_norms(
+                matrices, beta, cfg.eta, jitter=sol.jitter, fallback=sol.fallback
             )
-            if rec.update_ratio_skip is None and rec.update_ratio is None:
-                rec.update_ratio_skip = "G_tilde singular, inverse undefined"
-            rec.update_norm_rhs = abs(2.0 / cfg.eta - beta)
         rec.wall_nanos = time.perf_counter_ns() - t0
         records.append(rec)
         if res_inf <= cfg.tol:

@@ -55,13 +55,13 @@ class TestHistoryMatrices:
 
     def test_columns_are_adjacent_differences(self):
         rng = np.random.default_rng(0)
-        h = random_history(rng, 4, 3)
-        m = build_history_matrices(h)
+        pairs = [(rng.standard_normal(4), rng.standard_normal(4)) for _ in range(3)]
+        m = build_history_matrices(history_from_pairs(pairs))
         e = m.residuals
         # H column i is the difference of adjacent residuals, newest first
         assert np.array_equal(m.delta_e[:, 0], e[:, 2] - e[:, 1])
         assert np.array_equal(m.delta_e[:, 1], e[:, 1] - e[:, 0])
-        x = h.iterate_matrix()
+        x = np.column_stack([q for q, _ in pairs])
         assert np.array_equal(m.delta_q[:, 0], x[:, 2] - x[:, 1])
         assert np.array_equal(m.delta_q[:, 1], x[:, 1] - x[:, 0])
 
@@ -84,24 +84,21 @@ class TestHistoryMatrices:
         for i in range(5):
             h.push(np.array([float(i)]), np.array([float(i + 1)]))
         assert len(h) == 2
-        assert h.iterate_matrix()[0, 0] == 3.0
+        assert h.newest_iterate()[0] - build_history_matrices(h).delta_q[0, 0] == 3.0
 
 
 def reference_window(pairs):
-    """X, F, E, D, H of a window by column_stack, the list-based construction."""
+    """X, E, D, H of a window by column_stack, the list-based construction."""
     x = np.column_stack([q for q, _ in pairs])
-    f = np.column_stack([tq for _, tq in pairs])
-    e = f - x
-    return x, f, e, (x[:, 1:] - x[:, :-1])[:, ::-1], (e[:, 1:] - e[:, :-1])[:, ::-1]
+    e = np.column_stack([tq for _, tq in pairs]) - x
+    return x, e, (x[:, 1:] - x[:, :-1])[:, ::-1], (e[:, 1:] - e[:, :-1])[:, ::-1]
 
 
 def assert_window(h, pairs):
-    x, f, e, dq, de = reference_window(pairs)
+    x, e, dq, de = reference_window(pairs)
     m = build_history_matrices(h)
     assert len(h) == len(pairs)
     for got, want in [
-        (h.iterate_matrix(), x),
-        (h.image_matrix(), f),
         (m.residuals, e),
         (m.delta_q, dq),
         (m.delta_e, de),
@@ -151,7 +148,7 @@ class TestHistoryBuffers:
         assert np.shares_memory(old.delta_q, new.delta_q)
         assert np.shares_memory(old.delta_e, new.delta_e)
         assert not np.array_equal(old.residuals, kept[0])
-        _, _, e, dq, de = reference_window(pairs[:3])
+        _, e, dq, de = reference_window(pairs[:3])
         assert all(np.array_equal(a, b) for a, b in zip(kept, [e, dq, de]))
         assert_window(h, pairs[1:])
 
@@ -355,8 +352,19 @@ class TestMixedUpdate:
         m = build_history_matrices(h)
         sol = vanilla_solution(m)
         sol.alpha = np.array([0.5, 0.5])
+        sol.mixed_residual = m.residuals @ sol.alpha
         out = mixed_update(h, sol, 0.5)
         assert np.array_equal(out, [2.0, 2.0])
+        # a real window at beta < 1 against the two-product formula
+        rng = np.random.default_rng(5)
+        pairs = [(rng.standard_normal(12), rng.standard_normal(12)) for _ in range(4)]
+        h = history_from_pairs(pairs)
+        sol = solve_alpha_kkt(build_history_matrices(h))
+        x = np.column_stack([q for q, _ in pairs])
+        f = np.column_stack([tq for _, tq in pairs])
+        beta = 0.7
+        expected = (1.0 - beta) * (x @ sol.alpha) + beta * (f @ sol.alpha)
+        assert np.allclose(mixed_update(h, sol, beta), expected, rtol=1e-12, atol=1e-12)
 
     def test_length_mismatch_rejected(self):
         h = AndersonHistory(2)
@@ -393,7 +401,7 @@ class TestQuasiNewtonUpdate:
             )
             nxt = mixed_update(h, sol, 1.0)
             if len(h) >= 2:
-                qn, _ = quasi_newton_update(h, 1.0, eta)
+                qn = quasi_newton_update(h, 1.0, eta)
                 worst = max(worst, float(np.abs(nxt - qn).max()))
             q = nxt.reshape(30, 4)
         assert worst <= 1e-8
@@ -404,7 +412,7 @@ class TestQuasiNewtonUpdate:
         h.push(*pair)
         h.push(*pair)
         beta = 0.7
-        nxt, _ = quasi_newton_update(h, beta, 0.0)
+        nxt = quasi_newton_update(h, beta, 0.0)
         expected = pair[0] + beta * (pair[1] - pair[0])
         assert np.abs(nxt - expected).max() <= 1e-6
 
@@ -413,7 +421,7 @@ class TestQuasiNewtonUpdate:
         h = random_history(rng, 8, 3)
         m = build_history_matrices(h)
         beta = 0.6
-        nxt, _ = quasi_newton_update(h, beta, 1e12)
+        nxt = quasi_newton_update(h, beta, 1e12)
         expected = h.newest_iterate() + beta * m.e_newest
         assert np.abs(nxt - expected).max() <= 1e-6
 
@@ -421,7 +429,11 @@ class TestQuasiNewtonUpdate:
         rng = np.random.default_rng(37)
         h = random_history(rng, 10, 4)
         m = build_history_matrices(h)
-        nxt, g = quasi_newton_update(h, 1.0, 0.5, materialize=True)
+        nxt = quasi_newton_update(h, 1.0, 0.5)
+        sol = solve_tau_regularized(m, 0.5)
+        g = materialize_update_matrix(
+            m, 1.0, 0.5, jitter=sol.jitter, fallback=sol.fallback
+        )
         direct = h.newest_iterate() - g @ m.e_newest
         assert np.abs(nxt - direct).max() <= 1e-10
 
@@ -482,14 +494,9 @@ class TestCertificates:
             assert np.array_equal(sol.mixed_residual, matrices.residuals @ sol.alpha)
 
 
-def dense_norms(m, beta, eta):
-    """||G~||_2 and ||G~^-1 G||_2 from the dense n x n matrices."""
-    g_tilde = materialize_update_matrix(m, beta, eta)
-    g = materialize_update_matrix(m, beta, 0.0)
-    return (
-        np.linalg.norm(g_tilde, 2),
-        np.linalg.norm(np.linalg.solve(g_tilde, g), 2),
-    )
+def dense_norm(m, beta, eta, **kwargs):
+    """||G~||_2 from the dense n x n matrix."""
+    return np.linalg.norm(materialize_update_matrix(m, beta, eta, **kwargs), 2)
 
 
 class TestUpdateMatrixNorms:
@@ -498,10 +505,8 @@ class TestUpdateMatrixNorms:
         rng = np.random.default_rng(100 + p)
         for beta, eta in [(1.0, 0.1), (0.6, 0.5), (1.0, 1.0), (0.3, 2.0)]:
             m = build_history_matrices(random_history(rng, 24, p + 1))
-            norm, ratio = update_matrix_norms(m, beta, eta, with_ratio=True)
-            dense_norm, dense_ratio = dense_norms(m, beta, eta)
-            assert norm == pytest.approx(dense_norm, rel=1e-12)
-            assert ratio == pytest.approx(dense_ratio, rel=1e-6)
+            norm = update_matrix_norms(m, beta, eta)
+            assert norm == pytest.approx(dense_norm(m, beta, eta), rel=1e-12)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_no_complement_block(self, p):
@@ -509,10 +514,8 @@ class TestUpdateMatrixNorms:
         rng = np.random.default_rng(200 + p)
         for n in range(p, 3 * p + 1):
             m = build_history_matrices(random_history(rng, n, p + 1))
-            norm, ratio = update_matrix_norms(m, 1.0, 0.2, with_ratio=True)
-            dense_norm, dense_ratio = dense_norms(m, 1.0, 0.2)
-            assert norm == pytest.approx(dense_norm, rel=1e-12)
-            assert ratio == pytest.approx(dense_ratio, rel=1e-6)
+            norm = update_matrix_norms(m, 1.0, 0.2)
+            assert norm == pytest.approx(dense_norm(m, 1.0, 0.2), rel=1e-12)
 
     def test_rank_deficient_h(self):
         rng = np.random.default_rng(7)
@@ -521,47 +524,30 @@ class TestUpdateMatrixNorms:
         de = rng.standard_normal((n, 3))
         de[:, 2] = de[:, 0]  # two equal residual differences: H^T H singular
         m = HistoryMatrices(rng.standard_normal((n, 4)), dq, de)
-        norm, ratio = update_matrix_norms(m, 1.0, 0.1, with_ratio=True)
-        assert norm == pytest.approx(
-            np.linalg.norm(materialize_update_matrix(m, 1.0, 0.1), 2), rel=1e-12
-        )
-        assert ratio is None
+        norm = update_matrix_norms(m, 1.0, 0.1)
+        assert norm == pytest.approx(dense_norm(m, 1.0, 0.1), rel=1e-12)
         # the zero-jitter unconstrained solve flags the same history
         assert solve_tau_unconstrained(m).jitter > 0.0
 
     def test_jitter_matches_dense(self):
         rng = np.random.default_rng(9)
         m = build_history_matrices(random_history(rng, 15, 4))
-        norm, _ = update_matrix_norms(m, 0.8, 0.3, jitter=1e-3)
-        dense = materialize_update_matrix(m, 0.8, 0.3, jitter=1e-3)
-        assert norm == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
+        norm = update_matrix_norms(m, 0.8, 0.3, jitter=1e-3)
+        assert norm == pytest.approx(dense_norm(m, 0.8, 0.3, jitter=1e-3), rel=1e-12)
 
     def test_fallback_and_empty_history_give_beta(self):
         rng = np.random.default_rng(11)
         m = build_history_matrices(random_history(rng, 12, 4))
-        assert update_matrix_norms(m, 0.7, 0.1, fallback=True) == (0.7, None)
+        assert update_matrix_norms(m, 0.7, 0.1, fallback=True) == 0.7
         single = build_history_matrices(random_history(rng, 12, 1))
-        assert update_matrix_norms(single, 0.7, 0.1) == (0.7, None)
-        assert update_matrix_norms(single, 0.7, 0.1, with_ratio=True) == (0.7, 1.0)
-
-    def test_ratio_at_least_one_off_the_span(self):
-        # both matrices are -beta I off span([D + beta H, H]), so n > 2p
-        # forces ||G~^-1 G||_2 >= 1
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            m = build_history_matrices(random_history(rng, 11, 6))
-            _, ratio = update_matrix_norms(m, 1.0, 0.1, with_ratio=True)
-            assert ratio >= 1.0
+        assert update_matrix_norms(single, 0.7, 0.1) == 0.7
 
     def test_singular_g_tilde_has_no_ratio(self):
         rng = np.random.default_rng(17)
         m = build_history_matrices(random_history(rng, 12, 3))
         # beta = 0 leaves G~ = U K^-1 H^T, of rank 2 < n
-        norm, ratio = update_matrix_norms(m, 0.0, 0.1, with_ratio=True)
-        assert ratio is None
-        assert norm == pytest.approx(
-            np.linalg.norm(materialize_update_matrix(m, 0.0, 0.1), 2), rel=1e-12
-        )
+        norm = update_matrix_norms(m, 0.0, 0.1)
+        assert norm == pytest.approx(dense_norm(m, 0.0, 0.1), rel=1e-12)
 
 
 class TestTransformCond2:

@@ -166,10 +166,7 @@ class TestRun:
         assert len(tr.records) > 2
         for rec in tr.records[1:]:
             assert rec.update_norm_lhs is not None
-            assert rec.update_norm_rhs == pytest.approx(abs(2.0 / 0.5 - 1.0))
             assert rec.coeff_gap_lhs is not None
-            # the ratio or the reason it was skipped, never both
-            assert (rec.update_ratio is None) != (rec.update_ratio_skip is None)
         assert all(r.g_tilde is None and r.g_unreg is None for r in tr.records)
 
     def test_full_diagnostics_memory_bounded(self, mm5):

@@ -33,6 +33,10 @@ certify ``||E alpha||_2 <= ||e_k||_2`` (which the exact minimizer
 satisfies, since the unit vector on the newest residual is feasible).
 Candidates that fail the jitter ladder or the certificate fall back to
 that unit vector -- a plain damped step -- and the solution is flagged.
+
+:func:`solve_stacked` runs a solver once for the windows of many runs
+advanced in lockstep (a history with a run axis), with the arithmetic
+of the one-run solver.
 """
 
 from __future__ import annotations
@@ -46,7 +50,9 @@ from .linalg import (
     SingularSystemError,
     _solve_spd_impl,
     frobenius_norm,
+    spd_attempt,
     spectral_norm,
+    squared_norms,
 )
 
 GAIN_ZERO_TOL = 1e-14
@@ -75,18 +81,25 @@ class AndersonHistory:
     :meth:`push` or :meth:`clear_keep_newest`, which overwrite the
     buffers in place: copy what must outlive that.  One solver run owns
     one history -- not thread safe.
+
+    With ``runs`` set, the history holds that many windows of one length
+    side by side, for runs advanced in lockstep: every array gains a
+    leading run axis, and each run's columns are laid out as a one-run
+    history lays out its own.
     """
 
-    def __init__(self, depth: int):
+    def __init__(self, depth: int, runs: int | None = None):
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
         self.depth = depth
         self._len = 0
         self._n: int | None = None
+        self._lead = () if runs is None else (runs,)
+        self._rows = (*self._lead, -1)  # shape of q and tq in push
         # row j of _xfe[0], _xfe[1], _xfe[2] is column j of X, F, E;
-        # row i of _dh[0], _dh[1] is column i of D, H
-        self._xfe = np.empty((3, depth + 1, 0))
-        self._dh = np.empty((2, depth, 0))
+        # row i of _dh[0], _dh[1] is column i of D, H (after the run axis)
+        self._xfe = np.empty((3, *self._lead, depth + 1, 0))
+        self._dh = np.empty((2, *self._lead, depth, 0))
 
     def __len__(self) -> int:
         return self._len
@@ -98,49 +111,75 @@ class AndersonHistory:
         return self._n
 
     def push(self, q: np.ndarray, tq: np.ndarray) -> None:
-        """Copy ``q`` and ``tq`` into the window, evicting the oldest pair if full."""
-        q = np.asarray(q, dtype=np.float64).ravel()
-        tq = np.asarray(tq, dtype=np.float64).ravel()
+        """Copy ``q`` and ``tq`` into the window, evicting the oldest pair if full.
+
+        With a run axis, row ``r`` of ``q`` and ``tq`` goes to run ``r``.
+        """
+        lead = self._lead
+        q = np.asarray(q, dtype=np.float64).reshape(self._rows)
+        tq = np.asarray(tq, dtype=np.float64).reshape(self._rows)
         if q.shape != tq.shape:
             raise ValueError("iterate and image must have the same length")
+        n = q.shape[-1]
         if self._n is None:
-            self._n = q.size
-            self._xfe = np.empty((3, self.depth + 1, q.size))
-            self._dh = np.empty((2, self.depth, q.size))
-        elif q.size != self._n:
-            raise ValueError(f"vector length {q.size} != history dimension {self._n}")
-        k, n = self._len, self._n
+            self._n = n
+            self._xfe = np.empty((3, *lead, self.depth + 1, n))
+            self._dh = np.empty((2, *lead, self.depth, n))
+        elif n != self._n:
+            raise ValueError(f"vector length {n} != history dimension {self._n}")
+        k = self._len
         xfe, dh = self._xfe, self._dh
         # shift each buffer as one flat run: numpy moves an overlapping 1-D
-        # slice in place, where a 2-D one goes through a temporary copy
+        # slice in place, where a 2-D one goes through a temporary copy.
+        # With a run axis, one 2-D move of all the runs' rows beats a loop.
         if k == self.depth + 1:
-            for flat in xfe.reshape(3, -1):
-                flat[:-n] = flat[n:]
+            rows = xfe.reshape(-1, k * n)
+            if lead:
+                rows[:, :-n] = rows[:, n:]
+            else:
+                for flat in rows:
+                    flat[:-n] = flat[n:]
             k -= 1
         if k > 1:
-            for flat in dh.reshape(2, -1):
-                flat[n : k * n] = flat[: (k - 1) * n]
-        xfe[0, k] = q
-        xfe[1, k] = tq
-        np.subtract(tq, q, out=xfe[2, k])
+            rows = dh.reshape(-1, self.depth * n)
+            if lead:
+                rows[:, n : k * n] = rows[:, : (k - 1) * n]
+            else:
+                for flat in rows:
+                    flat[n : k * n] = flat[: (k - 1) * n]
+        column = xfe[..., k, :]  # column k of X, F and E
+        column[0] = q
+        column[1] = tq
+        np.subtract(tq, q, out=column[2])
         if k:
-            np.subtract(xfe[::2, k], xfe[::2, k - 1], out=dh[:, 0])
+            np.subtract(column[::2], xfe[::2, ..., k - 1, :], out=dh[..., 0, :])
         self._len = k + 1
 
     def clear_keep_newest(self) -> None:
         if self._len:
-            self._xfe[:, 0] = self._xfe[:, self._len - 1]
+            self._xfe[..., 0, :] = self._xfe[..., self._len - 1, :]
             self._len = 1
+
+    def take(self, rows) -> None:
+        """Keep only the runs at ``rows`` of a history with a run axis, in that order."""
+        self._lead = (len(rows),)
+        self._rows = (len(rows), -1)
+        # take() keeps the buffers C-contiguous, as push's flat shifts need
+        self._xfe = self._xfe.take(rows, axis=1)
+        self._dh = self._dh.take(rows, axis=1)
 
     def newest_iterate(self) -> np.ndarray:
         if not self._len:
             raise ValueError("history is empty")
-        return self._xfe[0, self._len - 1]
+        return self._xfe[0, ..., self._len - 1, :]
 
 
 @dataclass
 class HistoryMatrices:
-    """Residual matrix E plus the difference matrices D and H."""
+    """Residual matrix E plus the difference matrices D and H.
+
+    Matrices of a history with a run axis carry it in front.
+    """
 
     residuals: np.ndarray  # E, n x (p+1), oldest first
     delta_q: np.ndarray    # D, n x p, newest first
@@ -148,11 +187,15 @@ class HistoryMatrices:
 
     @property
     def n_columns(self) -> int:
-        return self.residuals.shape[1]
+        return self.residuals.shape[-1]
 
     @property
     def e_newest(self) -> np.ndarray:
-        return self.residuals[:, -1]
+        return self.residuals[..., -1]
+
+    def run(self, r: int) -> HistoryMatrices:
+        """The matrices of run ``r`` of a history with a run axis."""
+        return HistoryMatrices(self.residuals[r], self.delta_q[r], self.delta_e[r])
 
 
 def build_history_matrices(history: AndersonHistory) -> HistoryMatrices:
@@ -164,9 +207,9 @@ def build_history_matrices(history: AndersonHistory) -> HistoryMatrices:
     k = len(history)
     if k == 0:
         raise ValueError("cannot build matrices from an empty history")
-    dh = history._dh[:, : k - 1]
+    dh = history._dh[..., : k - 1, :]
     return HistoryMatrices(
-        residuals=history._xfe[2, :k].T, delta_q=dh[0].T, delta_e=dh[1].T
+        residuals=history._xfe[2, ..., :k, :].mT, delta_q=dh[0].mT, delta_e=dh[1].mT
     )
 
 
@@ -223,13 +266,18 @@ def tau_to_alpha(tau) -> np.ndarray:
     """``transformation_matrix(p) @ (1, tau)`` in closed form.
 
     The rows of the map are the adjacent differences of
-    ``(0, tau_{p-1}, ..., tau_0, 1)``.
+    ``(0, tau_{p-1}, ..., tau_0, 1)``.  A 2-D ``tau`` holds one vector per
+    row.
     """
-    tau = np.asarray(tau, dtype=np.float64).ravel()
+    tau = np.asarray(tau, dtype=np.float64)
+    if tau.ndim != 2:
+        tau = tau.ravel()
     if not np.isfinite(tau).all():
         raise ValueError("tau contains non-finite entries")
-    s = np.concatenate(([0.0], tau[::-1], [1.0]))
-    return s[1:] - s[:-1]
+    s = np.zeros((*tau.shape[:-1], tau.shape[-1] + 2))
+    s[..., 1:-1] = tau[..., ::-1]
+    s[..., -1] = 1.0
+    return s[..., 1:] - s[..., :-1]
 
 
 def alpha_to_tau(alpha) -> np.ndarray:
@@ -240,11 +288,12 @@ def alpha_to_tau(alpha) -> np.ndarray:
     total = float(alpha.sum())
     if not np.isfinite(total) or abs(total - 1.0) > ALPHA_SUM_TOL:
         raise ValueError(f"alpha must sum to 1 within {ALPHA_SUM_TOL}, got {total!r}")
-    p = alpha.size - 1
-    if p == 0:
-        return np.zeros(0)
-    partial = np.cumsum(alpha)[:p]
-    return partial[::-1].copy()
+    return _partial_sums(alpha)
+
+
+def _partial_sums(alpha: np.ndarray) -> np.ndarray:
+    """``tau`` of each row of ``alpha``, without :func:`alpha_to_tau`'s check."""
+    return np.cumsum(alpha, axis=-1)[..., -2::-1].copy()
 
 
 def gain_theta(mixed: np.ndarray, e_newest: np.ndarray) -> float:
@@ -257,6 +306,13 @@ def gain_theta(mixed: np.ndarray, e_newest: np.ndarray) -> float:
     if denom < GAIN_ZERO_TOL:
         return 0.0
     return float(np.abs(mixed).max(initial=0.0) / denom)
+
+
+def _gains(mixed: np.ndarray, e_newest: np.ndarray) -> list[float]:
+    """:func:`gain_theta` of each row."""
+    nums = np.abs(mixed).max(axis=1, initial=0.0).tolist()
+    denoms = np.abs(e_newest).max(axis=1, initial=0.0).tolist()
+    return [0.0 if d < GAIN_ZERO_TOL else x / d for x, d in zip(nums, denoms)]
 
 
 def coefficient_bounds(
@@ -307,12 +363,31 @@ def _plain_step(
     return _solution(matrices, alpha, tau, mixed, kind, eta, jitter, fallback)
 
 
+def _gram(rows: np.ndarray, ridge=None) -> np.ndarray:
+    """``rows @ rows^T`` over any leading axes, plus ``ridge`` on each diagonal.
+
+    ``ridge`` is a float, or for a stack an array of shape ``(B, 1)``.
+    """
+    gram = rows @ rows.mT
+    if ridge is not None:
+        p = gram.shape[-1]
+        gram.reshape(-1, p * p)[:, :: p + 1] += ridge
+    return gram
+
+
 def _certified(alpha: np.ndarray, mixed: np.ndarray, e_newest: np.ndarray) -> bool:
     """Accept alpha only if it does at least as well as the plain step."""
     if not np.isfinite(alpha).all():
         return False
     mixed_norm = frobenius_norm(mixed)
     return mixed_norm <= frobenius_norm(e_newest) * (1.0 + CERT_RTOL) + 1e-300
+
+
+def _certified_rows(alpha: np.ndarray, mixed: np.ndarray, e_newest: np.ndarray):
+    """:func:`_certified` of each row."""
+    mixed_norm = np.sqrt(squared_norms(mixed))
+    bound = np.sqrt(squared_norms(e_newest)) * (1.0 + CERT_RTOL) + 1e-300
+    return np.isfinite(alpha).all(axis=1) & (mixed_norm <= bound)
 
 
 def solve_alpha_kkt(matrices: HistoryMatrices) -> MixingSolution:
@@ -328,13 +403,13 @@ def solve_alpha_kkt(matrices: HistoryMatrices) -> MixingSolution:
     if cols == 1:
         return _plain_step(matrices, KIND_KKT)
     try:
-        y, lam = _solve_spd_impl(e.T @ e, np.ones(cols))
+        y, lam = _solve_spd_impl(_gram(e.T), np.ones(cols))
     except SingularSystemError as exc:
         return _plain_step(matrices, KIND_KKT, jitter=exc.jitter, fallback=True)
     total = float(y.sum())
     if total != 0.0:
         alpha = y / total
-        mixed = e @ alpha
+        mixed = np.matvec(e, alpha)
         if _certified(alpha, mixed, matrices.e_newest):
             return _solution(
                 matrices, alpha, alpha_to_tau(alpha), mixed, KIND_KKT, 0.0, lam, False
@@ -342,15 +417,29 @@ def solve_alpha_kkt(matrices: HistoryMatrices) -> MixingSolution:
     return _plain_step(matrices, KIND_KKT, jitter=lam, fallback=True)
 
 
-def _ridge_scale(matrices: HistoryMatrices, eta: float) -> tuple[float, float]:
+def _squared_frobenius(m: np.ndarray):
+    """``||m||_F^2``; for a run axis in front, an array of one per run.
+
+    The square is Python's ``float ** 2`` of :func:`frobenius_norm`:
+    numpy's square differs from it in the last bit on some values.  The
+    stacked matrices are history views, each run's columns one block.
+    """
+    if m.ndim == 2:
+        return frobenius_norm(m) ** 2
+    norms = np.sqrt(squared_norms(m.mT.reshape(len(m), -1)))
+    return np.array([x**2 for x in norms.tolist()])
+
+
+def _ridge_scale(matrices: HistoryMatrices, eta: float):
     """The ridge penalty ``eta * (||D||_F^2 + ||H||_F^2)`` and ``||H||_F^2``.
 
-    ``||H||_F^2`` is ``trace(H^T H)``.  Both are 0 for eta = 0.
+    ``||H||_F^2`` is ``trace(H^T H)``.  Both are 0 for eta = 0.  Stacked
+    matrices give an array of each, one entry per run.
     """
     if not eta > 0.0:
         return 0.0, 0.0
-    h_sq = frobenius_norm(matrices.delta_e) ** 2
-    return eta * (frobenius_norm(matrices.delta_q) ** 2 + h_sq), h_sq
+    h_sq = _squared_frobenius(matrices.delta_e)
+    return eta * (_squared_frobenius(matrices.delta_q) + h_sq), h_sq
 
 
 def _solve_tau(matrices: HistoryMatrices, eta: float, kind: str) -> MixingSolution:
@@ -360,16 +449,14 @@ def _solve_tau(matrices: HistoryMatrices, eta: float, kind: str) -> MixingSoluti
         return _plain_step(matrices, kind, eta)
     e_new = matrices.e_newest
     scale, h_sq = _ridge_scale(matrices, eta)
-    gram = h.T @ h
-    if scale > 0.0:
-        gram.flat[:: p + 1] += scale
+    gram = _gram(h.T, scale if scale > 0.0 else None)
     try:
-        tau, lam = _solve_spd_impl(gram, h.T @ e_new)
+        tau, lam = _solve_spd_impl(gram, np.matvec(h.T, e_new))
     except SingularSystemError as exc:
         sol = _plain_step(matrices, kind, eta, exc.jitter, True)
     else:
         alpha = tau_to_alpha(tau)
-        mixed = matrices.residuals @ alpha
+        mixed = np.matvec(matrices.residuals, alpha)
         if _certified(alpha, mixed, e_new):
             sol = _solution(matrices, alpha, tau, mixed, kind, eta, lam, False)
         else:
@@ -405,6 +492,68 @@ def vanilla_solution(matrices: HistoryMatrices) -> MixingSolution:
     return _plain_step(matrices, KIND_VANILLA)
 
 
+def solve_stacked(
+    matrices: HistoryMatrices, kind: str, eta: float
+) -> tuple[np.ndarray, np.ndarray, list[MixingSolution | None]]:
+    """The solver of ``kind`` on every window of a history with a run axis.
+
+    Returns the stacked ``alpha`` and mixed residual ``E alpha``, and per
+    run the solution the one-run solver of ``kind`` returns, bit for bit:
+    each run's Gram matrix, zero-jitter SPD attempt, certificate and
+    ``E alpha`` take one stacked call for all runs.  A run this does not
+    settle (a system not accepted at zero jitter, a failed certificate, an
+    alpha :func:`alpha_to_tau` would refuse) gets None, and its rows of
+    the arrays hold no solution: it is left to the one-run solver, with
+    its jitter ladder, fallback or error.  The stacked Cholesky gate fails
+    for the whole stack at once, and then every run gets None.
+    """
+    e = matrices.residuals
+    e_new = matrices.e_newest
+    runs, _, cols = e.shape
+    eta = eta if kind == KIND_REGULARIZED else 0.0
+    ridge, scale, h_sq = None, [0.0] * runs, [None] * runs
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if cols == 1:
+            alpha, tau = np.ones((runs, 1)), np.zeros((runs, 0))
+            mixed, accepted = e_new.copy(), np.ones(runs, bool)
+        elif kind == KIND_KKT:
+            attempt = spd_attempt(_gram(e.mT), np.ones((runs, cols)))
+            if attempt is None:
+                return np.empty((runs, cols)), np.empty(e_new.shape), [None] * runs
+            y, accepted = attempt
+            total = y.sum(axis=-1)
+            accepted &= total != 0.0
+            alpha = y / total[:, None]
+            sums = alpha.sum(axis=-1)
+            accepted &= np.isfinite(sums) & ~(np.abs(sums - 1.0) > ALPHA_SUM_TOL)
+            tau = _partial_sums(alpha)
+        else:
+            h = matrices.delta_e
+            if eta > 0.0:
+                ridge, h_sq = _ridge_scale(matrices, eta)
+                scale, h_sq, ridge = ridge.tolist(), h_sq.tolist(), ridge[:, None]
+            attempt = spd_attempt(_gram(h.mT, ridge), np.matvec(h.mT, e_new))
+            if attempt is None:
+                return np.empty((runs, cols)), np.empty(e_new.shape), [None] * runs
+            tau, accepted = attempt
+            tau[~accepted] = 0.0
+            alpha = tau_to_alpha(tau)
+        if cols > 1:
+            mixed = np.matvec(e, alpha)
+            accepted &= _certified_rows(alpha, mixed, e_new)
+        gains = _gains(mixed, e_new)
+    sols = [
+        MixingSolution(
+            alpha[r], tau[r], mixed[r], gains[r], kind, eta,
+            ridge_scale=scale[r], gram_trace=h_sq[r],
+        )
+        if ok
+        else None
+        for r, ok in enumerate(accepted.tolist())
+    ]
+    return alpha, mixed, sols
+
+
 def mixed_update(
     history: AndersonHistory, solution: MixingSolution, beta: float
 ) -> np.ndarray:
@@ -421,8 +570,15 @@ def mixed_update(
             f"alpha length {solution.alpha.size} does not match history "
             f"length {k}"
         )
-    f_alpha = solution.alpha @ history._xfe[1, :k]
-    return f_alpha - (1.0 - beta) * solution.mixed_residual
+    return next_iterates(history, solution.alpha, solution.mixed_residual, beta)
+
+
+def next_iterates(
+    history: AndersonHistory, alpha: np.ndarray, mixed: np.ndarray, beta: float
+) -> np.ndarray:
+    """``F alpha - (1-beta) * mixed`` over the history's run axis, if any."""
+    f_alpha = np.vecmat(alpha, history._xfe[1, ..., : len(history), :])
+    return f_alpha - (1.0 - beta) * mixed
 
 
 def materialize_update_matrix(

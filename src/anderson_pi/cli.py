@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -154,8 +153,6 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     c.add_argument("--beta-convention", choices=("eq2", "eq13"), default="eq2")
     c.add_argument("--tol", type=float, default=1e-10)
     c.add_argument("--max-iter", type=int, default=10000)
-    c.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("ANDERSON_PI_JOBS", "1")))
     c.add_argument("-o", "--outdir", default=".")
     c.set_defaults(func=cmd_compare)
 
@@ -377,9 +374,7 @@ def cmd_compare(args) -> int:
     if not mdps:
         _err("compare needs --mdp files or --gen with a seed range")
         return EXIT_USAGE
-    report = run_ensemble(
-        configs, mdps, mdp_seeds=seeds, mdp_labels=labels, jobs=max(1, args.jobs)
-    )
+    report = run_ensemble(configs, mdps, mdp_seeds=seeds, mdp_labels=labels)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "report.jsonl", "w", encoding="utf-8") as fh:

@@ -33,6 +33,11 @@ def jitter_ladder(a: np.ndarray) -> list[float]:
     return [lam0 * 10.0**i for i in range(JITTER_STEPS + 1)]
 
 
+def squared_norms(x: np.ndarray) -> np.ndarray:
+    """``x.dot(x)`` of every vector along the last axis, bit for bit."""
+    return np.vecdot(x, x)
+
+
 def _accepted(m: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float):
     """The solution of ``m x = b``, or None.
 
@@ -78,6 +83,29 @@ def _solve_spd_impl(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     raise SingularSystemError(
         f"system remained singular/indefinite after jitter {lam:g}", jitter=lam
     )
+
+
+def spd_attempt(a: np.ndarray, b: np.ndarray):
+    """The zero-jitter attempt of :func:`_solve_spd_impl` for a stack of systems.
+
+    ``a`` is ``(B, p, p)`` and ``b`` is ``(B, p)``.  Returns the solutions
+    and which of them :func:`_solve_spd_impl` would accept at zero jitter
+    (symmetric within 1e-10, positive definite, finite, and solving
+    ``a x = b`` within ``SOLVE_RTOL * (1 + ||b||)``), or None when numpy's
+    Cholesky gate fails, which it does for the whole stack at once.  The
+    one-run :func:`_accepted` stays scalar: this form of it measured 5 µs
+    slower per solve on one system.
+    """
+    try:
+        np.linalg.cholesky(a)  # positive-definiteness gate
+        x = np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return None
+    scale = np.fmax(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
+    symmetric = ~(np.abs(a - a.mT).max(axis=(1, 2), initial=0.0) > SYMMETRY_TOL * scale)
+    tol = SOLVE_RTOL * (1.0 + np.sqrt(squared_norms(b)))
+    err = np.sqrt(squared_norms(np.matvec(a, x) - b))
+    return x, symmetric & np.isfinite(x).all(axis=1) & ~(err > tol)
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

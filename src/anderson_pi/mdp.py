@@ -149,6 +149,51 @@ class TabularMdp:
         return self.n_states * self.n_actions
 
 
+class MdpStack:
+    """B same-shape MDPs, swept by one Bellman call.
+
+    Row ``b`` of ``rewards`` (``(B, S, A)``) and ``gamma`` (``(B, 1, 1)``)
+    belongs to ``mdps[b]``.  The successor lists are stacked
+    successor-major as ``(k, B, S, A)``, padded to the largest ``k`` with
+    successor 0 at probability 0.0, and offset by ``b * S``, so one gather
+    from the stacked values ``v`` (length ``B * S``) serves every MDP with
+    the arithmetic of its own :meth:`TabularMdp.expectation`.
+    """
+
+    def __init__(self, mdps):
+        self.mdps = tuple(mdps)
+        if not self.mdps:
+            raise ValueError("need at least one MDP")
+        shapes = {m.rewards.shape for m in self.mdps}
+        if len(shapes) != 1:
+            raise ValueError(f"MDPs differ in shape: {sorted(shapes)}")
+        n_states = self.mdps[0].n_states
+        k = max(m.successors.shape[2] for m in self.mdps)
+        b = len(self.mdps)
+        self.successors = np.zeros((k, b, *self.mdps[0].rewards.shape), dtype=np.intp)
+        self.probs = np.zeros(self.successors.shape)
+        for row, m in enumerate(self.mdps):
+            kb = m.successors.shape[2]
+            self.successors[:kb, row] = m.successors.transpose(2, 0, 1)
+            self.probs[:kb, row] = m.probs.transpose(2, 0, 1)
+        self.successors += (np.arange(b) * n_states)[:, None, None]
+        self.rewards = np.stack([m.rewards for m in self.mdps])
+        self.gamma = np.array([m.gamma for m in self.mdps])[:, None, None]
+
+    def __len__(self) -> int:
+        return len(self.mdps)
+
+    def take(self, rows) -> MdpStack:
+        """The stack of the MDPs at ``rows``, in that order."""
+        return MdpStack([self.mdps[r] for r in rows])
+
+    def expectation(self, v: np.ndarray) -> np.ndarray:
+        """:meth:`TabularMdp.expectation` of every MDP, as a ``(B, S, A)`` array."""
+        terms = v.take(self.successors)
+        terms *= self.probs
+        return terms.sum(axis=0)
+
+
 def _check_sizes(n_states, n_actions) -> None:
     if n_states < 1 or n_actions < 1:
         raise ValueError(

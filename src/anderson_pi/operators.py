@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import TabularMdp
+from .mdp import MdpStack, TabularMdp
 
 
 class OperatorKind(enum.Enum):
@@ -59,7 +59,10 @@ class OperatorSpec:
 
 def aggregate_rows(q: np.ndarray, kind: OperatorKind, omega: float) -> np.ndarray:
     """Per-row aggregate of a ``(rows, actions)`` table: max, mellowmax or softmax."""
-    shift = q.max(axis=1)
+    # the max over a contiguous transposed copy reduces whole rows of it at
+    # once, which is faster; max is exact, so it equals q.max(axis=1).  The
+    # sums below stay row sums: numpy sums a transposed table in another order.
+    shift = np.ascontiguousarray(q.T).max(axis=0)
     if kind is OperatorKind.HARD_MAX:
         return shift
     w = np.exp(omega * (q - shift[:, None]))
@@ -109,21 +112,24 @@ def boltzmann_softmax(row, omega: float) -> float:
     return _aggregate_row(row, OperatorKind.BOLTZMANN_SOFTMAX, omega)
 
 
-def _check_q(mdp: TabularMdp, q) -> np.ndarray:
+def _check_q(mdp: TabularMdp | MdpStack, q) -> np.ndarray:
     arr = np.asarray(q, dtype=np.float64)
-    if arr.shape != (mdp.n_states, mdp.n_actions):
-        raise ValueError(
-            f"Q shape {arr.shape} does not match MDP "
-            f"({mdp.n_states}, {mdp.n_actions})"
-        )
+    if arr.shape != mdp.rewards.shape:
+        raise ValueError(f"Q shape {arr.shape} does not match MDP {mdp.rewards.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("Q contains non-finite entries")
     return arr
 
 
-def apply_bellman(mdp: TabularMdp, q, op: OperatorSpec) -> np.ndarray:
-    """One Bellman sweep over the successor lists; the input Q is never modified."""
-    v = aggregate_rows(_check_q(mdp, q), op.kind, op.omega)
+def apply_bellman(mdp: TabularMdp | MdpStack, q, op: OperatorSpec) -> np.ndarray:
+    """One Bellman sweep over the successor lists; the input Q is never modified.
+
+    On an :class:`MdpStack` ``q`` and the result are ``(B, S, A)``, and row
+    ``b`` of the result equals the sweep of ``mdps[b]`` on ``q[b]`` bitwise.
+    """
+    q = _check_q(mdp, q)
+    rows = q if q.ndim == 2 else q.reshape(-1, q.shape[-1])
+    v = aggregate_rows(rows, op.kind, op.omega)
     out = mdp.expectation(v)
     out *= mdp.gamma
     out += mdp.rewards

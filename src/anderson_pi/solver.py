@@ -6,7 +6,8 @@ iterate advances by damped linear mixing of the history window with
 coefficients chosen by the configured solver.  ``fixed_point_oracle``
 produces the high-precision reference against which every accelerated
 scheme is compared, and ``run_ensemble`` fans (config, mdp) pairs out
-into comparable summaries.
+into comparable summaries, advancing the runs of one config on
+same-shape MDPs in lockstep.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ import enum
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import anderson
-from .linalg import frobenius_norm
-from .mdp import TabularMdp
+from .linalg import frobenius_norm, squared_norms
+from .mdp import MdpStack, TabularMdp
 from .operators import CONTRACTIVE_KINDS, OperatorSpec, apply_bellman
 
 DIVERGENCE_LIMIT = 1e12
@@ -198,6 +198,14 @@ class SolverTrace:
         return np.array([r.theta for r in self.records])
 
 
+_KINDS = {
+    Scheme.VANILLA_VI: anderson.KIND_VANILLA,
+    Scheme.ANDERSON_KKT: anderson.KIND_KKT,
+    Scheme.ANDERSON_UNCONSTRAINED: anderson.KIND_UNCONSTRAINED,
+    Scheme.STABLE_AA: anderson.KIND_REGULARIZED,
+}
+
+
 def _solve_coefficients(
     scheme: Scheme, matrices: anderson.HistoryMatrices, eta: float
 ) -> anderson.MixingSolution:
@@ -208,6 +216,59 @@ def _solve_coefficients(
     if scheme is Scheme.ANDERSON_UNCONSTRAINED:
         return anderson.solve_tau_unconstrained(matrices)
     return anderson.solve_tau_regularized(matrices, eta)
+
+
+def _trace_record(
+    k: int,
+    res_inf: float,
+    res_l2: float,
+    mixed_l2: float,
+    sol: anderson.MixingSolution,
+    sol_non: anderson.MixingSolution | None,
+    beta: float,
+    eta: float,
+    p: int,
+) -> TraceRecord:
+    """Iteration ``k``'s record, short of full diagnostics' update norm.
+
+    ``mixed_l2`` is ``||E alpha||_2`` of ``sol``, and ``sol_non`` the
+    unregularized solution full diagnostics compare against (None
+    otherwise); ``wall_nanos`` is left at 0.
+    """
+    theta_l2 = 0.0 if res_l2 < anderson.GAIN_ZERO_TOL else mixed_l2 / res_l2
+    rec = TraceRecord(
+        k=k,
+        residual_inf=res_inf,
+        residual_l2=res_l2,
+        theta=sol.gain_theta,
+        theta_l2=theta_l2,
+        alpha=sol.alpha,
+        beta_used=beta,
+        jitter_flag=bool(sol.jitter > 0.0 or sol.fallback),
+        jitter=sol.jitter,
+        fallback=sol.fallback,
+        safeguard_triggered=False,
+        solver_kind=sol.solver_kind,
+        wall_nanos=0,
+    )
+    if sol.gram_trace is not None:
+        rec.reg_share = (
+            sol.ridge_scale / sol.gram_trace if sol.gram_trace > 0.0 else np.inf
+        )
+    if sol.solver_kind == anderson.KIND_REGULARIZED and eta > 0.0:
+        (
+            rec.coeff_norm_lhs,
+            rec.coeff_norm_rhs,
+            rec.coeff_gap_lhs,
+            rec.coeff_gap_rhs,
+        ) = anderson.coefficient_bounds(
+            sol.alpha,
+            None if sol_non is None else sol_non.alpha,
+            res_l2,
+            eta,
+            p,
+        )
+    return rec
 
 
 def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> SolverTrace:
@@ -262,47 +323,14 @@ def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> Sol
             matrices = anderson.build_history_matrices(history)
             safeguard_hit = True
         sol = _solve_coefficients(cfg.scheme, matrices, cfg.eta)
-        if res_l2 < anderson.GAIN_ZERO_TOL:
-            theta_l2 = 0.0
-        else:
-            theta_l2 = frobenius_norm(sol.mixed_residual) / res_l2
-        rec = TraceRecord(
-            k=k,
-            residual_inf=res_inf,
-            residual_l2=res_l2,
-            theta=sol.gain_theta,
-            theta_l2=theta_l2,
-            alpha=sol.alpha,
-            beta_used=beta,
-            jitter_flag=bool(sol.jitter > 0.0 or sol.fallback),
-            jitter=sol.jitter,
-            fallback=sol.fallback,
-            safeguard_triggered=safeguard_hit,
-            solver_kind=sol.solver_kind,
-            wall_nanos=0,
-        )
         p = matrices.delta_e.shape[1]
-        if sol.gram_trace is not None:
-            rec.reg_share = (
-                sol.ridge_scale / sol.gram_trace if sol.gram_trace > 0.0 else np.inf
-            )
         # eta > 0 with p > 0 means stable-aa: the only full-diagnostics case
         sol_non = None
         if full_diag and cfg.eta > 0.0 and p > 0:
             sol_non = anderson.solve_tau_unconstrained(matrices)
-        if sol.solver_kind == anderson.KIND_REGULARIZED and cfg.eta > 0.0:
-            (
-                rec.coeff_norm_lhs,
-                rec.coeff_norm_rhs,
-                rec.coeff_gap_lhs,
-                rec.coeff_gap_rhs,
-            ) = anderson.coefficient_bounds(
-                sol.alpha,
-                None if sol_non is None else sol_non.alpha,
-                res_l2,
-                cfg.eta,
-                p,
-            )
+        mixed_l2 = frobenius_norm(sol.mixed_residual)
+        rec = _trace_record(k, res_inf, res_l2, mixed_l2, sol, sol_non, beta, cfg.eta, p)
+        rec.safeguard_triggered = safeguard_hit
         if sol_non is not None:
             rec.update_norm_lhs = anderson.update_matrix_norms(
                 matrices, beta, cfg.eta, jitter=sol.jitter, fallback=sol.fallback
@@ -332,22 +360,138 @@ def fixed_point_oracle(
     """High-precision reference fixed point by plain undamped iteration.
 
     Only defined for the contractive aggregators (hard max, mellowmax).
+    The one-MDP case of :func:`fixed_point_oracles`.
+    """
+    return fixed_point_oracles(MdpStack([mdp]), op, tol, max_iter)[0]
+
+
+def fixed_point_oracles(
+    stack: MdpStack,
+    op: OperatorSpec,
+    tol: float = ORACLE_TOL,
+    max_iter: int = ORACLE_MAX_ITER,
+) -> list[np.ndarray]:
+    """:func:`fixed_point_oracle` of every MDP of ``stack``, in one sweep each step.
+
+    Each MDP leaves the stack at the sweep where its own iteration stops,
+    so every result equals its one-MDP oracle bitwise.  If some MDPs miss
+    ``tol`` within ``max_iter`` sweeps, the first of them raises
+    :class:`OraclePrecisionError` with its own residual.
     """
     if op.kind not in CONTRACTIVE_KINDS:
         raise ValueError(f"oracle requires a contractive operator, got {op.kind}")
-    q = np.zeros((mdp.n_states, mdp.n_actions))
-    res = float("inf")
+    out: list[np.ndarray | None] = [None] * len(stack)
+    live = list(range(len(stack)))  # MDP index of each row of the stack
+    q = np.zeros(stack.rewards.shape)
+    res = [float("inf")]
     for _ in range(max_iter + 1):
-        tq = apply_bellman(mdp, q, op)
-        res = float(np.abs(tq - q).max(initial=0.0))
-        if res <= tol:
-            return q
+        tq = apply_bellman(stack, q, op)
+        res = np.abs(tq - q).reshape(len(live), -1).max(axis=1, initial=0.0).tolist()
+        if any(x <= tol for x in res):
+            keep = []
+            for r, x in enumerate(res):
+                if x <= tol:
+                    out[live[r]] = q[r]
+                else:
+                    keep.append(r)
+            if not keep:
+                return out
+            live, stack, tq = [live[r] for r in keep], stack.take(keep), tq[keep]
+            res = [res[r] for r in keep]
         q = tq
+    first = res[0]
     raise OraclePrecisionError(
         f"oracle did not reach {tol:g} within {max_iter} iterations "
-        f"(achieved {res:g})",
-        residual=res,
+        f"(achieved {first:g})",
+        residual=first,
     )
+
+
+def _run_lockstep(
+    mdps: list[TabularMdp], cfg: SolverConfig
+) -> list[SolverTrace | DivergenceError]:
+    """``run(mdp, cfg)`` for every MDP of one shape, advanced together.
+
+    Returns, per MDP, the trace ``run`` returns or the DivergenceError it
+    raises, bitwise equal but for ``wall_nanos``, which holds the whole
+    group's iteration time.  Each iteration does one sweep of the stack
+    and one stacked coefficient solve; a run the stacked solve leaves
+    unaccepted takes ``run``'s own solver for that iteration.  A run that
+    stops leaves the group.  Not for configs with the safeguard or full
+    diagnostics.
+    """
+    stack = MdpStack(mdps)
+    beta = cfg.effective_beta()
+    kind = _KINDS[cfg.scheme]
+    n = mdps[0].n_entries
+    history = anderson.AndersonHistory(cfg.m, runs=len(mdps))
+    q = np.zeros(stack.rewards.shape)
+    live = list(range(len(mdps)))  # MDP index of each row of the group
+    records: list[list[TraceRecord]] = [[] for _ in mdps]
+    out: list[SolverTrace | DivergenceError | None] = [None] * len(mdps)
+    k = 0
+    while live:
+        t0 = time.perf_counter_ns()
+        tq = apply_bellman(stack, q, cfg.operator)
+        finite = np.isfinite(tq).reshape(len(live), -1).all(axis=1)
+        if not finite.all():
+            for r in np.flatnonzero(~finite):
+                out[live[r]] = DivergenceError(
+                    f"Bellman image non-finite at iteration {k}",
+                    SolverTrace(records[live[r]], False, k, q[r].copy(), cfg, n),
+                )
+            keep = np.flatnonzero(finite)
+            live = [live[r] for r in keep]
+            if not live:
+                break
+            stack, q, tq = stack.take(keep), q[keep], tq[keep]
+            history.take(keep)
+        history.push(q, tq)
+        matrices = anderson.build_history_matrices(history)
+        e = matrices.e_newest
+        res_inf = np.abs(e).max(axis=1, initial=0.0).tolist()
+        res_l2 = np.sqrt(squared_norms(e)).tolist()
+        p = matrices.n_columns - 1
+        alpha, mixed, sols = anderson.solve_stacked(matrices, kind, cfg.eta)
+        for r, sol in enumerate(sols):
+            if sol is None:
+                sol = sols[r] = _solve_coefficients(cfg.scheme, matrices.run(r), cfg.eta)
+                alpha[r], mixed[r] = sol.alpha, sol.mixed_residual
+        mixed_l2 = np.sqrt(squared_norms(mixed)).tolist()
+        wall = time.perf_counter_ns() - t0
+        for r, sol in enumerate(sols):
+            rec = _trace_record(
+                k, res_inf[r], res_l2[r], mixed_l2[r], sol, None, beta, cfg.eta, p
+            )
+            rec.wall_nanos = wall
+            records[live[r]].append(rec)
+        nxt = anderson.next_iterates(history, alpha, mixed, beta).reshape(q.shape)
+        # also true for a non-finite iterate, whose max is nan or inf
+        diverged = ~(np.abs(nxt).reshape(len(live), -1).max(axis=1) <= DIVERGENCE_LIMIT)
+        converged = [res <= cfg.tol for res in res_inf]
+        if k >= cfg.max_iter or any(converged) or diverged.any():
+            keep = []
+            for r, j in enumerate(live):
+                if converged[r] or k >= cfg.max_iter:
+                    iterations = k if converged[r] else cfg.max_iter
+                    out[j] = SolverTrace(
+                        records[j], converged[r], iterations, q[r].copy(), cfg, n
+                    )
+                elif diverged[r]:
+                    out[j] = DivergenceError(
+                        f"iterate diverged at iteration {k + 1}",
+                        SolverTrace(records[j], False, k + 1, nxt[r].copy(), cfg, n),
+                    )
+                else:
+                    keep.append(r)
+            live = [live[r] for r in keep]
+            if not live:
+                break
+            stack, nxt = stack.take(keep), nxt[keep]
+            history.take(keep)
+        q = nxt
+        k += 1
+    return out
 
 
 @dataclass
@@ -445,6 +589,21 @@ def _summarize(
     )
 
 
+def _shape_groups(mdps: list[TabularMdp]) -> list[list[int]]:
+    """Indices of the MDPs of each ``(S, A)`` shape, in order of first appearance."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j, mdp in enumerate(mdps):
+        groups.setdefault(mdp.rewards.shape, []).append(j)
+    return list(groups.values())
+
+
+def _run_one(mdp: TabularMdp, cfg: SolverConfig) -> SolverTrace | DivergenceError:
+    try:
+        return run(mdp, cfg)
+    except DivergenceError as exc:
+        return exc
+
+
 def run_ensemble(
     configs: list[SolverConfig],
     mdps: list[TabularMdp],
@@ -453,11 +612,17 @@ def run_ensemble(
     jobs: int = 1,
     keep_traces: bool = True,
 ) -> EnsembleReport:
-    """Run every (config, mdp) pair independently and summarize.
+    """Run every (config, mdp) pair and summarize, in input product order.
 
-    Divergence in one run is recorded as a failure, never aborts the
-    ensemble.  Output order is the input product order regardless of
-    ``jobs``, so reports are deterministic.
+    The runs of one config on two or more MDPs of one shape advance in
+    lockstep (:func:`_run_lockstep`); configs with the safeguard or full
+    diagnostics, and MDPs alone in their shape, go through :func:`run`.
+    Either way each run's trace is the one ``run`` gives.  Oracles are
+    computed per exact operator, one stack per shape.  Divergence in one
+    run is recorded as a failure, never aborts the ensemble.
+
+    ``jobs`` is accepted and ignored; it stays only because
+    ``perfbench/workloads.py`` passes ``jobs=1``.
     """
     if not configs or not mdps:
         raise ValueError("need at least one config and one MDP")
@@ -471,65 +636,73 @@ def run_ensemble(
         f"{label}#{cfg.config_hash()}" if labels.count(label) > 1 else label
         for label, cfg in zip(labels, configs)
     ]
+    groups = _shape_groups(mdps)
 
     # keyed by the exact operator: labels round omega
-    oracles: dict[tuple[int, OperatorSpec], np.ndarray | None] = {}
-    for j, mdp in enumerate(mdps):
-        for cfg in configs:
-            key = (j, cfg.operator)
-            if key in oracles:
-                continue
-            if cfg.operator.kind in CONTRACTIVE_KINDS:
-                oracles[key] = fixed_point_oracle(mdp, cfg.operator)
+    oracles: dict[tuple[int, OperatorSpec], np.ndarray] = {}
+    for op in dict.fromkeys(cfg.operator for cfg in configs):
+        if op.kind in CONTRACTIVE_KINDS:
+            for group in groups:
+                found = fixed_point_oracles(MdpStack([mdps[j] for j in group]), op)
+                oracles.update(((j, op), q) for j, q in zip(group, found))
+
+    outcomes: dict[tuple[int, int], SolverTrace | DivergenceError] = {}
+    for i, cfg in enumerate(configs):
+        lockstep = not cfg.safeguard and cfg.diagnostics_level == "basic"
+        for group in groups:
+            if lockstep and len(group) > 1:
+                found = _run_lockstep([mdps[j] for j in group], cfg)
             else:
-                oracles[key] = None
+                found = [_run_one(mdps[j], cfg) for j in group]
+            outcomes.update(((i, j), o) for j, o in zip(group, found))
 
     tasks = [(i, j) for i in range(len(configs)) for j in range(len(mdps))]
-
-    def one(task: tuple[int, int]):
-        i, j = task
-        cfg, mdp = configs[i], mdps[j]
-        oracle = oracles[(j, cfg.operator)]
-        try:
-            trace = run(mdp, cfg)
-        except DivergenceError as exc:
-            summary = RunSummary(
-                scheme=config_labels[i],
-                config_hash=cfg.config_hash(),
-                mdp_label=mdp_labels[j],
-                mdp_seed=mdp_seeds[j],
-                converged=False,
-                failed=True,
-                iterations=exc.trace.iterations,
-                final_residual_inf=float(exc.trace.records[-1].residual_inf)
-                if exc.trace.records
-                else None,
-                final_error_vs_oracle=None,
-                theta_mean=None,
-                theta_max=None,
-                jitter_count=0,
-                safeguard_count=0,
-                message=str(exc),
+    summaries = []
+    for i, j in tasks:
+        cfg, outcome = configs[i], outcomes[(i, j)]
+        if isinstance(outcome, DivergenceError):
+            records = outcome.trace.records
+            summaries.append(
+                RunSummary(
+                    scheme=config_labels[i],
+                    config_hash=cfg.config_hash(),
+                    mdp_label=mdp_labels[j],
+                    mdp_seed=mdp_seeds[j],
+                    converged=False,
+                    failed=True,
+                    iterations=outcome.trace.iterations,
+                    final_residual_inf=float(records[-1].residual_inf)
+                    if records
+                    else None,
+                    final_error_vs_oracle=None,
+                    theta_mean=None,
+                    theta_max=None,
+                    jitter_count=0,
+                    safeguard_count=0,
+                    message=str(outcome),
+                )
             )
-            return summary, exc.trace
-        summary = _summarize(
-            trace, config_labels[i], mdp_labels[j], mdp_seeds[j], oracle
-        )
-        return summary, trace
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, tasks))
-    else:
-        results = [one(t) for t in tasks]
+        else:
+            summaries.append(
+                _summarize(
+                    outcome,
+                    config_labels[i],
+                    mdp_labels[j],
+                    mdp_seeds[j],
+                    oracles.get((j, cfg.operator)),
+                )
+            )
 
     report = EnsembleReport(
-        summaries=[r[0] for r in results],
+        summaries=summaries,
         config_labels=config_labels,
         mdp_labels=list(mdp_labels),
     )
     if keep_traces:
-        report.traces = {task: results[idx][1] for idx, task in enumerate(tasks)}
+        report.traces = {
+            task: o.trace if isinstance(o := outcomes[task], DivergenceError) else o
+            for task in tasks
+        }
     return report
 
 

@@ -43,3 +43,21 @@ def test_traced_diagnostics_run_records_no_error(perfbench):
     assert out.errors == []
     assert [(r.error, r.converged) for r in out.runs] == [("", True)]
     assert out.trace_matrix_bytes == 0
+
+
+def test_traced_ensemble_pass_records_no_error(perfbench, tmp_path):
+    # an array reaching a tracer counter would raise inside the traced call
+    tracing, workloads = perfbench
+    originals = [getattr(owner, attr) for owner, attr, *_ in tracing.TARGETS]
+    mdps = workloads._ensemble_generate(0)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        out = workloads._ensemble_pass(0, mdps, tmp_path)
+    finally:
+        tracer.uninstall()
+    assert [getattr(owner, attr) for owner, attr, *_ in tracing.TARGETS] == originals
+    assert tracer.calls("solver.run_ensemble") == 1
+    assert out.errors == []
+    assert len(out.runs) == len(workloads.ENSEMBLE_CONFIGS) * len(mdps)
+    assert [(r.error, r.converged) for r in out.runs] == [("", True)] * len(out.runs)

@@ -220,19 +220,6 @@ class TestCompare:
         )
         assert proc.returncode == 2
 
-    def test_jobs_deterministic(self, tmp_path):
-        outs = []
-        for jobs, name in [(1, "j1"), (4, "j4")]:
-            out = tmp_path / name
-            proc = run_cli(
-                "compare", "--scheme", "vanilla", "--scheme", "unconstrained:m=3",
-                "--gen", "random", "--seeds", "0:3", "--op", "mellowmax",
-                "--omega", 5, "--jobs", jobs, "-o", out,
-            )
-            assert proc.returncode == 0
-            outs.append((out / "report.jsonl").read_bytes())
-        assert outs[0] == outs[1]
-
 
 class TestCheck:
     def test_clean_run_exits_zero(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import anderson_pi as ap
+from anderson_pi.mdp import MdpStack
 from anderson_pi.operators import OperatorKind, OperatorSpec
 
 from conftest import hand_value_iteration
@@ -153,6 +154,51 @@ class TestApplyBellman:
         before = q.copy()
         ap.apply_bellman(mdp, q, mm5)
         assert np.array_equal(q, before)
+
+
+class TestStackedSweep:
+    """An MdpStack sweeps every MDP as its own apply_bellman does, bitwise."""
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_rows_equal_one_mdp_sweeps(self, kind):
+        # the gridworld (k = 4) and the random MDPs (k = 2, 3) differ in k
+        mdps = [
+            ap.generate_random_mdp(1, 9, 4, 2, 1.0, 0.9),
+            ap.generate_gridworld(3, 3, 0.1, 1.0, 0.8),
+            ap.generate_random_mdp(2, 9, 4, 3, 5.0, 0.95),
+        ]
+        op = OperatorSpec(kind, 2.0)
+        stack = MdpStack(mdps)
+        q = np.random.default_rng(0).uniform(-10.0, 10.0, size=(3, 9, 4))
+        tq = ap.apply_bellman(stack, q, op)
+        assert tq.shape == (3, 9, 4)
+        for b, mdp in enumerate(mdps):
+            assert tq[b].tobytes() == ap.apply_bellman(mdp, q[b], op).tobytes()
+
+    def test_take_keeps_rows_in_order(self, mm5):
+        mdps = [ap.generate_random_mdp(s, 6, 2, 2, 1.0, 0.9) for s in range(4)]
+        q = np.random.default_rng(1).uniform(-1.0, 1.0, size=(2, 6, 2))
+        sub = MdpStack(mdps).take([3, 1])
+        assert sub.mdps == (mdps[3], mdps[1])
+        assert np.array_equal(
+            ap.apply_bellman(sub, q, mm5),
+            np.stack([ap.apply_bellman(mdps[3], q[0], mm5), ap.apply_bellman(mdps[1], q[1], mm5)]),
+        )
+
+    def test_shapes_must_match(self, mm5):
+        mdps = [ap.generate_random_mdp(0, 6, 2, 2, 1.0, 0.9), ap.generate_random_mdp(0, 6, 3, 2, 1.0, 0.9)]
+        with pytest.raises(ValueError, match="shape"):
+            MdpStack(mdps)
+        stack = MdpStack(mdps[:1])
+        with pytest.raises(ValueError, match="does not match"):
+            ap.apply_bellman(stack, np.zeros((6, 2)), mm5)
+
+    def test_row_max_equals_numpy_row_max(self):
+        rng = np.random.default_rng(2)
+        for actions in (1, 2, 4, 8, 16):
+            q = rng.standard_normal((2000, actions))
+            got = ap.operators.aggregate_rows(q, OperatorKind.HARD_MAX, 1.0)
+            assert got.tobytes() == q.max(axis=1).tobytes()
 
 
 class TestResidual:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 import anderson_pi as ap
+from anderson_pi import anderson, solver
+from anderson_pi.mdp import MdpStack
 from anderson_pi.operators import OperatorKind, OperatorSpec
 from anderson_pi.solver import (
     TRACE_COLUMNS,
@@ -13,6 +16,7 @@ from anderson_pi.solver import (
     OraclePrecisionError,
     Scheme,
     SolverConfig,
+    TraceRecord,
 )
 
 
@@ -282,6 +286,76 @@ class TestOracle:
             )
 
 
+def value_iteration(mdp, op, tol=solver.ORACLE_TOL, max_iter=solver.ORACLE_MAX_ITER):
+    """The one-MDP oracle loop, written out: (fixed point, sweeps) or (None, residual)."""
+    q = np.zeros((mdp.n_states, mdp.n_actions))
+    res = float("inf")
+    for sweep in range(max_iter + 1):
+        tq = ap.apply_bellman(mdp, q, op)
+        res = float(np.abs(tq - q).max(initial=0.0))
+        if res <= tol:
+            return q, sweep
+        q = tq
+    return None, res
+
+
+class TestStackedOracle:
+    @pytest.mark.parametrize(
+        "op", [OperatorSpec(OperatorKind.HARD_MAX), OperatorSpec(OperatorKind.MELLOW_MAX, 5.0)]
+    )
+    def test_equals_value_iteration_per_mdp(self, op):
+        # different discounts stop at different sweeps, so the stack shrinks;
+        # the gridworld pads the successor lists of the 9x4 random MDPs
+        mdps = [
+            ap.generate_random_mdp(0, 9, 4, 3, 1.0, 0.95),
+            ap.generate_gridworld(3, 3, 0.1, 1.0, 0.5),
+            ap.generate_random_mdp(1, 9, 4, 2, 1.0, 0.8),
+        ]
+        got = solver.fixed_point_oracles(MdpStack(mdps), op)
+        sweeps = []
+        for q, mdp in zip(got, mdps):
+            want, n_sweeps = value_iteration(mdp, op)
+            sweeps.append(n_sweeps)
+            assert q.tobytes() == want.tobytes()
+            assert ap.fixed_point_oracle(mdp, op).tobytes() == want.tobytes()
+        assert len(set(sweeps)) == 3
+
+    def test_precision_error_names_the_first_unfinished_mdp(self, mm5):
+        fast = ap.generate_random_mdp(0, 8, 2, 2, 1.0, 0.1)
+        slow = [ap.generate_random_mdp(s, 8, 2, 2, 1.0, 0.9) for s in (1, 2)]
+        with pytest.raises(OraclePrecisionError) as stacked:
+            solver.fixed_point_oracles(MdpStack([fast] + slow), mm5, max_iter=50)
+        with pytest.raises(OraclePrecisionError) as alone:
+            ap.fixed_point_oracle(slow[0], mm5, max_iter=50)
+        assert value_iteration(fast, mm5, max_iter=50)[0] is not None
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.residual == alone.value.residual == value_iteration(
+            slow[0], mm5, max_iter=50
+        )[1]
+
+    def test_non_finite_rewards_fail_in_the_sweep(self, mm5, monkeypatch):
+        good = ap.generate_random_mdp(0, 6, 2, 2, 1.0, 0.9)
+        rewards = good.rewards.copy()
+        rewards[0, 0] = np.inf
+        bad = ap.TabularMdp.from_successors(6, 2, good.successors, good.probs, rewards, 0.9)
+        sweeps = []
+        sweep = solver.apply_bellman
+
+        def counting(*args):
+            sweeps.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(solver, "apply_bellman", counting)
+        for call in (
+            lambda: ap.fixed_point_oracle(bad, mm5),
+            lambda: solver.fixed_point_oracles(MdpStack([good, bad]), mm5),
+        ):
+            sweeps.clear()
+            with pytest.raises(ValueError, match="Q contains non-finite entries"):
+                call()
+            assert len(sweeps) == 2
+
+
 class TestEnsemble:
     def test_win_rate_and_determinism(self, mm5):
         mdps = [ap.generate_random_mdp(s, 15, 3, 2, 1.0, 0.9) for s in range(6)]
@@ -294,16 +368,6 @@ class TestEnsemble:
         assert rep1.to_jsonl() == rep2.to_jsonl()
         assert rep1.win_rate(1, 0) == 1.0
         assert rep1.win_rate(0, 1) == 0.0
-
-    def test_parallel_jobs_identical(self, mm5):
-        mdps = [ap.generate_random_mdp(s, 12, 3, 2, 1.0, 0.9) for s in range(4)]
-        configs = [
-            cfg_for(Scheme.VANILLA_VI, mm5, tol=1e-8),
-            cfg_for(Scheme.ANDERSON_KKT, mm5, m=3, tol=1e-8),
-        ]
-        serial = ap.run_ensemble(configs, mdps)
-        threaded = ap.run_ensemble(configs, mdps, jobs=4)
-        assert serial.to_jsonl() == threaded.to_jsonl()
 
     def test_failed_run_isolated(self):
         # enormous rewards push the Boltzmann iteration past the
@@ -333,18 +397,20 @@ class TestEnsemble:
         ]
         assert ops[0].label() == ops[1].label()
         oracle = ap.solver.fixed_point_oracle
+        stacked = ap.solver.fixed_point_oracles
         calls = []
 
-        def counting_oracle(mdp, op, *args, **kwargs):
-            calls.append(op)
-            return oracle(mdp, op, *args, **kwargs)
+        def counting_oracles(stack, op, *args, **kwargs):
+            calls.extend((id(mdp), op) for mdp in stack.mdps)
+            return stacked(stack, op, *args, **kwargs)
 
-        monkeypatch.setattr(ap.solver, "fixed_point_oracle", counting_oracle)
+        # run_ensemble computes its oracles one stack of same-shape MDPs at a time
+        monkeypatch.setattr(ap.solver, "fixed_point_oracles", counting_oracles)
         configs = [cfg_for(Scheme.ANDERSON_KKT, op, m=5, tol=1e-12) for op in ops]
         configs.append(cfg_for(Scheme.VANILLA_VI, ops[0], tol=1e-12))
         mdps = [ap.generate_random_mdp(s, 12, 3, 3, 1.0, 0.9) for s in range(2)]
         rep = ap.run_ensemble(configs, mdps)
-        assert len(calls) == 4  # one per (mdp, exact operator)
+        assert len(calls) == len(set(calls)) == 4  # one per (mdp, exact operator)
         for i, cfg in enumerate(configs):
             for j, mdp in enumerate(mdps):
                 own = oracle(mdp, cfg.operator)
@@ -364,6 +430,196 @@ class TestEnsemble:
             "vanilla",
         ]
         assert [s.scheme for s in rep.summaries] == rep.config_labels
+
+
+def one_run(mdp, cfg):
+    """What ``run`` gives: its trace, or the DivergenceError it raises."""
+    try:
+        return ap.run(mdp, cfg)
+    except DivergenceError as exc:
+        return exc
+
+
+def assert_same_trace(got, want):
+    """Every field bitwise equal, but wall_nanos (a lockstep group's time)."""
+    assert (got.iterations, got.converged, got.n, got.config) == (
+        want.iterations, want.converged, want.n, want.config,
+    )
+    assert got.final_q.shape == want.final_q.shape
+    assert got.final_q.tobytes() == want.final_q.tobytes()
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        for f in dataclasses.fields(TraceRecord):
+            if f.name == "wall_nanos":
+                continue
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(y, np.ndarray):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+            else:
+                # repr tells every float apart, -0.0 and nan included
+                assert (type(x), repr(x)) == (type(y), repr(y)), (b.k, f.name)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, DivergenceError):
+        assert isinstance(got, DivergenceError) and str(got) == str(want)
+        assert_same_trace(got.trace, want.trace)
+    else:
+        assert not isinstance(got, DivergenceError), str(got)
+        assert_same_trace(got, want)
+
+
+def assert_lockstep_matches_run(mdps, cfg):
+    got = solver._run_lockstep(mdps, cfg)
+    assert len(got) == len(mdps)
+    outcomes = [one_run(mdp, cfg) for mdp in mdps]
+    for g, want in zip(got, outcomes):
+        assert_same_outcome(g, want)
+    return outcomes
+
+
+SCHEMES = [
+    (Scheme.VANILLA_VI, {}),
+    (Scheme.ANDERSON_KKT, dict(m=3)),
+    (Scheme.ANDERSON_UNCONSTRAINED, dict(m=3)),
+    (Scheme.STABLE_AA, dict(m=3, eta=0.1)),
+]
+
+
+class TestLockstep:
+    """Runs advanced together equal runs advanced one at a time, bitwise."""
+
+    @pytest.mark.parametrize("scheme,kw", SCHEMES, ids=[s.value for s, _ in SCHEMES])
+    @pytest.mark.parametrize(
+        "op",
+        [
+            OperatorSpec(OperatorKind.HARD_MAX),
+            OperatorSpec(OperatorKind.MELLOW_MAX, 5.0),
+            OperatorSpec(OperatorKind.BOLTZMANN_SOFTMAX, 2.0),
+        ],
+        ids=["max", "mellowmax5", "softmax2"],
+    )
+    @pytest.mark.parametrize(
+        "beta",
+        [dict(beta=1.0), dict(beta=0.7), dict(beta=0.3, beta_convention=BetaConvention.EQ13)],
+        ids=["beta1", "beta0.7", "eq13"],
+    )
+    def test_schemes_operators_betas(self, scheme, kw, op, beta):
+        mdps = [ap.generate_random_mdp(s, 10, 3, 2, 1.0, 0.85) for s in range(3)]
+        cfg = cfg_for(scheme, op, tol=1e-10, max_iter=2000, **kw, **beta)
+        outcomes = assert_lockstep_matches_run(mdps, cfg)
+        assert all(o.converged for o in outcomes)
+
+    def test_stable_aa_gamma_099_to_convergence(self, mm5):
+        # squaring the ridge norms with numpy instead of Python's float ** 2
+        # moves reg_share, then final_q, on these runs
+        mdps = [ap.generate_random_mdp(s, 30, 4, 3, 1.0, 0.99) for s in range(3)]
+        cfg = cfg_for(Scheme.STABLE_AA, mm5, m=5, eta=0.1)
+        outcomes = assert_lockstep_matches_run(mdps, cfg)
+        assert all(o.converged and o.iterations > 1900 for o in outcomes)
+
+    def test_jitter_fallback_and_max_iter(self, mm5, monkeypatch):
+        # at a tolerance below the rounding floor kkt needs the jitter ladder
+        # and the fallback, and seed 0 stops at max_iter
+        calls = []
+        scalar = solver._solve_coefficients
+
+        def counting(*args):
+            calls.append(args)
+            return scalar(*args)
+
+        monkeypatch.setattr(solver, "_solve_coefficients", counting)
+        mdps = [ap.generate_random_mdp(s, 10, 3, 2, 1.0, 0.9) for s in range(4)]
+        cfg = cfg_for(Scheme.ANDERSON_KKT, mm5, m=3, tol=1e-16, max_iter=200)
+        got = solver._run_lockstep(mdps, cfg)
+        assert calls
+        monkeypatch.undo()
+        outcomes = [one_run(mdp, cfg) for mdp in mdps]
+        for g, want in zip(got, outcomes):
+            assert_same_outcome(g, want)
+        assert [o.converged for o in outcomes] == [False, True, True, True]
+        records = [r for o in outcomes for r in o.records]
+        assert any(r.fallback and r.jitter > 0.0 for r in records)
+
+    @pytest.mark.parametrize("forced", ["one row", "whole stack"])
+    def test_forced_scalar_path(self, mm5, monkeypatch, forced):
+        stacked = anderson.solve_stacked
+
+        def refusing(matrices, kind, eta):
+            alpha, mixed, sols = stacked(matrices, kind, eta)
+            if forced == "whole stack":
+                return alpha, mixed, [None] * len(sols)
+            return alpha, mixed, sols[:-1] + [None]
+
+        monkeypatch.setattr(anderson, "solve_stacked", refusing)
+        mdps = [ap.generate_random_mdp(s, 10, 3, 2, 1.0, 0.9) for s in range(3)]
+        for scheme, kw in SCHEMES:
+            assert_lockstep_matches_run(mdps, cfg_for(scheme, mm5, **kw))
+
+    @pytest.mark.parametrize("scheme,kw", SCHEMES, ids=[s.value for s, _ in SCHEMES])
+    def test_divergence_max_iter_and_convergence_in_one_group(self, scheme, kw):
+        bs = OperatorSpec(OperatorKind.BOLTZMANN_SOFTMAX, 1.0)
+        mdps = [
+            ap.generate_random_mdp(2, 8, 2, 2, 1e11, 0.99),  # diverges
+            ap.generate_random_mdp(3, 8, 2, 2, 1.0, 0.99),  # slow: stops at max_iter
+            ap.generate_random_mdp(4, 8, 2, 2, 1.0, 0.3),  # converges
+        ]
+        # kkt and unconstrained diverge at iteration 8 and take 39 on the slow one
+        max_iter = 20 if kw and "eta" not in kw else 40
+        cfg = cfg_for(scheme, bs, tol=1e-10, max_iter=max_iter, **kw)
+        outcomes = assert_lockstep_matches_run(mdps, cfg)
+        assert isinstance(outcomes[0], DivergenceError)
+        assert "iterate diverged" in str(outcomes[0])
+        assert not outcomes[1].converged and outcomes[1].iterations == max_iter
+        assert outcomes[2].converged
+
+    def test_non_finite_bellman_image_leaves_the_group(self, mm5):
+        good = ap.generate_random_mdp(0, 6, 2, 2, 1.0, 0.9)
+        rewards = good.rewards.copy()
+        rewards[2, 1] = np.nan
+        bad = ap.TabularMdp.from_successors(
+            6, 2, good.successors, good.probs, rewards, 0.9
+        )
+        outcomes = assert_lockstep_matches_run(
+            [good, bad, ap.generate_random_mdp(1, 6, 2, 2, 1.0, 0.9)],
+            cfg_for(Scheme.STABLE_AA, mm5, m=3, eta=0.1),
+        )
+        assert "Bellman image non-finite at iteration 0" in str(outcomes[1])
+
+    def test_ensemble_of_mixed_shapes_matches_runs(self, mm5, monkeypatch):
+        # two 30x4 random MDPs and two 3x3 grids form lockstep groups; the
+        # 4x4 grid, alone in its shape, and the safeguard config go through run
+        groups = []
+        lockstep = solver._run_lockstep
+
+        def recording(mdps, cfg):
+            groups.append((len(mdps), cfg.safeguard))
+            return lockstep(mdps, cfg)
+
+        monkeypatch.setattr(solver, "_run_lockstep", recording)
+        mdps = [ap.generate_random_mdp(s, 30, 4, 3, 1.0, 0.95) for s in range(2)]
+        mdps += [
+            ap.generate_gridworld(3, 3, 0.1, 1.0, 0.9),
+            ap.generate_gridworld(4, 4, 0.1, 1.0, 0.9),
+            ap.generate_gridworld(3, 3, 0.2, 2.0, 0.95),
+        ]
+        configs = [cfg_for(scheme, mm5, **kw) for scheme, kw in SCHEMES]
+        configs.append(cfg_for(Scheme.ANDERSON_KKT, mm5, m=3, safeguard=True))
+        seeds = [0, 1, None, None, None]
+        rep = ap.run_ensemble(configs, mdps, mdp_seeds=seeds)
+        assert groups == [(2, False)] * 8
+        expected = []
+        for i, cfg in enumerate(configs):
+            for j, mdp in enumerate(mdps):
+                trace = ap.run(mdp, cfg)
+                assert_same_trace(rep.traces[(i, j)], trace)
+                oracle = ap.fixed_point_oracle(mdp, cfg.operator)
+                expected.append(
+                    solver._summarize(
+                        trace, rep.config_labels[i], f"mdp{j}", seeds[j], oracle
+                    )
+                )
+        assert rep.to_jsonl() == "".join(s.to_json() + "\n" for s in expected)
 
 
 class TestTraceCsv:

@@ -266,12 +266,13 @@ def tau_to_alpha(tau) -> np.ndarray:
     """``transformation_matrix(p) @ (1, tau)`` in closed form.
 
     The rows of the map are the adjacent differences of
-    ``(0, tau_{p-1}, ..., tau_0, 1)``.  A 2-D ``tau`` holds one vector per
-    row.
+    ``(0, tau_{p-1}, ..., tau_0, 1)``.  Any input is read as one flat tau.
     """
-    tau = np.asarray(tau, dtype=np.float64)
-    if tau.ndim != 2:
-        tau = tau.ravel()
+    return _tau_rows_to_alpha(np.asarray(tau, dtype=np.float64).ravel())
+
+
+def _tau_rows_to_alpha(tau: np.ndarray) -> np.ndarray:
+    """:func:`tau_to_alpha` of each tau along the last axis of ``tau``."""
     if not np.isfinite(tau).all():
         raise ValueError("tau contains non-finite entries")
     s = np.zeros((*tau.shape[:-1], tau.shape[-1] + 2))
@@ -537,7 +538,7 @@ def solve_stacked(
                 return np.empty((runs, cols)), np.empty(e_new.shape), [None] * runs
             tau, accepted = attempt
             tau[~accepted] = 0.0
-            alpha = tau_to_alpha(tau)
+            alpha = _tau_rows_to_alpha(tau)
         if cols > 1:
             mixed = np.matvec(e, alpha)
             accepted &= _certified_rows(alpha, mixed, e_new)

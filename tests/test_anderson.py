@@ -277,6 +277,14 @@ class TestTransforms:
     def test_zero_tau_is_plain_step(self):
         assert np.array_equal(tau_to_alpha([0.0, 0.0, 0.0]), [0.0, 0.0, 0.0, 1.0])
 
+    def test_tau_is_read_flat(self):
+        # a column or row vector is one tau, not one tau per row
+        tau = [0.5, -0.25, 0.125]
+        expected = tau_to_alpha(tau)
+        assert expected.shape == (4,)
+        for shaped in (np.reshape(tau, (3, 1)), np.reshape(tau, (1, 3))):
+            assert np.array_equal(tau_to_alpha(shaped), expected)
+
     def test_known_values(self):
         assert np.allclose(alpha_to_tau([0.2, 0.8]), [0.2], atol=1e-15)
         assert np.allclose(alpha_to_tau([0.1, 0.2, 0.7]), [0.3, 0.1], atol=1e-15)

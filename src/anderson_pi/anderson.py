@@ -129,24 +129,18 @@ class AndersonHistory:
             raise ValueError(f"vector length {n} != history dimension {self._n}")
         k = self._len
         xfe, dh = self._xfe, self._dh
-        # shift each buffer as one flat run: numpy moves an overlapping 1-D
-        # slice in place, where a 2-D one goes through a temporary copy.
-        # With a run axis, one 2-D move of all the runs' rows beats a loop.
+        # shift each whole buffer by one column as one flat move: numpy moves
+        # an overlapping 1-D slice in place, where a 2-D one goes through a
+        # temporary copy.  A column that crosses into the next window lands
+        # only in the column this push writes next (column k of X, F and E,
+        # column 0 of D and H), in every run's window.
         if k == self.depth + 1:
-            rows = xfe.reshape(-1, k * n)
-            if lead:
-                rows[:, :-n] = rows[:, n:]
-            else:
-                for flat in rows:
-                    flat[:-n] = flat[n:]
+            flat = xfe.reshape(-1)
+            flat[:-n] = flat[n:]
             k -= 1
         if k > 1:
-            rows = dh.reshape(-1, self.depth * n)
-            if lead:
-                rows[:, n : k * n] = rows[:, : (k - 1) * n]
-            else:
-                for flat in rows:
-                    flat[n : k * n] = flat[: (k - 1) * n]
+            flat = dh.reshape(-1)
+            flat[n:] = flat[:-n]
         column = xfe[..., k, :]  # column k of X, F and E
         column[0] = q
         column[1] = tq

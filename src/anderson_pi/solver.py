@@ -1,13 +1,13 @@
-"""Iteration drivers, reference fixed points, ensembles, trace output.
+"""The iteration driver, reference fixed points, ensembles, trace output.
 
-``run`` drives one configured scheme on one MDP from ``Q = 0`` (or a
-caller-supplied start), recording per-iteration diagnostics; the
-iterate advances by damped linear mixing of the history window with
-coefficients chosen by the configured solver.  ``fixed_point_oracle``
-produces the high-precision reference against which every accelerated
-scheme is compared, and ``run_ensemble`` fans (config, mdp) pairs out
-into comparable summaries, advancing the runs of one config on
-same-shape MDPs in lockstep.
+One loop, ``_run_lockstep``, iterates a configured scheme on a group of
+same-shape MDPs together, recording per-iteration diagnostics: each
+iterate advances by damped linear mixing of its history window with
+coefficients chosen by the configured solver.  ``run`` is its one-MDP
+case, from ``Q = 0`` or a caller-supplied start, and ``run_ensemble``
+hands it every (config, shape group) and gathers comparable summaries.
+``fixed_point_oracle`` produces the high-precision reference against
+which every accelerated scheme is compared.
 """
 
 from __future__ import annotations
@@ -274,81 +274,24 @@ def _trace_record(
 def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> SolverTrace:
     """Iterate the configured scheme until ``||e||_inf <= tol`` or ``max_iter``.
 
-    Deterministic given (mdp, cfg, q0).  Raises :class:`DivergenceError`
-    (carrying the partial trace) if an iterate goes non-finite or its
-    magnitude exceeds 1e12.
+    Starts from ``Q = 0`` or from ``q0``.  The one-MDP case of
+    :func:`_run_lockstep`.  Deterministic given (mdp, cfg, q0).  Raises
+    :class:`DivergenceError` (carrying the partial trace) if the Bellman
+    image or an iterate goes non-finite or an iterate's magnitude exceeds
+    1e12.
     """
-    shape = (mdp.n_states, mdp.n_actions)
-    if q0 is None:
-        q = np.zeros(shape)
-    else:
-        q = np.array(q0, dtype=np.float64)
-        if q.shape != shape:
-            raise ValueError(f"q0 shape {q.shape} does not match MDP {shape}")
-        if not np.isfinite(q).all():
+    if q0 is not None:
+        shape = (mdp.n_states, mdp.n_actions)
+        q0 = np.array(q0, dtype=np.float64)
+        if q0.shape != shape:
+            raise ValueError(f"q0 shape {q0.shape} does not match MDP {shape}")
+        if not np.isfinite(q0).all():
             raise ValueError("q0 contains non-finite entries")
-    beta = cfg.effective_beta()
-    full_diag = cfg.diagnostics_level == "full"
-    history = anderson.AndersonHistory(cfg.m)
-    records: list[TraceRecord] = []
-    n = mdp.n_entries
-    prev_res = None
-
-    def partial_trace(k: int) -> SolverTrace:
-        return SolverTrace(
-            records=records,
-            converged=False,
-            iterations=k,
-            final_q=q.copy(),
-            config=cfg,
-            n=n,
-        )
-
-    k = 0
-    while True:
-        t0 = time.perf_counter_ns()
-        tq = apply_bellman(mdp, q, cfg.operator)
-        if not np.isfinite(tq).all():
-            raise DivergenceError(
-                f"Bellman image non-finite at iteration {k}", partial_trace(k)
-            )
-        history.push(q, tq)
-        matrices = anderson.build_history_matrices(history)
-        e = matrices.e_newest
-        res_inf = float(np.abs(e).max(initial=0.0))
-        res_l2 = frobenius_norm(e)
-        safeguard_hit = False
-        if cfg.safeguard and prev_res is not None and res_inf > 2.0 * prev_res:
-            history.clear_keep_newest()
-            matrices = anderson.build_history_matrices(history)
-            safeguard_hit = True
-        sol = _solve_coefficients(cfg.scheme, matrices, cfg.eta)
-        p = matrices.delta_e.shape[1]
-        # eta > 0 with p > 0 means stable-aa: the only full-diagnostics case
-        sol_non = None
-        if full_diag and cfg.eta > 0.0 and p > 0:
-            sol_non = anderson.solve_tau_unconstrained(matrices)
-        mixed_l2 = frobenius_norm(sol.mixed_residual)
-        rec = _trace_record(k, res_inf, res_l2, mixed_l2, sol, sol_non, beta, cfg.eta, p)
-        rec.safeguard_triggered = safeguard_hit
-        if sol_non is not None:
-            rec.update_norm_lhs = anderson.update_matrix_norms(
-                matrices, beta, cfg.eta, jitter=sol.jitter, fallback=sol.fallback
-            )
-        rec.wall_nanos = time.perf_counter_ns() - t0
-        records.append(rec)
-        if res_inf <= cfg.tol:
-            return SolverTrace(records, True, k, q.copy(), cfg, n)
-        if k >= cfg.max_iter:
-            return SolverTrace(records, False, cfg.max_iter, q.copy(), cfg, n)
-        nxt = anderson.mixed_update(history, sol, beta)
-        q = nxt.reshape(shape)
-        if not np.isfinite(q).all() or np.abs(q).max(initial=0.0) > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"iterate diverged at iteration {k + 1}", partial_trace(k + 1)
-            )
-        prev_res = res_inf
-        k += 1
+        q0 = q0[None]
+    (outcome,) = _run_lockstep([mdp], cfg, q0)
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome
 
 
 def fixed_point_oracle(
@@ -407,34 +350,52 @@ def fixed_point_oracles(
     )
 
 
-def _run_lockstep(
-    mdps: list[TabularMdp], cfg: SolverConfig
-) -> list[SolverTrace | DivergenceError]:
-    """``run(mdp, cfg)`` for every MDP of one shape, advanced together.
+def _norms(x: np.ndarray) -> list[float]:
+    """The 2-norm of each row of ``x``, bit for bit :func:`frobenius_norm` of it.
 
-    Returns, per MDP, the trace ``run`` returns or the DivergenceError it
-    raises, bitwise equal but for ``wall_nanos``, which holds the whole
-    group's iteration time.  Each iteration does one sweep of the stack
-    and one stacked coefficient solve; a run the stacked solve leaves
-    unaccepted takes ``run``'s own solver for that iteration.  A run that
-    stops leaves the group.  Not for configs with the safeguard or full
-    diagnostics.
+    One row takes ``frobenius_norm`` itself, which is faster on one vector.
     """
+    if len(x) == 1:
+        return [frobenius_norm(x[0])]
+    return np.sqrt(squared_norms(x)).tolist()
+
+
+def _run_lockstep(
+    mdps: list[TabularMdp], cfg: SolverConfig, q0: np.ndarray | None = None
+) -> list[SolverTrace | DivergenceError]:
+    """Iterate ``cfg`` on same-shape MDPs together: the package's one iteration loop.
+
+    ``q0`` holds one start iterate per MDP, ``(B, S, A)``; None starts every
+    run from zeros.  Returns, per MDP, its trace or the DivergenceError
+    that stopped it.  Each run's trace is bitwise the one its MDP gives
+    alone, but for ``wall_nanos``, which holds the whole group's iteration
+    time.  Each iteration does one sweep of the stack and one coefficient
+    solve: the one-run solver while one run is live, else one stacked
+    solve, with the one-run solver for any run the stacked solve leaves
+    unaccepted.  Full diagnostics are computed run by run.  A run that
+    stops leaves the group.  The safeguard clears the window every run of
+    the group shares, so a safeguard config takes one MDP only.
+    """
+    if cfg.safeguard and len(mdps) > 1:
+        raise ValueError(f"a safeguard config runs one MDP at a time, got {len(mdps)}")
     stack = MdpStack(mdps)
     beta = cfg.effective_beta()
     kind = _KINDS[cfg.scheme]
+    # eta > 0 means stable-aa: the only scheme full diagnostics add to
+    full_diag = cfg.diagnostics_level == "full" and cfg.eta > 0.0
     n = mdps[0].n_entries
     history = anderson.AndersonHistory(cfg.m, runs=len(mdps))
-    q = np.zeros(stack.rewards.shape)
+    q = np.zeros(stack.rewards.shape) if q0 is None else q0
     live = list(range(len(mdps)))  # MDP index of each row of the group
     records: list[list[TraceRecord]] = [[] for _ in mdps]
     out: list[SolverTrace | DivergenceError | None] = [None] * len(mdps)
+    prev_res = None  # the safeguard's reference: one run's last residual
     k = 0
     while live:
         t0 = time.perf_counter_ns()
         tq = apply_bellman(stack, q, cfg.operator)
-        finite = np.isfinite(tq).reshape(len(live), -1).all(axis=1)
-        if not finite.all():
+        if not np.isfinite(tq).all():  # then find the runs at fault
+            finite = np.isfinite(tq).reshape(len(live), -1).all(axis=1)
             for r in np.flatnonzero(~finite):
                 out[live[r]] = DivergenceError(
                     f"Bellman image non-finite at iteration {k}",
@@ -450,32 +411,57 @@ def _run_lockstep(
         matrices = anderson.build_history_matrices(history)
         e = matrices.e_newest
         res_inf = np.abs(e).max(axis=1, initial=0.0).tolist()
-        res_l2 = np.sqrt(squared_norms(e)).tolist()
+        res_l2 = _norms(e)
+        safeguard_hit = (
+            cfg.safeguard and prev_res is not None and res_inf[0] > 2.0 * prev_res
+        )
+        if safeguard_hit:
+            history.clear_keep_newest()
+            matrices = anderson.build_history_matrices(history)
         p = matrices.n_columns - 1
-        alpha, mixed, sols = anderson.solve_stacked(matrices, kind, cfg.eta)
+        if len(live) == 1:
+            sols = [_solve_coefficients(cfg.scheme, matrices.run(0), cfg.eta)]
+            alpha, mixed = sols[0].alpha[None], sols[0].mixed_residual[None]
+        else:
+            alpha, mixed, sols = anderson.solve_stacked(matrices, kind, cfg.eta)
+            for r, sol in enumerate(sols):
+                if sol is None:
+                    sol = sols[r] = _solve_coefficients(cfg.scheme, matrices.run(r), cfg.eta)
+                    alpha[r], mixed[r] = sol.alpha, sol.mixed_residual
+        mixed_l2 = _norms(mixed)
         for r, sol in enumerate(sols):
-            if sol is None:
-                sol = sols[r] = _solve_coefficients(cfg.scheme, matrices.run(r), cfg.eta)
-                alpha[r], mixed[r] = sol.alpha, sol.mixed_residual
-        mixed_l2 = np.sqrt(squared_norms(mixed)).tolist()
-        wall = time.perf_counter_ns() - t0
-        for r, sol in enumerate(sols):
+            sol_non = None
+            if full_diag and p > 0:
+                own = matrices.run(r)
+                sol_non = anderson.solve_tau_unconstrained(own)
             rec = _trace_record(
-                k, res_inf[r], res_l2[r], mixed_l2[r], sol, None, beta, cfg.eta, p
+                k, res_inf[r], res_l2[r], mixed_l2[r], sol, sol_non, beta, cfg.eta, p
             )
-            rec.wall_nanos = wall
+            rec.safeguard_triggered = safeguard_hit
+            if sol_non is not None:
+                rec.update_norm_lhs = anderson.update_matrix_norms(
+                    own, beta, cfg.eta, jitter=sol.jitter, fallback=sol.fallback
+                )
             records[live[r]].append(rec)
+        wall = time.perf_counter_ns() - t0
+        for j in live:
+            records[j][-1].wall_nanos = wall
         nxt = anderson.next_iterates(history, alpha, mixed, beta).reshape(q.shape)
-        # also true for a non-finite iterate, whose max is nan or inf
-        diverged = ~(np.abs(nxt).reshape(len(live), -1).max(axis=1) <= DIVERGENCE_LIMIT)
-        converged = [res <= cfg.tol for res in res_inf]
-        if k >= cfg.max_iter or any(converged) or diverged.any():
+        # the whole group is checked at once, and run by run only if one stops;
+        # "not <=" also holds for a non-finite iterate, whose max is nan or inf
+        if (
+            k >= cfg.max_iter
+            or min(res_inf) <= cfg.tol
+            or not np.abs(nxt).max() <= DIVERGENCE_LIMIT
+        ):
+            diverged = ~(np.abs(nxt).reshape(len(live), -1).max(axis=1) <= DIVERGENCE_LIMIT)
             keep = []
             for r, j in enumerate(live):
-                if converged[r] or k >= cfg.max_iter:
-                    iterations = k if converged[r] else cfg.max_iter
+                converged = res_inf[r] <= cfg.tol
+                if converged or k >= cfg.max_iter:
+                    iterations = k if converged else cfg.max_iter
                     out[j] = SolverTrace(
-                        records[j], converged[r], iterations, q[r].copy(), cfg, n
+                        records[j], converged, iterations, q[r].copy(), cfg, n
                     )
                 elif diverged[r]:
                     out[j] = DivergenceError(
@@ -490,6 +476,7 @@ def _run_lockstep(
             stack, nxt = stack.take(keep), nxt[keep]
             history.take(keep)
         q = nxt
+        prev_res = res_inf[0]
         k += 1
     return out
 
@@ -560,13 +547,21 @@ class EnsembleReport:
 
 
 def _summarize(
-    trace: SolverTrace,
+    outcome: SolverTrace | DivergenceError,
     label: str,
     mdp_label: str,
     mdp_seed: int | None,
     oracle: np.ndarray | None,
 ) -> RunSummary:
-    thetas = trace.thetas()
+    """The summary of one run's trace, or of the DivergenceError that stopped it.
+
+    A failed run reports its iterations and last residual, but no thetas
+    and no jitter or safeguard counts.
+    """
+    failed = isinstance(outcome, DivergenceError)
+    trace = outcome.trace if failed else outcome
+    counted = [] if failed else trace.records
+    thetas = np.array([r.theta for r in counted])
     err = None
     if oracle is not None and trace.converged:
         err = float(np.abs(trace.final_q - oracle).max())
@@ -576,7 +571,7 @@ def _summarize(
         mdp_label=mdp_label,
         mdp_seed=mdp_seed,
         converged=trace.converged,
-        failed=False,
+        failed=failed,
         iterations=trace.iterations,
         final_residual_inf=float(trace.records[-1].residual_inf)
         if trace.records
@@ -584,8 +579,9 @@ def _summarize(
         final_error_vs_oracle=err,
         theta_mean=float(thetas.mean()) if thetas.size else None,
         theta_max=float(thetas.max()) if thetas.size else None,
-        jitter_count=sum(1 for r in trace.records if r.jitter_flag),
-        safeguard_count=sum(1 for r in trace.records if r.safeguard_triggered),
+        jitter_count=sum(1 for r in counted if r.jitter_flag),
+        safeguard_count=sum(1 for r in counted if r.safeguard_triggered),
+        message=str(outcome) if failed else "",
     )
 
 
@@ -595,13 +591,6 @@ def _shape_groups(mdps: list[TabularMdp]) -> list[list[int]]:
     for j, mdp in enumerate(mdps):
         groups.setdefault(mdp.rewards.shape, []).append(j)
     return list(groups.values())
-
-
-def _run_one(mdp: TabularMdp, cfg: SolverConfig) -> SolverTrace | DivergenceError:
-    try:
-        return run(mdp, cfg)
-    except DivergenceError as exc:
-        return exc
 
 
 def run_ensemble(
@@ -614,12 +603,12 @@ def run_ensemble(
 ) -> EnsembleReport:
     """Run every (config, mdp) pair and summarize, in input product order.
 
-    The runs of one config on two or more MDPs of one shape advance in
-    lockstep (:func:`_run_lockstep`); configs with the safeguard or full
-    diagnostics, and MDPs alone in their shape, go through :func:`run`.
-    Either way each run's trace is the one ``run`` gives.  Oracles are
-    computed per exact operator, one stack per shape.  Divergence in one
-    run is recorded as a failure, never aborts the ensemble.
+    Every config runs on each group of same-shape MDPs through
+    :func:`_run_lockstep`, which advances the group's runs together; a
+    safeguard config runs its MDPs one at a time.  Each run's trace is
+    the one ``run`` gives.  Oracles are computed per exact operator, one
+    stack per shape.  Divergence in one run is recorded as a failure,
+    never aborts the ensemble.
 
     ``jobs`` is accepted and ignored; it stays only because
     ``perfbench/workloads.py`` passes ``jobs=1``.
@@ -648,50 +637,23 @@ def run_ensemble(
 
     outcomes: dict[tuple[int, int], SolverTrace | DivergenceError] = {}
     for i, cfg in enumerate(configs):
-        lockstep = not cfg.safeguard and cfg.diagnostics_level == "basic"
         for group in groups:
-            if lockstep and len(group) > 1:
-                found = _run_lockstep([mdps[j] for j in group], cfg)
-            else:
-                found = [_run_one(mdps[j], cfg) for j in group]
-            outcomes.update(((i, j), o) for j, o in zip(group, found))
+            # the safeguard clears the window all runs of a group share
+            for part in [[j] for j in group] if cfg.safeguard else [group]:
+                found = _run_lockstep([mdps[j] for j in part], cfg)
+                outcomes.update(((i, j), o) for j, o in zip(part, found))
 
     tasks = [(i, j) for i in range(len(configs)) for j in range(len(mdps))]
-    summaries = []
-    for i, j in tasks:
-        cfg, outcome = configs[i], outcomes[(i, j)]
-        if isinstance(outcome, DivergenceError):
-            records = outcome.trace.records
-            summaries.append(
-                RunSummary(
-                    scheme=config_labels[i],
-                    config_hash=cfg.config_hash(),
-                    mdp_label=mdp_labels[j],
-                    mdp_seed=mdp_seeds[j],
-                    converged=False,
-                    failed=True,
-                    iterations=outcome.trace.iterations,
-                    final_residual_inf=float(records[-1].residual_inf)
-                    if records
-                    else None,
-                    final_error_vs_oracle=None,
-                    theta_mean=None,
-                    theta_max=None,
-                    jitter_count=0,
-                    safeguard_count=0,
-                    message=str(outcome),
-                )
-            )
-        else:
-            summaries.append(
-                _summarize(
-                    outcome,
-                    config_labels[i],
-                    mdp_labels[j],
-                    mdp_seeds[j],
-                    oracles.get((j, cfg.operator)),
-                )
-            )
+    summaries = [
+        _summarize(
+            outcomes[(i, j)],
+            config_labels[i],
+            mdp_labels[j],
+            mdp_seeds[j],
+            oracles.get((j, configs[i].operator)),
+        )
+        for i, j in tasks
+    ]
 
     report = EnsembleReport(
         summaries=summaries,

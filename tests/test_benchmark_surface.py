@@ -61,3 +61,21 @@ def test_traced_ensemble_pass_records_no_error(perfbench, tmp_path):
     assert out.errors == []
     assert len(out.runs) == len(workloads.ENSEMBLE_CONFIGS) * len(mdps)
     assert [(r.error, r.converged) for r in out.runs] == [("", True)] * len(out.runs)
+
+
+def test_traced_large_pass_records_no_error(perfbench, tmp_path):
+    # each run of this pass sweeps a one-MDP stack of the 2000x8 instance
+    tracing, workloads = perfbench
+    originals = [getattr(owner, attr) for owner, attr, *_ in tracing.TARGETS]
+    mdps = workloads._large_generate(0)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        out = workloads._large_pass(0, mdps, tmp_path)
+    finally:
+        tracer.uninstall()
+    assert [getattr(owner, attr) for owner, attr, *_ in tracing.TARGETS] == originals
+    assert tracer.calls("solver.run") == len(workloads.LARGE_CONFIGS)
+    assert tracer.calls("solver.oracle") == out.oracle_calls == 1
+    assert out.errors == []
+    assert [(r.error, r.converged) for r in out.runs] == [("", True)] * len(out.runs)

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +8,7 @@ import sys
 import pytest
 
 import anderson_pi as ap
+from anderson_pi import cli
 
 CLI = [sys.executable, "-m", "anderson_pi.cli"]
 
@@ -274,3 +278,92 @@ class TestDeterminism:
             assert proc.returncode == 0
             chks.append((out / "check_report.jsonl").read_bytes())
         assert chks[0] == chks[1]
+
+
+# (mdp, solve flags, q0) per case; the MDP is (generator, args)
+GOLDEN_CASES = {
+    "stable-aa-full-diagnostics": (
+        ("random", (7, 30, 4, 3, 1.0, 0.95)),
+        ["--scheme", "stable-aa", "-m", 5, "--eta", 0.1, "--op", "mellowmax",
+         "--omega", 5, "--diagnostics", "full", "--oracle"],
+        None,
+    ),
+    "kkt-safeguard-max-iter": (
+        # the residual plateaus above 1e-14 and doubles twice on this MDP
+        ("random", (1, 30, 4, 3, 10.0, 0.99)),
+        ["--scheme", "kkt", "-m", 5, "--op", "max", "--tol", "1e-14",
+         "--max-iter", 300, "--safeguard"],
+        None,
+    ),
+    "softmax-beta0.7": (
+        ("random", (7, 30, 4, 3, 1.0, 0.95)),
+        ["--scheme", "unconstrained", "-m", 5, "--op", "softmax", "--omega", 2,
+         "--beta", 0.7],
+        None,
+    ),
+    "q0-start-grid": (
+        ("grid", (5, 5, 0.1, 1.0, 0.9)),
+        ["--scheme", "kkt", "-m", 3, "--op", "mellowmax", "--omega", 5, "--oracle"],
+        [[(7 * s + 3 * a) % 5 / 2.0 for a in range(4)] for s in range(25)],
+    ),
+    "diverging-softmax": (
+        ("random", (2, 8, 2, 2, 1e11, 0.99)),
+        ["--scheme", "vanilla", "--op", "softmax", "--omega", 1, "--tol", "1e-8",
+         "--max-iter", 5000],
+        None,
+    ),
+}
+
+
+def solve_outputs(case, tmp_path):
+    """sha256 of ``solve``'s trace.csv and the summary's iterations, converged, exit code."""
+    (gen, mdp_args), flags, q0 = GOLDEN_CASES[case]
+    make = ap.generate_random_mdp if gen == "random" else ap.generate_gridworld
+    mdp_path, out = tmp_path / "mdp.json", tmp_path / "out"
+    ap.save_mdp(make(*mdp_args), mdp_path)
+    argv = ["solve", "--mdp", mdp_path, *flags, "-o", out]
+    if q0 is not None:
+        (tmp_path / "q0.json").write_text(json.dumps(q0))
+        argv += ["--q0", tmp_path / "q0.json"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([str(a) for a in argv])
+    summary = json.loads((out / "summary.json").read_text())
+    digest = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
+    return digest, summary["iterations"], summary["converged"], summary["exit_code"], code
+
+
+class TestSolveGolden:
+    """``solve`` outputs pinned to values an independent iteration loop produced.
+
+    The trace digests and counts were recorded while ``run`` still had a
+    loop of its own, separate from the lockstep engine it now calls.
+    """
+
+    GOLDEN = {
+        "diverging-softmax": (
+            "ce601c7844034bdb77c63faba7ed1d642cc555fac631953d1ae48fd8a1ce6d52",
+            30, False, 4,
+        ),
+        "kkt-safeguard-max-iter": (
+            "0cc3632394cc2c45a84542bff1ae84b36b74036d22ca491290aba9eed96c14a0",
+            300, False, 3,
+        ),
+        "q0-start-grid": (
+            "b2f910a7ae7bb3ba07fdc811358ca4a9f600d43834415375df26bdddbf08e058",
+            92, True, 0,
+        ),
+        "softmax-beta0.7": (
+            "0c34ee76cebcc182c1dcc51517f87f33f6ff58bde019e80ea6971a9d52f22258",
+            42, True, 0,
+        ),
+        "stable-aa-full-diagnostics": (
+            "97a35dd0da3b3841733c0171361221486f0f8a4e03e47eebf6a380341b3615e4",
+            292, True, 0,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_trace_and_summary(self, case, tmp_path):
+        digest, iterations, converged, exit_code, code = solve_outputs(case, tmp_path)
+        assert code == exit_code
+        assert (digest, iterations, converged, exit_code) == self.GOLDEN[case]

@@ -586,9 +586,29 @@ class TestLockstep:
         )
         assert "Bellman image non-finite at iteration 0" in str(outcomes[1])
 
+    def test_full_diagnostics_in_a_group(self, mm5):
+        # the update norm and the coefficient gaps come from each run's own
+        # window; the gamma 0.9 run leaves the group first
+        mdps = [ap.generate_random_mdp(s, 30, 4, 3, 1.0, 0.95) for s in range(2)]
+        mdps.append(ap.generate_random_mdp(2, 30, 4, 3, 1.0, 0.9))
+        cfg = cfg_for(Scheme.STABLE_AA, mm5, m=5, eta=0.1, diagnostics_level="full")
+        outcomes = assert_lockstep_matches_run(mdps, cfg)
+        assert all(o.converged for o in outcomes)
+        for o in outcomes:
+            assert all(r.update_norm_lhs is not None for r in o.records[1:])
+            assert all(r.coeff_gap_lhs is not None for r in o.records[1:])
+            assert all(r.coeff_gap_rhs is not None for r in o.records[1:])
+
+    def test_safeguard_takes_one_mdp(self, mm5):
+        mdps = [ap.generate_random_mdp(s, 10, 3, 2, 1.0, 0.9) for s in range(2)]
+        cfg = cfg_for(Scheme.ANDERSON_KKT, mm5, m=3, safeguard=True)
+        with pytest.raises(ValueError, match="one MDP at a time"):
+            solver._run_lockstep(mdps, cfg)
+
     def test_ensemble_of_mixed_shapes_matches_runs(self, mm5, monkeypatch):
-        # two 30x4 random MDPs and two 3x3 grids form lockstep groups; the
-        # 4x4 grid, alone in its shape, and the safeguard config go through run
+        # every config reaches the engine once per shape: the two 30x4 random
+        # MDPs and the two 3x3 grids as groups of two, the 4x4 grid alone;
+        # the safeguard config one MDP at a time
         groups = []
         lockstep = solver._run_lockstep
 
@@ -607,7 +627,8 @@ class TestLockstep:
         configs.append(cfg_for(Scheme.ANDERSON_KKT, mm5, m=3, safeguard=True))
         seeds = [0, 1, None, None, None]
         rep = ap.run_ensemble(configs, mdps, mdp_seeds=seeds)
-        assert groups == [(2, False)] * 8
+        monkeypatch.undo()  # run goes through the engine too
+        assert groups == [(2, False), (2, False), (1, False)] * 4 + [(1, True)] * 5
         expected = []
         for i, cfg in enumerate(configs):
             for j, mdp in enumerate(mdps):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import anderson
-from .linalg import frobenius_norm, squared_norms
+from .linalg import squared_norms
 from .mdp import MdpStack, TabularMdp
 from .operators import CONTRACTIVE_KINDS, OperatorSpec, apply_bellman
 
@@ -350,16 +350,6 @@ def fixed_point_oracles(
     )
 
 
-def _norms(x: np.ndarray) -> list[float]:
-    """The 2-norm of each row of ``x``, bit for bit :func:`frobenius_norm` of it.
-
-    One row takes ``frobenius_norm`` itself, which is faster on one vector.
-    """
-    if len(x) == 1:
-        return [frobenius_norm(x[0])]
-    return np.sqrt(squared_norms(x)).tolist()
-
-
 def _run_lockstep(
     mdps: list[TabularMdp], cfg: SolverConfig, q0: np.ndarray | None = None
 ) -> list[SolverTrace | DivergenceError]:
@@ -411,7 +401,7 @@ def _run_lockstep(
         matrices = anderson.build_history_matrices(history)
         e = matrices.e_newest
         res_inf = np.abs(e).max(axis=1, initial=0.0).tolist()
-        res_l2 = _norms(e)
+        res_l2 = np.sqrt(squared_norms(e)).tolist()
         safeguard_hit = (
             cfg.safeguard and prev_res is not None and res_inf[0] > 2.0 * prev_res
         )
@@ -428,7 +418,7 @@ def _run_lockstep(
                 if sol is None:
                     sol = sols[r] = _solve_coefficients(cfg.scheme, matrices.run(r), cfg.eta)
                     alpha[r], mixed[r] = sol.alpha, sol.mixed_residual
-        mixed_l2 = _norms(mixed)
+        mixed_l2 = np.sqrt(squared_norms(mixed)).tolist()
         for r, sol in enumerate(sols):
             sol_non = None
             if full_diag and p > 0:

@@ -312,6 +312,23 @@ GOLDEN_CASES = {
          "--max-iter", 5000],
         None,
     ),
+    "eq13-beta0.3": (
+        ("random", (7, 30, 4, 3, 1.0, 0.95)),
+        ["--scheme", "kkt", "-m", 5, "--op", "mellowmax", "--omega", 5,
+         "--beta", 0.3, "--beta-convention", "eq13", "--oracle"],
+        None,
+    ),
+    "stable-aa-basic-gamma0.99": (
+        ("random", (3, 30, 4, 3, 1.0, 0.99)),
+        ["--scheme", "stable-aa", "-m", 5, "--eta", 0.1, "--op", "mellowmax",
+         "--omega", 5, "--diagnostics", "basic", "--oracle"],
+        None,
+    ),
+    "vanilla-max": (
+        ("random", (4, 30, 4, 3, 1.0, 0.9)),
+        ["--scheme", "vanilla", "--op", "max", "--oracle"],
+        None,
+    ),
 }
 
 
@@ -344,6 +361,10 @@ class TestSolveGolden:
             "ce601c7844034bdb77c63faba7ed1d642cc555fac631953d1ae48fd8a1ce6d52",
             30, False, 4,
         ),
+        "eq13-beta0.3": (
+            "0ed1acd1855f30fa5f65391abc9b9e80892cfc75a80a7ac5771adee2f9ea9800",
+            39, True, 0,
+        ),
         "kkt-safeguard-max-iter": (
             "0cc3632394cc2c45a84542bff1ae84b36b74036d22ca491290aba9eed96c14a0",
             300, False, 3,
@@ -356,9 +377,17 @@ class TestSolveGolden:
             "0c34ee76cebcc182c1dcc51517f87f33f6ff58bde019e80ea6971a9d52f22258",
             42, True, 0,
         ),
+        "stable-aa-basic-gamma0.99": (
+            "277306555766b6bac22e2738edecfad80cb9c06a009373f20fdedb5282cacab4",
+            2007, True, 0,
+        ),
         "stable-aa-full-diagnostics": (
             "97a35dd0da3b3841733c0171361221486f0f8a4e03e47eebf6a380341b3615e4",
             292, True, 0,
+        ),
+        "vanilla-max": (
+            "f6622d4be31da11069860f2076d92ce1f7db101f95bce5cc51b1afbab16cc8d2",
+            215, True, 0,
         ),
     }
 

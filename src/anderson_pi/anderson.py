@@ -36,7 +36,7 @@ that unit vector -- a plain damped step -- and the solution is flagged.
 
 :func:`solve_stacked` runs a solver once for the windows of many runs
 advanced in lockstep (a history with a run axis), with the arithmetic
-of the one-run solver.
+of the one-run solver, and settles every run itself.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .linalg import (
     SingularSystemError,
     _solve_spd_impl,
     frobenius_norm,
-    spd_attempt,
+    spd_solve,
     spectral_norm,
     squared_norms,
 )
@@ -281,9 +281,14 @@ def alpha_to_tau(alpha) -> np.ndarray:
     if alpha.size == 0:
         raise ValueError("alpha must be nonempty")
     total = float(alpha.sum())
-    if not np.isfinite(total) or abs(total - 1.0) > ALPHA_SUM_TOL:
+    if not _sums_to_one(total):
         raise ValueError(f"alpha must sum to 1 within {ALPHA_SUM_TOL}, got {total!r}")
     return _partial_sums(alpha)
+
+
+def _sums_to_one(total):
+    """Whether sums ``total`` (float or array) are 1 within ALPHA_SUM_TOL; not if nan."""
+    return np.abs(total - 1.0) <= ALPHA_SUM_TOL
 
 
 def _partial_sums(alpha: np.ndarray) -> np.ndarray:
@@ -389,9 +394,10 @@ def solve_alpha_kkt(matrices: HistoryMatrices) -> MixingSolution:
     """Simplex-constrained coefficients through the KKT closed form.
 
     Solves ``(E^T E + jitter) y = 1`` and normalizes ``alpha = y /
-    sum(y)``.  Degenerate Gram systems (or solutions that fail the
-    optimality certificate) fall back to the unit vector on the newest
-    column, flagged via ``fallback``.
+    sum(y)``.  Degenerate Gram systems (or weights that miss sum 1 by
+    more than ``ALPHA_SUM_TOL``, or fail the optimality certificate) fall
+    back to the unit vector on the newest column, flagged via
+    ``fallback``.
     """
     e = matrices.residuals
     cols = e.shape[1]
@@ -405,9 +411,9 @@ def solve_alpha_kkt(matrices: HistoryMatrices) -> MixingSolution:
     if total != 0.0:
         alpha = y / total
         mixed = np.matvec(e, alpha)
-        if _certified(alpha, mixed, matrices.e_newest):
+        if _sums_to_one(alpha.sum()) and _certified(alpha, mixed, matrices.e_newest):
             return _solution(
-                matrices, alpha, alpha_to_tau(alpha), mixed, KIND_KKT, 0.0, lam, False
+                matrices, alpha, _partial_sums(alpha), mixed, KIND_KKT, 0.0, lam, False
             )
     return _plain_step(matrices, KIND_KKT, jitter=lam, fallback=True)
 
@@ -489,18 +495,16 @@ def vanilla_solution(matrices: HistoryMatrices) -> MixingSolution:
 
 def solve_stacked(
     matrices: HistoryMatrices, kind: str, eta: float
-) -> tuple[np.ndarray, np.ndarray, list[MixingSolution | None]]:
+) -> tuple[np.ndarray, np.ndarray, list[MixingSolution]]:
     """The solver of ``kind`` on every window of a history with a run axis.
 
     Returns the stacked ``alpha`` and mixed residual ``E alpha``, and per
     run the solution the one-run solver of ``kind`` returns, bit for bit:
-    each run's Gram matrix, zero-jitter SPD attempt, certificate and
-    ``E alpha`` take one stacked call for all runs.  A run this does not
-    settle (a system not accepted at zero jitter, a failed certificate, an
-    alpha :func:`alpha_to_tau` would refuse) gets None, and its rows of
-    the arrays hold no solution: it is left to the one-run solver, with
-    its jitter ladder, fallback or error.  The stacked Cholesky gate fails
-    for the whole stack at once, and then every run gets None.
+    the Gram matrices, the SPD solves (:func:`spd_solve`), the
+    certificates and ``E alpha`` take one stacked call for all runs.  A
+    run whose system is not accepted, whose weights fail the certificate
+    or (for KKT) miss sum 1 gets the flagged plain step in its rows, with
+    the jitter the one-run solver reports.
     """
     e = matrices.residuals
     e_new = matrices.e_newest
@@ -510,41 +514,36 @@ def solve_stacked(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if cols == 1:
             alpha, tau = np.ones((runs, 1)), np.zeros((runs, 0))
-            mixed, accepted = e_new.copy(), np.ones(runs, bool)
-        elif kind == KIND_KKT:
-            attempt = spd_attempt(_gram(e.mT), np.ones((runs, cols)))
-            if attempt is None:
-                return np.empty((runs, cols)), np.empty(e_new.shape), [None] * runs
-            y, accepted = attempt
-            total = y.sum(axis=-1)
-            accepted &= total != 0.0
-            alpha = y / total[:, None]
-            sums = alpha.sum(axis=-1)
-            accepted &= np.isfinite(sums) & ~(np.abs(sums - 1.0) > ALPHA_SUM_TOL)
-            tau = _partial_sums(alpha)
+            mixed, jitter, accepted = e_new.copy(), np.zeros(runs), np.ones(runs, bool)
         else:
-            h = matrices.delta_e
-            if eta > 0.0:
-                ridge, h_sq = _ridge_scale(matrices, eta)
-                scale, h_sq, ridge = ridge.tolist(), h_sq.tolist(), ridge[:, None]
-            attempt = spd_attempt(_gram(h.mT, ridge), np.matvec(h.mT, e_new))
-            if attempt is None:
-                return np.empty((runs, cols)), np.empty(e_new.shape), [None] * runs
-            tau, accepted = attempt
-            tau[~accepted] = 0.0
-            alpha = _tau_rows_to_alpha(tau)
-        if cols > 1:
+            if kind == KIND_KKT:
+                y, jitter, accepted = spd_solve(_gram(e.mT), np.ones((runs, cols)))
+                alpha = y / y.sum(axis=-1, keepdims=True)
+                accepted &= _sums_to_one(alpha.sum(axis=-1))
+                tau = _partial_sums(alpha)
+            else:
+                h = matrices.delta_e
+                if eta > 0.0:
+                    ridge, h_sq = _ridge_scale(matrices, eta)
+                    scale, h_sq, ridge = ridge.tolist(), h_sq.tolist(), ridge[:, None]
+                tau, jitter, accepted = spd_solve(
+                    _gram(h.mT, ridge), np.matvec(h.mT, e_new)
+                )
+                tau[~accepted] = 0.0
+                alpha = _tau_rows_to_alpha(tau)
             mixed = np.matvec(e, alpha)
             accepted &= _certified_rows(alpha, mixed, e_new)
+            plain = ~accepted
+            alpha[plain], tau[plain], mixed[plain] = 0.0, 0.0, e_new[plain]
+            alpha[plain, -1] = 1.0
         gains = _gains(mixed, e_new)
+    jitter, fallback = jitter.tolist(), (~accepted).tolist()
     sols = [
         MixingSolution(
-            alpha[r], tau[r], mixed[r], gains[r], kind, eta,
-            ridge_scale=scale[r], gram_trace=h_sq[r],
+            alpha[r], tau[r], mixed[r], gains[r], kind, eta, jitter[r], fallback[r],
+            scale[r], h_sq[r],
         )
-        if ok
-        else None
-        for r, ok in enumerate(accepted.tolist())
+        for r in range(runs)
     ]
     return alpha, mixed, sols
 

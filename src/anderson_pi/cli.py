@@ -191,6 +191,14 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+def _invalid(mdp) -> bool:
+    """Print a ``VIOLATION`` line per invariant ``mdp`` breaks; True if any."""
+    violations = validate(mdp)
+    for v in violations:
+        print(f"VIOLATION: {v}")
+    return bool(violations)
+
+
 def cmd_gen_mdp(args) -> int:
     if args.kind is None or args.gamma is None or args.out is None:
         missing = [
@@ -200,37 +208,38 @@ def cmd_gen_mdp(args) -> int:
         ]
         _err(f"gen-mdp requires {', '.join(missing)}")
         return EXIT_USAGE
-    if args.kind == "random":
-        missing = [
-            name
-            for name, v in (
-                ("--seed", args.seed),
-                ("--states", args.states),
-                ("--actions", args.actions),
-                ("--branching", args.branching),
+    try:
+        if args.kind == "random":
+            missing = [
+                name
+                for name, v in (
+                    ("--seed", args.seed),
+                    ("--states", args.states),
+                    ("--actions", args.actions),
+                    ("--branching", args.branching),
+                )
+                if v is None
+            ]
+            if missing:
+                _err(f"gen-mdp --kind random requires {', '.join(missing)}")
+                return EXIT_USAGE
+            mdp = generate_random_mdp(
+                args.seed, args.states, args.actions, args.branching,
+                args.reward_scale, args.gamma,
             )
-            if v is None
-        ]
-        if missing:
-            _err(f"gen-mdp --kind random requires {', '.join(missing)}")
-            return EXIT_USAGE
-        mdp = generate_random_mdp(
-            args.seed, args.states, args.actions, args.branching,
-            args.reward_scale, args.gamma,
-        )
-    else:
-        if args.width is None or args.height is None:
-            _err("gen-mdp --kind grid requires --width and --height")
-            return EXIT_USAGE
-        mdp = generate_gridworld(
-            args.width, args.height, args.slip, args.goal_reward, args.gamma
-        )
-    save_mdp(mdp, args.out)
-    violations = validate(mdp)
-    if violations:
-        for v in violations:
-            print(f"VIOLATION: {v}")
+        else:
+            if args.width is None or args.height is None:
+                _err("gen-mdp --kind grid requires --width and --height")
+                return EXIT_USAGE
+            mdp = generate_gridworld(
+                args.width, args.height, args.slip, args.goal_reward, args.gamma
+            )
+    except ValueError as exc:  # a size or probability out of range
+        _err(str(exc))
         return EXIT_USAGE
+    if _invalid(mdp):
+        return EXIT_USAGE
+    save_mdp(mdp, args.out)
     print(
         f"wrote {args.out}: {mdp.n_states} states, {mdp.n_actions} actions, "
         f"gamma={mdp.gamma:g}; validation OK"
@@ -363,12 +372,17 @@ def cmd_compare(args) -> int:
             _err(str(exc))
             return EXIT_USAGE
         for seed in seed_range:
-            mdps.append(
-                generate_random_mdp(
+            try:
+                mdp = generate_random_mdp(
                     seed, args.states, args.actions, args.branching,
                     args.reward_scale, args.gamma,
                 )
-            )
+            except ValueError as exc:
+                _err(str(exc))
+                return EXIT_USAGE
+            if _invalid(mdp):
+                return EXIT_USAGE
+            mdps.append(mdp)
             seeds.append(seed)
             labels.append(f"random(seed={seed})")
     if not mdps:

@@ -3,7 +3,9 @@
 The coefficient systems in this package are tiny (history depth <= 10),
 so plain normal equations with a diagonal-jitter ladder are enough;
 conditioning problems are caught by an explicit residual check rather
-than by an orthogonal factorization.
+than by an orthogonal factorization.  :func:`spd_solve` holds the one
+acceptance rule, for a stack of systems.  Gram matrices are symmetric by
+construction; only :func:`solve_spd`, for a matrix from outside, checks.
 """
 
 from __future__ import annotations
@@ -38,30 +40,65 @@ def squared_norms(x: np.ndarray) -> np.ndarray:
     return np.vecdot(x, x)
 
 
-def _accepted(m: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float):
-    """The solution of ``m x = b``, or None.
+def _attempt(m: np.ndarray, a: np.ndarray, b: np.ndarray, tol: np.ndarray):
+    """Solutions of the stack ``m x = b``, and which solve the ORIGINAL ``a x = b``.
 
-    None unless ``m`` is positive definite and ``x`` solves ``a x = b``
-    within ``tol``.
+    A solution is accepted if it is finite and within ``tol``.  None if
+    numpy's Cholesky gate finds any ``m[r]`` not positive definite.
     """
     try:
         np.linalg.cholesky(m)  # positive-definiteness gate
-        x = np.linalg.solve(m, b)
+        x = np.linalg.solve(m, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(x).all() or frobenius_norm(a @ x - b) > tol:
-        return None
-    return x
+    # a non-finite x makes its err nan or inf, which this also rejects
+    err = np.sqrt(squared_norms(np.matvec(a, x) - b))
+    return x, err <= tol
+
+
+def spd_solve(a: np.ndarray, b: np.ndarray):
+    """Solve ``a[r] x = b[r]`` for a ``(B, p, p)`` stack of symmetric PSD-ish matrices.
+
+    Returns (x, jitter, accepted).  One zero-jitter attempt covers the
+    stack; each system it rejects retries alone with ``a[r] + lam I`` up
+    :func:`jitter_ladder` (first at zero jitter, if the Cholesky gate
+    failed the stack), each attempt accepted only if the solution solves
+    the original system within ``SOLVE_RTOL * (1 + ||b[r]||)``.
+    ``jitter[r]`` is the level used, or the last one tried.
+    """
+    tol = SOLVE_RTOL * (1.0 + np.sqrt(squared_norms(b)))
+    jitter = np.zeros(len(a))
+    first = _attempt(a, a, b, tol)
+    if first is None:
+        x, accepted = np.zeros(b.shape), np.zeros(len(a), bool)
+        alone = [0.0] if len(a) > 1 else []
+    else:
+        (x, accepted), alone = first, []
+    for r in (~accepted).nonzero()[0].tolist():
+        ar, br, tr = a[r : r + 1], b[r : r + 1], tol[r : r + 1]
+        eye = np.eye(a.shape[-1])
+        for lam in alone + jitter_ladder(a[r]):
+            jitter[r] = lam
+            found = _attempt(ar + lam * eye, ar, br, tr)
+            if found is not None and found[1][0]:
+                x[r], accepted[r] = found[0][0], True
+                break
+    return x, jitter, accepted
 
 
 def _solve_spd_impl(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve ``a @ x = b`` for symmetric PSD-ish ``a``; returns (x, jitter used).
+    """:func:`spd_solve` of one system; (x, jitter) or :class:`SingularSystemError`."""
+    x, jitter, accepted = spd_solve(a[None], b[None])
+    lam = float(jitter[0])
+    if not accepted[0]:
+        raise SingularSystemError(
+            f"system remained singular/indefinite after jitter {lam:g}", jitter=lam
+        )
+    return x[0], lam
 
-    ``a`` itself is tried first, then ``a + lam I`` for each level of
-    :func:`jitter_ladder`.  Each attempt is accepted only if the solution
-    reproduces ``b`` against the ORIGINAL matrix within
-    ``SOLVE_RTOL * (1 + ||b||)``.
-    """
+
+def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a symmetric positive-(semi)definite system with jitter retries."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -71,45 +108,6 @@ def _solve_spd_impl(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within 1e-10")
-    tol = SOLVE_RTOL * (1.0 + frobenius_norm(b))
-    x = _accepted(a, a, b, tol)
-    if x is not None:
-        return x, 0.0
-    eye = np.eye(a.shape[0])
-    for lam in jitter_ladder(a):
-        x = _accepted(a + lam * eye, a, b, tol)
-        if x is not None:
-            return x, lam
-    raise SingularSystemError(
-        f"system remained singular/indefinite after jitter {lam:g}", jitter=lam
-    )
-
-
-def spd_attempt(a: np.ndarray, b: np.ndarray):
-    """The zero-jitter attempt of :func:`_solve_spd_impl` for a stack of systems.
-
-    ``a`` is ``(B, p, p)`` and ``b`` is ``(B, p)``.  Returns the solutions
-    and which of them :func:`_solve_spd_impl` would accept at zero jitter
-    (symmetric within 1e-10, positive definite, finite, and solving
-    ``a x = b`` within ``SOLVE_RTOL * (1 + ||b||)``), or None when numpy's
-    Cholesky gate fails, which it does for the whole stack at once.  The
-    one-run :func:`_accepted` stays scalar: this form of it measured 5 µs
-    slower per solve on one system.
-    """
-    try:
-        np.linalg.cholesky(a)  # positive-definiteness gate
-        x = np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return None
-    scale = np.fmax(1.0, np.abs(a).max(axis=(1, 2), initial=0.0))
-    symmetric = ~(np.abs(a - a.mT).max(axis=(1, 2), initial=0.0) > SYMMETRY_TOL * scale)
-    tol = SOLVE_RTOL * (1.0 + np.sqrt(squared_norms(b)))
-    err = np.sqrt(squared_norms(np.matvec(a, x) - b))
-    return x, symmetric & np.isfinite(x).all(axis=1) & ~(err > tol)
-
-
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive-(semi)definite system with jitter retries."""
     x, _ = _solve_spd_impl(a, b)
     return x
 

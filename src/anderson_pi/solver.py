@@ -361,10 +361,10 @@ def _run_lockstep(
     alone, but for ``wall_nanos``, which holds the whole group's iteration
     time.  Each iteration does one sweep of the stack and one coefficient
     solve: the one-run solver while one run is live, else one stacked
-    solve, with the one-run solver for any run the stacked solve leaves
-    unaccepted.  Full diagnostics are computed run by run.  A run that
-    stops leaves the group.  The safeguard clears the window every run of
-    the group shares, so a safeguard config takes one MDP only.
+    solve, which settles every run.  Full diagnostics are computed run by
+    run.  A run that stops leaves the group.  The safeguard clears the
+    window every run of the group shares, so a safeguard config takes one
+    MDP only.
     """
     if cfg.safeguard and len(mdps) > 1:
         raise ValueError(f"a safeguard config runs one MDP at a time, got {len(mdps)}")
@@ -414,10 +414,6 @@ def _run_lockstep(
             alpha, mixed = sols[0].alpha[None], sols[0].mixed_residual[None]
         else:
             alpha, mixed, sols = anderson.solve_stacked(matrices, kind, cfg.eta)
-            for r, sol in enumerate(sols):
-                if sol is None:
-                    sol = sols[r] = _solve_coefficients(cfg.scheme, matrices.run(r), cfg.eta)
-                    alpha[r], mixed[r] = sol.alpha, sol.mixed_residual
         mixed_l2 = np.sqrt(squared_norms(mixed)).tolist()
         for r, sol in enumerate(sols):
             sol_non = None
@@ -589,7 +585,6 @@ def run_ensemble(
     mdp_seeds: list[int | None] | None = None,
     mdp_labels: list[str] | None = None,
     jobs: int = 1,
-    keep_traces: bool = True,
 ) -> EnsembleReport:
     """Run every (config, mdp) pair and summarize, in input product order.
 
@@ -645,17 +640,11 @@ def run_ensemble(
         for i, j in tasks
     ]
 
-    report = EnsembleReport(
-        summaries=summaries,
-        config_labels=config_labels,
-        mdp_labels=list(mdp_labels),
-    )
-    if keep_traces:
-        report.traces = {
-            task: o.trace if isinstance(o := outcomes[task], DivergenceError) else o
-            for task in tasks
-        }
-    return report
+    traces = {
+        task: o.trace if isinstance(o := outcomes[task], DivergenceError) else o
+        for task in tasks
+    }
+    return EnsembleReport(summaries, traces, config_labels, list(mdp_labels))
 
 
 def write_trace_csv(trace: SolverTrace, path, include_timing: bool = False) -> None:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from anderson_pi import anderson as anderson_module
 from anderson_pi.anderson import (
     AndersonHistory,
     HistoryMatrices,
+    MixingSolution,
     build_history_matrices,
     gain_theta,
     mixed_update,
@@ -43,6 +46,13 @@ def random_history(rng, n, length):
     for _ in range(length):
         h.push(rng.standard_normal(n), rng.standard_normal(n))
     return h
+
+
+def kkt_sum_window():
+    """Four nearly equal residuals whose KKT weights miss sum 1 by 1.1e-8."""
+    rng = np.random.default_rng(100)
+    e = rng.standard_normal(5)[:, None] + 1e-8 * rng.standard_normal((5, 4))
+    return [(np.zeros(5), e[:, j]) for j in range(4)]
 
 
 class TestHistoryMatrices:
@@ -178,6 +188,18 @@ class TestKktSolver:
         for _ in range(1000):
             candidate = rng.dirichlet(np.ones(4))
             assert best <= np.linalg.norm(m.residuals @ candidate) + 1e-10
+
+    def test_weights_off_sum_one_fall_back(self):
+        # y / sum(y) misses sum 1 by more than 1e-8; the window must not raise
+        one = build_history_matrices(history_from_pairs(kkt_sum_window()))
+        stacked = stacked_matrices(["random", "kkt-sum"])
+        sols = [
+            solve_alpha_kkt(one),
+            anderson_module.solve_stacked(stacked, anderson_module.KIND_KKT, 0.0)[2][1],
+        ]
+        for sol in sols:
+            assert sol.fallback
+            assert np.array_equal(sol.alpha, [0.0, 0.0, 0.0, 1.0])
 
     @given(seed=st.integers(0, 10**6), length=st.integers(1, 6))
     def test_alpha_sums_to_one(self, seed, length):
@@ -500,6 +522,120 @@ class TestCertificates:
             assert sol.fallback
             assert np.array_equal(sol.alpha, [0.0, 0.0, 0.0, 1.0])
             assert np.array_equal(sol.mixed_residual, matrices.residuals @ sol.alpha)
+
+
+def near_collinear_window(seed):
+    """Four entries of length 5 whose residuals agree up to a seeded 1e-16..1e-7."""
+    rng = np.random.default_rng(seed)
+    eps = 10.0 ** rng.integers(-16, -6)
+    base_e, base_q = rng.standard_normal(5), rng.standard_normal(5)
+    pairs = []
+    for _ in range(4):
+        q = base_q + rng.standard_normal(5) * 10.0 ** rng.integers(-12, 0)
+        pairs.append((q, q + (base_e + eps * rng.standard_normal(5))))
+    return pairs
+
+
+# name -> the four (q, Tq) pairs of a window; each exercises one path of
+# the coefficient solve on some kind, as TestSolveStacked.CASES records
+WINDOWS = {
+    "random": [tuple(pair) for pair in np.random.default_rng(11).standard_normal((4, 2, 5))],
+    "zero": [(np.ones(5), np.ones(5))] * 4,
+    "kkt-ladder": near_collinear_window(1),
+    "kkt-certificate": near_collinear_window(1111),
+    "kkt-sum": kkt_sum_window(),
+    # passes numpy's Cholesky gate, fails the residual check at every level
+    "kkt-residual": near_collinear_window(489),
+    "tau-ladder": near_collinear_window(291),
+    "tau-certificate": near_collinear_window(34),
+}
+SOLVERS = {
+    "kkt": (anderson_module.KIND_KKT, 0.0, solve_alpha_kkt),
+    "unconstrained": (
+        anderson_module.KIND_UNCONSTRAINED, 0.0, solve_tau_unconstrained
+    ),
+    "regularized": (
+        anderson_module.KIND_REGULARIZED, 1e-12, lambda m: solve_tau_regularized(m, 1e-12)
+    ),
+}
+
+
+def stacked_matrices(names):
+    h = AndersonHistory(3, runs=len(names))
+    for j in range(4):
+        h.push(*(np.stack(col) for col in zip(*(WINDOWS[w][j] for w in names))))
+    return build_history_matrices(h)
+
+
+def assert_same_solution(got, want):
+    for f in dataclasses.fields(MixingSolution):
+        x, y = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(y, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert (type(x), repr(x)) == (type(y), repr(y)), f.name
+
+
+class TestSolveStacked:
+    """The stacked solve against the one-run solvers, window by window."""
+
+    # (solver, window) -> (jitter > 0, fallback) of the one-run solution;
+    # the zero window fails numpy's Cholesky gate for any stack it is in
+    CASES = {
+        ("kkt", "zero"): (True, True),
+        ("kkt", "kkt-ladder"): (True, False),
+        ("kkt", "kkt-certificate"): (False, True),
+        ("kkt", "kkt-sum"): (False, True),
+        ("kkt", "kkt-residual"): (True, True),
+        ("unconstrained", "kkt-residual"): (False, False),
+        ("unconstrained", "tau-ladder"): (True, False),
+        ("unconstrained", "tau-certificate"): (False, True),
+        ("unconstrained", "zero"): (True, False),
+        ("regularized", "tau-certificate"): (False, True),
+        ("regularized", "zero"): (True, False),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SOLVERS))
+    def test_paths_are_covered(self, kind):
+        one = SOLVERS[kind][2]
+        for (k, name), (jittered, fallback) in self.CASES.items():
+            if k == kind:
+                sol = one(build_history_matrices(history_from_pairs(WINDOWS[name])))
+                assert (sol.jitter > 0.0, sol.fallback) == (jittered, fallback), name
+                if k == "kkt" and name == "zero":  # after the whole ladder
+                    assert sol.jitter == pytest.approx(1e-6, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(SOLVERS))
+    @pytest.mark.parametrize(
+        "names",
+        [list(WINDOWS), [w for w in WINDOWS if w != "zero"]]
+        + [["random", w] for w in WINDOWS if w != "random"],
+        ids=lambda names: "+".join(names),
+    )
+    def test_equals_one_run_solver(self, kind, names):
+        solver_kind, eta, one = SOLVERS[kind]
+        matrices = stacked_matrices(names)
+        alpha, mixed, sols = anderson_module.solve_stacked(matrices, solver_kind, eta)
+        assert len(sols) == len(names)
+        for r, sol in enumerate(sols):
+            assert_same_solution(sol, one(matrices.run(r)))
+            assert np.array_equal(alpha[r], sol.alpha)
+            assert np.array_equal(mixed[r], sol.mixed_residual)
+
+
+@pytest.mark.parametrize("ridge", [None, 0.3])
+def test_gram_is_exactly_symmetric(ridge):
+    rng = np.random.default_rng(8)
+    h = AndersonHistory(5, runs=3)
+    for _ in range(6):
+        h.push(rng.standard_normal((3, 40)), rng.standard_normal((3, 40)))
+    m = build_history_matrices(h)
+    for rows in (m.residuals.mT, m.delta_e.mT):
+        stacked = anderson_module._gram(rows, None if ridge is None else np.full((3, 1), ridge))
+        assert np.array_equal(stacked, stacked.mT)
+        for r in range(3):
+            one = anderson_module._gram(rows[r], ridge)
+            assert np.array_equal(one, one.T)
 
 
 def dense_norm(m, beta, eta, **kwargs):

@@ -57,6 +57,30 @@ class TestGenMdp:
         proc = run_cli("gen-mdp", "--kind", "nope", "-o", tmp_path / "x.json")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--kind", "random", "--gamma", 1.0], "VIOLATION: discount not in [0,1)"),
+            (["--kind", "random", "--branching", 9, "--states", 5], "branching"),
+            (["--kind", "random", "--states", 0], "need n_states"),
+            (["--kind", "grid", "--width", 0], "grid dimensions"),
+            (["--kind", "grid", "--slip", 1.0], "slip_prob"),
+        ],
+        ids=["gamma1", "branching", "states0", "width0", "slip1"],
+    )
+    def test_out_of_range_generator_flag_is_usage_error(
+        self, flags, message, tmp_path, capsys
+    ):
+        # defaults for every flag the case does not set; later flags win
+        base = ["--seed", 0, "--states", 5, "--actions", 2, "--branching", 2,
+                "--width", 3, "--height", 3, "--gamma", 0.9]
+        out = tmp_path / "x.json"
+        argv = ["gen-mdp", *base, *flags, "-o", out]
+        assert cli.main([str(a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+        assert not out.exists()
+
     def test_required_flags_can_come_from_config(self, tmp_path):
         cfg = {
             "kind": "grid", "width": 3, "height": 3, "gamma": 0.9,
@@ -216,6 +240,24 @@ class TestCompare:
         assert len(agg["win_rate"]) == 6
         curves = (out / "curves.csv").read_text().splitlines()[1:]
         assert {line.split(",")[0] for line in curves} == labels
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--gamma", 1.0], "VIOLATION: discount not in [0,1)"),
+            (["--branching", 9, "--states", 5], "branching"),
+        ],
+        ids=["gamma1", "branching"],
+    )
+    def test_out_of_range_generator_flag_is_usage_error(
+        self, flags, message, tmp_path, capsys
+    ):
+        argv = ["compare", "--scheme", "vanilla", "--scheme", "kkt:m=3", "--gen",
+                "random", "--seeds", "0:2", *flags, "-o", tmp_path / "cmp"]
+        assert cli.main([str(a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+        assert not (tmp_path / "cmp").exists()
 
     def test_single_scheme_is_usage_error(self, tmp_path):
         proc = run_cli(

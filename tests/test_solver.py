@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import anderson_pi as ap
-from anderson_pi import anderson, solver
+from anderson_pi import solver
 from anderson_pi.mdp import MdpStack
 from anderson_pi.operators import OperatorKind, OperatorSpec
 from anderson_pi.solver import (
@@ -532,7 +532,6 @@ class TestLockstep:
         mdps = [ap.generate_random_mdp(s, 10, 3, 2, 1.0, 0.9) for s in range(4)]
         cfg = cfg_for(Scheme.ANDERSON_KKT, mm5, m=3, tol=1e-16, max_iter=200)
         got = solver._run_lockstep(mdps, cfg)
-        assert calls
         monkeypatch.undo()
         outcomes = [one_run(mdp, cfg) for mdp in mdps]
         for g, want in zip(got, outcomes):
@@ -540,21 +539,11 @@ class TestLockstep:
         assert [o.converged for o in outcomes] == [False, True, True, True]
         records = [r for o in outcomes for r in o.records]
         assert any(r.fallback and r.jitter > 0.0 for r in records)
-
-    @pytest.mark.parametrize("forced", ["one row", "whole stack"])
-    def test_forced_scalar_path(self, mm5, monkeypatch, forced):
-        stacked = anderson.solve_stacked
-
-        def refusing(matrices, kind, eta):
-            alpha, mixed, sols = stacked(matrices, kind, eta)
-            if forced == "whole stack":
-                return alpha, mixed, [None] * len(sols)
-            return alpha, mixed, sols[:-1] + [None]
-
-        monkeypatch.setattr(anderson, "solve_stacked", refusing)
-        mdps = [ap.generate_random_mdp(s, 10, 3, 2, 1.0, 0.9) for s in range(3)]
-        for scheme, kw in SCHEMES:
-            assert_lockstep_matches_run(mdps, cfg_for(scheme, mm5, **kw))
+        # the stacked solve settles jittered and fallback runs itself: the
+        # one-run solver serves only the iterations with one run live
+        live = [sum(len(o.records) > k for o in outcomes) for k in range(201)]
+        assert len(calls) == live.count(1) > 0
+        assert any(live[r.k] >= 2 for r in records if r.jitter_flag)
 
     @pytest.mark.parametrize("scheme,kw", SCHEMES, ids=[s.value for s, _ in SCHEMES])
     def test_divergence_max_iter_and_convergence_in_one_group(self, scheme, kw):

@@ -33,7 +33,6 @@ from .mdp import (
     generate_random_mdp,
     load_mdp,
     save_mdp,
-    validate,
 )
 from .operators import OperatorKind, OperatorSpec
 from .solver import (
@@ -191,14 +190,6 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
-def _invalid(mdp) -> bool:
-    """Print a ``VIOLATION`` line per invariant ``mdp`` breaks; True if any."""
-    violations = validate(mdp)
-    for v in violations:
-        print(f"VIOLATION: {v}")
-    return bool(violations)
-
-
 def cmd_gen_mdp(args) -> int:
     if args.kind is None or args.gamma is None or args.out is None:
         missing = [
@@ -234,10 +225,8 @@ def cmd_gen_mdp(args) -> int:
             mdp = generate_gridworld(
                 args.width, args.height, args.slip, args.goal_reward, args.gamma
             )
-    except ValueError as exc:  # a size or probability out of range
+    except (ValueError, OverflowError) as exc:  # a flag out of range
         _err(str(exc))
-        return EXIT_USAGE
-    if _invalid(mdp):
         return EXIT_USAGE
     save_mdp(mdp, args.out)
     print(
@@ -377,10 +366,8 @@ def cmd_compare(args) -> int:
                     seed, args.states, args.actions, args.branching,
                     args.reward_scale, args.gamma,
                 )
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 _err(str(exc))
-                return EXIT_USAGE
-            if _invalid(mdp):
                 return EXIT_USAGE
             mdps.append(mdp)
             seeds.append(seed)

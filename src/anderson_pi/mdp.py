@@ -201,6 +201,11 @@ def _check_sizes(n_states, n_actions) -> None:
         )
 
 
+def _check_discount(gamma) -> None:
+    if not 0.0 <= gamma < 1.0:  # nan fails too
+        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+
+
 def validate(mdp: TabularMdp) -> list[str]:
     """Return the list of violated invariants (empty means valid).
 
@@ -249,6 +254,7 @@ def generate_random_mdp(
         raise ValueError(f"need n_states, n_actions >= 1, got ({n_states}, {n_actions})")
     if not (1 <= branching <= n_states):
         raise ValueError(f"branching must be in [1, n_states], got {branching}")
+    _check_discount(gamma)
     rng = np.random.default_rng(seed)
     successors = np.empty((n_states, n_actions, branching), dtype=np.intp)
     probs = np.empty((n_states, n_actions, branching))
@@ -287,6 +293,7 @@ def generate_gridworld(
         raise ValueError(f"grid dimensions must be >= 1, got ({width}, {height})")
     if not (0.0 <= slip_prob < 1.0):
         raise ValueError(f"slip_prob must be in [0,1), got {slip_prob}")
+    _check_discount(gamma)
     n_states = width * height
     n_actions = 4
     goal = (height - 1) * width + (width - 1)

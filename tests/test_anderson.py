@@ -544,7 +544,8 @@ WINDOWS = {
     "kkt-ladder": near_collinear_window(1),
     "kkt-certificate": near_collinear_window(1111),
     "kkt-sum": kkt_sum_window(),
-    # passes numpy's Cholesky gate, fails the residual check at every level
+    # its KKT system passes numpy's Cholesky gate, then fails the residual
+    # check at every level
     "kkt-residual": near_collinear_window(489),
     "tau-ladder": near_collinear_window(291),
     "tau-certificate": near_collinear_window(34),

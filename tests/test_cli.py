@@ -60,13 +60,14 @@ class TestGenMdp:
     @pytest.mark.parametrize(
         "flags,message",
         [
-            (["--kind", "random", "--gamma", 1.0], "VIOLATION: discount not in [0,1)"),
+            (["--kind", "random", "--gamma", 1.0], "gamma must be in [0, 1)"),
             (["--kind", "random", "--branching", 9, "--states", 5], "branching"),
             (["--kind", "random", "--states", 0], "need n_states"),
             (["--kind", "grid", "--width", 0], "grid dimensions"),
             (["--kind", "grid", "--slip", 1.0], "slip_prob"),
+            (["--kind", "random", "--reward-scale", 1e308], "range exceeds"),
         ],
-        ids=["gamma1", "branching", "states0", "width0", "slip1"],
+        ids=["gamma1", "branching", "states0", "width0", "slip1", "reward-scale"],
     )
     def test_out_of_range_generator_flag_is_usage_error(
         self, flags, message, tmp_path, capsys
@@ -244,7 +245,7 @@ class TestCompare:
     @pytest.mark.parametrize(
         "flags,message",
         [
-            (["--gamma", 1.0], "VIOLATION: discount not in [0,1)"),
+            (["--gamma", 1.0], "gamma must be in [0, 1)"),
             (["--branching", 9, "--states", 5], "branching"),
         ],
         ids=["gamma1", "branching"],

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    SingularSystemError,
     _solve_spd_impl,
     frobenius_norm,
     spd_solve,
@@ -225,7 +224,6 @@ class MixingSolution:
     mixed_residual: np.ndarray
     gain_theta: float
     solver_kind: str
-    eta: float = 0.0
     jitter: float = 0.0
     fallback: bool = False
     ridge_scale: float = 0.0
@@ -341,28 +339,6 @@ def coefficient_bounds(
     return norm_lhs, norm_rhs, gap_lhs, gap_rhs
 
 
-def _solution(
-    matrices, alpha, tau, mixed, kind, eta, jitter, fallback
-) -> MixingSolution:
-    gain = gain_theta(mixed, matrices.e_newest)
-    return MixingSolution(alpha, tau, mixed, gain, kind, eta, jitter, fallback)
-
-
-def _plain_step(
-    matrices: HistoryMatrices,
-    kind: str,
-    eta: float = 0.0,
-    jitter: float = 0.0,
-    fallback: bool = False,
-) -> MixingSolution:
-    """Unit weight on the newest column, whose mixed residual is e_k itself."""
-    cols = matrices.n_columns
-    alpha = np.zeros(cols)
-    alpha[-1] = 1.0
-    tau, mixed = np.zeros(cols - 1), matrices.e_newest.copy()
-    return _solution(matrices, alpha, tau, mixed, kind, eta, jitter, fallback)
-
-
 def _gram(rows: np.ndarray, ridge=None) -> np.ndarray:
     """``rows @ rows^T`` over any leading axes, plus ``ridge`` on each diagonal.
 
@@ -390,34 +366,6 @@ def _certified_rows(alpha: np.ndarray, mixed: np.ndarray, e_newest: np.ndarray):
     return np.isfinite(alpha).all(axis=1) & (mixed_norm <= bound)
 
 
-def solve_alpha_kkt(matrices: HistoryMatrices) -> MixingSolution:
-    """Simplex-constrained coefficients through the KKT closed form.
-
-    Solves ``(E^T E + jitter) y = 1`` and normalizes ``alpha = y /
-    sum(y)``.  Degenerate Gram systems (or weights that miss sum 1 by
-    more than ``ALPHA_SUM_TOL``, or fail the optimality certificate) fall
-    back to the unit vector on the newest column, flagged via
-    ``fallback``.
-    """
-    e = matrices.residuals
-    cols = e.shape[1]
-    if cols == 1:
-        return _plain_step(matrices, KIND_KKT)
-    try:
-        y, lam = _solve_spd_impl(_gram(e.T), np.ones(cols))
-    except SingularSystemError as exc:
-        return _plain_step(matrices, KIND_KKT, jitter=exc.jitter, fallback=True)
-    total = float(y.sum())
-    if total != 0.0:
-        alpha = y / total
-        mixed = np.matvec(e, alpha)
-        if _sums_to_one(alpha.sum()) and _certified(alpha, mixed, matrices.e_newest):
-            return _solution(
-                matrices, alpha, _partial_sums(alpha), mixed, KIND_KKT, 0.0, lam, False
-            )
-    return _plain_step(matrices, KIND_KKT, jitter=lam, fallback=True)
-
-
 def _squared_frobenius(m: np.ndarray):
     """``||m||_F^2``; for a run axis in front, an array of one per run.
 
@@ -443,28 +391,54 @@ def _ridge_scale(matrices: HistoryMatrices, eta: float):
     return eta * (_squared_frobenius(matrices.delta_q) + h_sq), h_sq
 
 
-def _solve_tau(matrices: HistoryMatrices, eta: float, kind: str) -> MixingSolution:
-    h = matrices.delta_e
-    p = h.shape[1]
-    if p == 0:
-        return _plain_step(matrices, kind, eta)
-    e_new = matrices.e_newest
-    scale, h_sq = _ridge_scale(matrices, eta)
-    gram = _gram(h.T, scale if scale > 0.0 else None)
-    try:
-        tau, lam = _solve_spd_impl(gram, np.matvec(h.T, e_new))
-    except SingularSystemError as exc:
-        sol = _plain_step(matrices, kind, eta, exc.jitter, True)
-    else:
-        alpha = tau_to_alpha(tau)
-        mixed = np.matvec(matrices.residuals, alpha)
-        if _certified(alpha, mixed, e_new):
-            sol = _solution(matrices, alpha, tau, mixed, kind, eta, lam, False)
-        else:
-            sol = _plain_step(matrices, kind, eta, lam, True)
-    if eta > 0.0:
-        sol.ridge_scale, sol.gram_trace = scale, h_sq
-    return sol
+def _solve_one(matrices: HistoryMatrices, kind: str, eta: float = 0.0) -> MixingSolution:
+    """The solver of ``kind`` on one window, in :func:`solve_stacked`'s steps.
+
+    With one column, or for the vanilla kind, this is the unflagged plain
+    step.  Otherwise it solves the KKT or tau system; a system not
+    accepted, weights that fail the certificate or (for KKT) miss sum 1
+    give the plain step flagged as ``fallback``, with the jitter used.
+    """
+    e, e_new = matrices.residuals, matrices.e_newest
+    cols = e.shape[1]
+    scale, h_sq, jitter, accepted = 0.0, None, 0.0, False
+    solved = cols > 1 and kind != KIND_VANILLA
+    if solved and kind == KIND_KKT:
+        y, jitter, accepted = _solve_spd_impl(_gram(e.T), np.ones(cols))
+        total = float(y.sum())
+        accepted = accepted and total != 0.0
+        if accepted:
+            alpha = y / total
+            accepted, tau = _sums_to_one(alpha.sum()), _partial_sums(alpha)
+    elif solved:
+        h = matrices.delta_e
+        if kind == KIND_REGULARIZED and eta > 0.0:
+            scale, h_sq = _ridge_scale(matrices, eta)
+        gram = _gram(h.T, scale if scale > 0.0 else None)
+        tau, jitter, accepted = _solve_spd_impl(gram, np.matvec(h.T, e_new))
+        if accepted:
+            alpha = _tau_rows_to_alpha(tau)
+    if accepted:
+        mixed = np.matvec(e, alpha)
+        accepted = _certified(alpha, mixed, e_new)
+    if not accepted:  # the plain step, whose mixed residual is e_k itself
+        alpha, tau, mixed = np.zeros(cols), np.zeros(cols - 1), e_new.copy()
+        alpha[-1] = 1.0
+    gain = gain_theta(mixed, e_new)
+    fallback = solved and not accepted
+    return MixingSolution(alpha, tau, mixed, gain, kind, jitter, fallback, scale, h_sq)
+
+
+def solve_alpha_kkt(matrices: HistoryMatrices) -> MixingSolution:
+    """Simplex-constrained coefficients through the KKT closed form.
+
+    Solves ``(E^T E + jitter) y = 1`` and normalizes ``alpha = y /
+    sum(y)``.  Degenerate Gram systems (or weights that miss sum 1 by
+    more than ``ALPHA_SUM_TOL``, or fail the optimality certificate) fall
+    back to the unit vector on the newest column, flagged via
+    ``fallback``.
+    """
+    return _solve_one(matrices, KIND_KKT)
 
 
 def solve_tau_unconstrained(matrices: HistoryMatrices) -> MixingSolution:
@@ -473,7 +447,7 @@ def solve_tau_unconstrained(matrices: HistoryMatrices) -> MixingSolution:
     Equivalent to :func:`solve_alpha_kkt` after the tau -> alpha
     transform whenever the Gram matrix needs no jitter.
     """
-    return _solve_tau(matrices, 0.0, KIND_UNCONSTRAINED)
+    return _solve_one(matrices, KIND_UNCONSTRAINED)
 
 
 def solve_tau_regularized(matrices: HistoryMatrices, eta: float) -> MixingSolution:
@@ -485,12 +459,12 @@ def solve_tau_regularized(matrices: HistoryMatrices, eta: float) -> MixingSoluti
     """
     if eta < 0.0:
         raise ValueError(f"eta must be >= 0, got {eta}")
-    return _solve_tau(matrices, eta, KIND_REGULARIZED)
+    return _solve_one(matrices, KIND_REGULARIZED, eta)
 
 
 def vanilla_solution(matrices: HistoryMatrices) -> MixingSolution:
     """Unit weight on the newest column: the plain (damped) step."""
-    return _plain_step(matrices, KIND_VANILLA)
+    return _solve_one(matrices, KIND_VANILLA)
 
 
 def solve_stacked(
@@ -540,7 +514,7 @@ def solve_stacked(
     jitter, fallback = jitter.tolist(), (~accepted).tolist()
     sols = [
         MixingSolution(
-            alpha[r], tau[r], mixed[r], gains[r], kind, eta, jitter[r], fallback[r],
+            alpha[r], tau[r], mixed[r], gains[r], kind, jitter[r], fallback[r],
             scale[r], h_sq[r],
         )
         for r in range(runs)
@@ -649,6 +623,6 @@ def quasi_newton_update(
     if len(history) < 2:
         raise ValueError("quasi-Newton update needs at least 2 history entries")
     matrices = build_history_matrices(history)
-    sol = _solve_tau(matrices, eta, KIND_REGULARIZED if eta > 0 else KIND_UNCONSTRAINED)
+    sol = _solve_one(matrices, KIND_REGULARIZED, eta)
     step = (matrices.delta_q + beta * matrices.delta_e) @ sol.tau
     return history.newest_iterate() + beta * matrices.e_newest - step

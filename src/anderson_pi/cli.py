@@ -413,6 +413,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
+    try:  # the suite's stable-aa config takes --beta and --omega as they are
+        SolverConfig(
+            scheme=Scheme.STABLE_AA,
+            operator=OperatorSpec(OperatorKind.MELLOW_MAX, args.omega),
+            beta=args.beta,
+            eta=0.1,
+        )
+    except ValueError as exc:
+        _err(str(exc))
+        return EXIT_USAGE
     records = diagnostics.run_check_suite(
         seed=args.seed,
         n_pairs=args.pairs,

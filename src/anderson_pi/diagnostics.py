@@ -24,7 +24,7 @@ computation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,17 +58,8 @@ class BoundCheckRecord:
     asserted: bool = True
 
     def to_json(self) -> str:
-        payload = {
-            "bound_id": self.bound_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "satisfied": self.satisfied,
-            "slack": self.slack,
-            "iter": self.iter,
-            "config_hash": self.config_hash,
-            "context": self.context,
-            "asserted": self.asserted,
-        }
+        # not vars(self): that would give every record a materialized __dict__
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

@@ -4,8 +4,11 @@ The coefficient systems in this package are tiny (history depth <= 10),
 so plain normal equations with a diagonal-jitter ladder are enough;
 conditioning problems are caught by an explicit residual check rather
 than by an orthogonal factorization.  :func:`spd_solve` holds the one
-acceptance rule, for a stack of systems.  Gram matrices are symmetric by
-construction; only :func:`solve_spd`, for a matrix from outside, checks.
+acceptance rule, for a stack of systems, and returns ``(x, jitter,
+accepted)``, as its one-system case ``_solve_spd_impl`` does: a system
+not accepted is a flag.  Only :func:`solve_spd`, for a matrix from
+outside, raises :class:`SingularSystemError`, and checks symmetry; Gram
+matrices are symmetric by construction.
 """
 
 from __future__ import annotations
@@ -86,15 +89,10 @@ def spd_solve(a: np.ndarray, b: np.ndarray):
     return x, jitter, accepted
 
 
-def _solve_spd_impl(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """:func:`spd_solve` of one system; (x, jitter) or :class:`SingularSystemError`."""
+def _solve_spd_impl(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """:func:`spd_solve` of one system: (x, jitter, accepted) as Python scalars."""
     x, jitter, accepted = spd_solve(a[None], b[None])
-    lam = float(jitter[0])
-    if not accepted[0]:
-        raise SingularSystemError(
-            f"system remained singular/indefinite after jitter {lam:g}", jitter=lam
-        )
-    return x[0], lam
+    return x[0], float(jitter[0]), bool(accepted[0])
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,7 +106,11 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within 1e-10")
-    x, _ = _solve_spd_impl(a, b)
+    x, lam, accepted = _solve_spd_impl(a, b)
+    if not accepted:
+        raise SingularSystemError(
+            f"system remained singular/indefinite after jitter {lam:g}", jitter=lam
+        )
     return x
 
 

@@ -131,18 +131,13 @@ class TabularMdp:
 
     @cached_property
     def transitions(self) -> np.ndarray:
-        """Dense read-only ``P[s, a, s']``, built on first access.
+        """Dense read-only ``P[s, a, s']``, built on first access and kept.
 
-        Only validation and persistence read it; the Bellman sweep works
-        on the successor lists.
+        The package never reads it: the Bellman sweep works on the
+        successor lists, and :func:`validate` and :func:`save_mdp` build
+        their own copies with :func:`_dense` and drop them when done.
         """
-        ns, na, k = self.successors.shape
-        p = np.zeros((ns * na, ns))
-        cols = self.successors.transpose(2, 0, 1).reshape(k, -1)
-        np.add.at(p, (np.arange(ns * na), cols), self.probs.transpose(2, 0, 1).reshape(k, -1))
-        p = p.reshape(ns, na, ns)
-        p.setflags(write=False)
-        return p
+        return _dense(self)
 
     @property
     def n_entries(self) -> int:
@@ -194,6 +189,17 @@ class MdpStack:
         return terms.sum(axis=0)
 
 
+def _dense(mdp: TabularMdp) -> np.ndarray:
+    """A new read-only dense ``P[s, a, s']`` of ``mdp``'s successor lists."""
+    ns, na, k = mdp.successors.shape
+    p = np.zeros((ns * na, ns))
+    cols = mdp.successors.transpose(2, 0, 1).reshape(k, -1)
+    np.add.at(p, (np.arange(ns * na), cols), mdp.probs.transpose(2, 0, 1).reshape(k, -1))
+    p = p.reshape(ns, na, ns)
+    p.setflags(write=False)
+    return p
+
+
 def _check_sizes(n_states, n_actions) -> None:
     if n_states < 1 or n_actions < 1:
         raise ValueError(
@@ -218,7 +224,7 @@ def validate(mdp: TabularMdp) -> list[str]:
     bad_r = np.argwhere(~np.isfinite(mdp.rewards))
     for s, a in bad_r:
         violations.append(f"reward (s={s}, a={a}) is not finite")
-    p = mdp.transitions
+    p = _dense(mdp)
     finite = np.isfinite(p)
     in_range = finite & (p >= 0.0) & (p <= 1.0)
     for s, a, t in np.argwhere(~in_range):
@@ -331,13 +337,14 @@ def save_mdp(mdp: TabularMdp, path) -> None:
     violations = validate(mdp)
     if violations:
         raise ValueError("cannot save invalid MDP: " + "; ".join(violations))
+    p = _dense(mdp)
     rewards_rows = [
         "[" + ", ".join(_fmt(v) for v in row) + "]" for row in mdp.rewards
     ]
     trans_blocks = []
     for s in range(mdp.n_states):
         rows = [
-            "[" + ", ".join(_fmt(v) for v in mdp.transitions[s, a]) + "]"
+            "[" + ", ".join(_fmt(v) for v in p[s, a]) + "]"
             for a in range(mdp.n_actions)
         ]
         trans_blocks.append("[" + ", ".join(rows) + "]")

@@ -17,7 +17,7 @@ import enum
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -209,13 +209,7 @@ _KINDS = {
 def _solve_coefficients(
     scheme: Scheme, matrices: anderson.HistoryMatrices, eta: float
 ) -> anderson.MixingSolution:
-    if scheme is Scheme.VANILLA_VI:
-        return anderson.vanilla_solution(matrices)
-    if scheme is Scheme.ANDERSON_KKT:
-        return anderson.solve_alpha_kkt(matrices)
-    if scheme is Scheme.ANDERSON_UNCONSTRAINED:
-        return anderson.solve_tau_unconstrained(matrices)
-    return anderson.solve_tau_regularized(matrices, eta)
+    return anderson._solve_one(matrices, _KINDS[scheme], eta)
 
 
 def _trace_record(
@@ -485,22 +479,8 @@ class RunSummary:
     message: str = ""
 
     def to_json(self) -> str:
-        payload = {
-            "config_hash": self.config_hash,
-            "scheme": self.scheme,
-            "mdp_label": self.mdp_label,
-            "mdp_seed": self.mdp_seed,
-            "converged": self.converged,
-            "failed": self.failed,
-            "iterations": self.iterations,
-            "final_residual_inf": self.final_residual_inf,
-            "final_error_vs_oracle": self.final_error_vs_oracle,
-            "theta_mean": self.theta_mean,
-            "theta_max": self.theta_max,
-            "jitter_count": self.jitter_count,
-            "safeguard_count": self.safeguard_count,
-            "message": self.message,
-        }
+        # not vars(self): that would give every record a materialized __dict__
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

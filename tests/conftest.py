@@ -1,9 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 import anderson_pi as ap
 from anderson_pi.operators import OperatorKind, OperatorSpec
+
+# the CLI tests' subprocesses import the package these tests import
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(ap.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 settings.register_profile(
     "det",

@@ -9,9 +9,11 @@ suite; ``perfbench/test_perfbench.py`` runs the full passes.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import anderson_pi as ap
+from anderson_pi import anderson
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -79,3 +81,24 @@ def test_traced_large_pass_records_no_error(perfbench, tmp_path):
     assert tracer.calls("solver.oracle") == out.oracle_calls == 1
     assert out.errors == []
     assert [(r.error, r.converged) for r in out.runs] == [("", True)] * len(out.runs)
+
+
+def test_traced_ladder_exhausted_solve_is_counted(perfbench):
+    # E = 0 leaves the KKT system unaccepted after the whole jitter ladder;
+    # the SPD solve reports that as a flag, with the last jitter tried
+    tracing, _ = perfbench
+    history = anderson.AndersonHistory(3)
+    for _ in range(4):
+        history.push(np.ones(3), np.ones(3))
+    matrices = anderson.build_history_matrices(history)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        sol = anderson.solve_alpha_kkt(matrices)
+    finally:
+        tracer.uninstall()
+    assert sol.fallback and sol.jitter > 0.0
+    assert tracer.calls("linalg.spd_solve") == 1
+    assert dict(tracer.counters) == {
+        "coeff_solves": 1, "jitter_solves": 1, "fallbacks": 1
+    }

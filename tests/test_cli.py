@@ -274,6 +274,22 @@ class TestCheck:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "check_report.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--beta", 2.0], "beta must be in [0, 1]"),
+            (["--beta", -0.5], "beta must be in [0, 1]"),
+            (["--omega", 0.0], "omega must be positive"),
+        ],
+        ids=["beta2", "beta-negative", "omega0"],
+    )
+    def test_out_of_range_flag_is_usage_error(self, flags, message, tmp_path, capsys):
+        argv = ["check", "--seed", 1, "--pairs", 10, *flags, "-o", tmp_path / "out"]
+        assert cli.main([str(a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_eta_still_exits_zero(self, tmp_path):
         # rhs = |2/2 - 1| = 1 >= beta keeps the bound asserted only while
         # it holds; eta = 2.0 pushes rhs to zero territory where findings

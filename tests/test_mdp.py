@@ -152,6 +152,16 @@ class TestPersistence:
         assert np.array_equal(back.transitions, grid3.transitions)
         assert np.array_equal(back.rewards, grid3.rewards)
 
+    def test_dense_transitions_are_not_kept(self, tmp_path):
+        # the dense S x A x S tensor is S times the successor lists
+        mdp = ap.generate_random_mdp(9, 13, 3, 5, 1.7, 0.93)
+        path = tmp_path / "m.json"
+        ap.save_mdp(mdp, path)
+        back = ap.load_mdp(path)
+        assert ap.validate(back) == []
+        assert "transitions" not in mdp.__dict__
+        assert "transitions" not in back.__dict__
+
     def test_round_trip_random(self, tmp_path):
         mdp = ap.generate_random_mdp(9, 13, 3, 5, 1.7, 0.93)
         path = tmp_path / "m.json"

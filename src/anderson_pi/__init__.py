@@ -28,7 +28,7 @@ from .diagnostics import (
     check_update_norm_bound,
     run_check_suite,
 )
-from .linalg import SingularSystemError, frobenius_norm, solve_spd, spectral_norm
+from .linalg import SingularSystemError, frobenius_norm, spectral_norm
 from .mdp import (
     MdpFormatError,
     TabularMdp,
@@ -42,12 +42,9 @@ from .operators import (
     OperatorKind,
     OperatorSpec,
     apply_bellman,
-    boltzmann_softmax,
     greedy_policy,
-    hard_max,
     mellowmax,
     mellowmax_grad,
-    residual,
 )
 from .solver import (
     BetaConvention,
@@ -82,7 +79,6 @@ __all__ = [
     "TabularMdp",
     "alpha_to_tau",
     "apply_bellman",
-    "boltzmann_softmax",
     "build_history_matrices",
     "check_contraction",
     "check_update_norm_bound",
@@ -92,19 +88,16 @@ __all__ = [
     "generate_gridworld",
     "generate_random_mdp",
     "greedy_policy",
-    "hard_max",
     "load_mdp",
     "mellowmax",
     "mellowmax_grad",
     "mixed_update",
     "quasi_newton_update",
-    "residual",
     "run",
     "run_check_suite",
     "run_ensemble",
     "save_mdp",
     "solve_alpha_kkt",
-    "solve_spd",
     "solve_tau_regularized",
     "solve_tau_unconstrained",
     "spectral_norm",

@@ -77,14 +77,15 @@ class AndersonHistory:
     The matrices handed out by :meth:`newest_iterate` and
     :func:`build_history_matrices` are views of these buffers, each
     column contiguous in memory.  They stay valid until the next
-    :meth:`push` or :meth:`clear_keep_newest`, which overwrite the
-    buffers in place: copy what must outlive that.  One solver run owns
-    one history -- not thread safe.
+    :meth:`push`, which overwrites the buffers in place: copy what must
+    outlive that.  One solver run owns one history -- not thread safe.
 
-    With ``runs`` set, the history holds that many windows of one length
-    side by side, for runs advanced in lockstep: every array gains a
-    leading run axis, and each run's columns are laid out as a one-run
-    history lays out its own.
+    With ``runs`` set, the history holds that many buffers side by side,
+    for runs advanced in lockstep: every array gains a leading run axis,
+    and each run's columns are laid out as a one-run history lays out its
+    own.  Run ``r``'s window is the newest ``width[r]`` entries: :meth:`push`
+    grows every width up to ``depth + 1``; setting one to 1 restarts that
+    window and moves no data.
     """
 
     def __init__(self, depth: int, runs: int | None = None):
@@ -94,6 +95,7 @@ class AndersonHistory:
         self._len = 0
         self._n: int | None = None
         self._lead = () if runs is None else (runs,)
+        self.width = [0] * (1 if runs is None else runs)
         self._rows = (*self._lead, -1)  # shape of q and tq in push
         # row j of _xfe[0], _xfe[1], _xfe[2] is column j of X, F, E;
         # row i of _dh[0], _dh[1] is column i of D, H (after the run axis)
@@ -147,16 +149,14 @@ class AndersonHistory:
         if k:
             np.subtract(column[::2], xfe[::2, ..., k - 1, :], out=dh[..., 0, :])
         self._len = k + 1
-
-    def clear_keep_newest(self) -> None:
-        if self._len:
-            self._xfe[..., 0, :] = self._xfe[..., self._len - 1, :]
-            self._len = 1
+        if min(self.width) <= k:  # some window has room for the new entry
+            self.width = [w + 1 if w <= k else w for w in self.width]
 
     def take(self, rows) -> None:
         """Keep only the runs at ``rows`` of a history with a run axis, in that order."""
         self._lead = (len(rows),)
         self._rows = (len(rows), -1)
+        self.width = [self.width[r] for r in rows]
         # take() keeps the buffers C-contiguous, as push's flat shifts need
         self._xfe = self._xfe.take(rows, axis=1)
         self._dh = self._dh.take(rows, axis=1)
@@ -179,31 +179,29 @@ class HistoryMatrices:
     delta_e: np.ndarray    # H, n x p, newest first
 
     @property
-    def n_columns(self) -> int:
-        return self.residuals.shape[-1]
-
-    @property
     def e_newest(self) -> np.ndarray:
         return self.residuals[..., -1]
 
-    def run(self, r: int) -> HistoryMatrices:
-        """The matrices of run ``r`` of a history with a run axis."""
-        return HistoryMatrices(self.residuals[r], self.delta_q[r], self.delta_e[r])
+    def run(self, r) -> HistoryMatrices:
+        """The matrices of run ``r``; for a list ``r``, those runs', copied in this layout."""
+        e, d, h = self.residuals, self.delta_q, self.delta_e
+        return HistoryMatrices(e.mT[r].mT, d.mT[r].mT, h.mT[r].mT)
 
 
-def build_history_matrices(history: AndersonHistory) -> HistoryMatrices:
-    """E, D and H of the window; with one entry D and H are empty.
+def build_history_matrices(history: AndersonHistory, width=None) -> HistoryMatrices:
+    """E, D and H of the window of the newest ``width`` entries (default all).
 
-    The matrices are views of the history's buffers, valid until its next
-    ``push`` or ``clear_keep_newest``.
+    With one entry D and H are empty.  The matrices are views of the
+    history's buffers, valid until its next ``push``.
     """
-    k = len(history)
+    k = history._len
     if k == 0:
         raise ValueError("cannot build matrices from an empty history")
-    dh = history._dh[..., : k - 1, :]
-    return HistoryMatrices(
-        residuals=history._xfe[2, ..., :k, :].mT, delta_q=dh[0].mT, delta_e=dh[1].mT
-    )
+    w = k if width is None else width
+    if not 1 <= w <= k:
+        raise ValueError(f"cannot build a window of width {w} from {k} entries")
+    dh = history._dh[..., : w - 1, :]
+    return HistoryMatrices(history._xfe[2, ..., k - w : k, :].mT, dh[0].mT, dh[1].mT)
 
 
 @dataclass
@@ -485,11 +483,11 @@ def solve_stacked(
     runs, _, cols = e.shape
     eta = eta if kind == KIND_REGULARIZED else 0.0
     ridge, scale, h_sq = None, [0.0] * runs, [None] * runs
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if cols == 1:
-            alpha, tau = np.ones((runs, 1)), np.zeros((runs, 0))
-            mixed, jitter, accepted = e_new.copy(), np.zeros(runs), np.ones(runs, bool)
-        else:
+    if cols == 1:
+        alpha, tau = np.ones((runs, 1)), np.zeros((runs, 0))
+        mixed, jitter, accepted = e_new.copy(), np.zeros(runs), np.ones(runs, bool)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if kind == KIND_KKT:
                 y, jitter, accepted = spd_solve(_gram(e.mT), np.ones((runs, cols)))
                 alpha = y / y.sum(axis=-1, keepdims=True)
@@ -507,10 +505,11 @@ def solve_stacked(
                 alpha = _tau_rows_to_alpha(tau)
             mixed = np.matvec(e, alpha)
             accepted &= _certified_rows(alpha, mixed, e_new)
-            plain = ~accepted
-            alpha[plain], tau[plain], mixed[plain] = 0.0, 0.0, e_new[plain]
-            alpha[plain, -1] = 1.0
-        gains = _gains(mixed, e_new)
+            if not accepted.all():  # masked writes cost time even with no row rejected
+                plain = ~accepted
+                alpha[plain], tau[plain], mixed[plain] = 0.0, 0.0, e_new[plain]
+                alpha[plain, -1] = 1.0
+    gains = _gains(mixed, e_new)
     jitter, fallback = jitter.tolist(), (~accepted).tolist()
     sols = [
         MixingSolution(
@@ -542,11 +541,12 @@ def mixed_update(
 
 
 def next_iterates(
-    history: AndersonHistory, alpha: np.ndarray, mixed: np.ndarray, beta: float
+    history: AndersonHistory, alpha: np.ndarray, mixed: np.ndarray, beta: float, rows=...
 ) -> np.ndarray:
-    """``F alpha - (1-beta) * mixed`` over the history's run axis, if any."""
-    f_alpha = np.vecmat(alpha, history._xfe[1, ..., : len(history), :])
-    return f_alpha - (1.0 - beta) * mixed
+    """``F alpha - (1-beta) * mixed`` of the runs at ``rows``; F is as wide as alpha."""
+    k = history._len
+    images = history._xfe[1, ..., k - alpha.shape[-1] : k, :][rows]
+    return np.vecmat(alpha, images) - (1.0 - beta) * mixed
 
 
 def materialize_update_matrix(

@@ -413,12 +413,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:  # the suite's stable-aa config takes --beta and --omega as they are
+    try:  # the suite's stable-aa configs take --eta, --beta and --omega as they are
+        if not (np.isfinite(args.eta) and args.eta > 0.0):
+            raise ValueError(f"eta must be finite and positive, got {args.eta}")
+        if args.pairs < 1:
+            raise ValueError(f"pairs must be >= 1, got {args.pairs}")
         SolverConfig(
             scheme=Scheme.STABLE_AA,
             operator=OperatorSpec(OperatorKind.MELLOW_MAX, args.omega),
             beta=args.beta,
-            eta=0.1,
+            eta=args.eta,
         )
     except ValueError as exc:
         _err(str(exc))

@@ -352,7 +352,6 @@ def run_check_suite(
 
     Entirely seeded: identical arguments produce identical records.
     """
-    reg_eta = eta if eta > 0.0 else 0.1
     records: list[BoundCheckRecord] = []
 
     small = generate_random_mdp(seed, 20, 3, 3, 1.0, 0.95)
@@ -375,7 +374,7 @@ def run_check_suite(
             scheme=Scheme.ANDERSON_UNCONSTRAINED, operator=mm, m=3, tol=1e-10
         ),
         SolverConfig(
-            scheme=Scheme.STABLE_AA, operator=mm, m=5, eta=reg_eta, tol=1e-10
+            scheme=Scheme.STABLE_AA, operator=mm, m=5, eta=eta, tol=1e-10
         ),
     ]
     for cfg in run_configs:
@@ -391,7 +390,7 @@ def run_check_suite(
         mm,
         m=3,
         beta=beta,
-        eta=reg_eta,
+        eta=eta,
         n_iters=20,
         config_hash=f"seed={seed + 1}",
     )
@@ -403,12 +402,12 @@ def run_check_suite(
         operator=mm,
         m=5,
         beta=beta,
-        eta=reg_eta,
+        eta=eta,
         tol=1e-10,
         diagnostics_level="full",
     )
     t3_trace = run(small, t3_cfg)
-    records += check_update_norm_bound(t3_trace, reg_eta, beta)[0]
+    records += check_update_norm_bound(t3_trace, eta, beta)[0]
     records += coefficient_bound_records(t3_trace)
     records += theta_records(t3_trace)
     return records

@@ -6,9 +6,8 @@ conditioning problems are caught by an explicit residual check rather
 than by an orthogonal factorization.  :func:`spd_solve` holds the one
 acceptance rule, for a stack of systems, and returns ``(x, jitter,
 accepted)``, as its one-system case ``_solve_spd_impl`` does: a system
-not accepted is a flag.  Only :func:`solve_spd`, for a matrix from
-outside, raises :class:`SingularSystemError`, and checks symmetry; Gram
-matrices are symmetric by construction.
+not accepted is a flag, never an exception.  The solvers pass Gram
+matrices, symmetric by construction.
 """
 
 from __future__ import annotations
@@ -18,11 +17,12 @@ import math
 import numpy as np
 
 SOLVE_RTOL = 1e-8
-SYMMETRY_TOL = 1e-10
 BASE_JITTER = 1e-10
 JITTER_STEPS = 4  # escalations of x10 beyond the base level
 
 
+# No solve raises this any more.  It stays, with its export, only because
+# perfbench/tracing.py's _count_spd_failure names it; both go together.
 class SingularSystemError(RuntimeError):
     """SPD solve failed even after the full jitter ladder."""
 
@@ -93,25 +93,6 @@ def _solve_spd_impl(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bo
     """:func:`spd_solve` of one system: (x, jitter, accepted) as Python scalars."""
     x, jitter, accepted = spd_solve(a[None], b[None])
     return x[0], float(jitter[0]), bool(accepted[0])
-
-
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive-(semi)definite system with jitter retries."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if b.shape != (a.shape[0],):
-        raise ValueError(f"rhs shape {b.shape} does not match matrix {a.shape}")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric within 1e-10")
-    x, lam, accepted = _solve_spd_impl(a, b)
-    if not accepted:
-        raise SingularSystemError(
-            f"system remained singular/indefinite after jitter {lam:g}", jitter=lam
-        )
-    return x
 
 
 def spectral_norm(m: np.ndarray) -> float:

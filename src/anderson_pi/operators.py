@@ -1,19 +1,20 @@
 """Action-aggregation operators and the tabular Bellman map.
 
-A Q table is a plain ``(n_states, n_actions)`` float array.  The three
-row aggregators share the interface ``row -> scalar``:
+A Q table is a plain ``(n_states, n_actions)`` float array.
+``aggregate_rows`` reduces every row of a table at once with one of three
+aggregators:
 
-* ``hard_max``          -- plain maximum,
-* ``mellowmax``         -- log-average-exp, interpolating between the
-                           mean (omega -> 0) and the max (omega -> inf);
-                           non-expansive and differentiable,
-* ``boltzmann_softmax`` -- exp-weighted average; NOT non-expansive in
-                           general, kept for comparison runs.
+* the hard max       -- plain maximum,
+* mellowmax          -- log-average-exp, interpolating between the mean
+                        (omega -> 0) and the max (omega -> inf);
+                        non-expansive and differentiable,
+* Boltzmann softmax  -- exp-weighted average; NOT non-expansive in
+                        general, kept for comparison runs.
 
-All three are the 1-row case of ``aggregate_rows``, which reduces every
-row of a table at once; its exponentials are max-shifted, so rows with
-``|omega * q|`` up to 1e6 do not overflow.  ``apply_bellman`` lifts the
-chosen aggregator to the full table over the MDP's successor lists:
+Its exponentials are max-shifted, so rows with ``|omega * q|`` up to 1e6
+do not overflow.  ``mellowmax`` and ``mellowmax_grad`` are the one-row
+forms of mellowmax and its gradient.  ``apply_bellman`` lifts the chosen
+aggregator to the full table over the MDP's successor lists:
 ``(TQ)[s, a] = R[s, a] + gamma * sum_i probs[s, a, i] * agg(Q[successors[s, a, i], :])``.
 """
 
@@ -80,21 +81,13 @@ def _check_row(row, omega: float | None = None) -> np.ndarray:
     return arr
 
 
-def _aggregate_row(row, kind: OperatorKind, omega: float | None) -> float:
-    arr = _check_row(row, omega)
-    return float(aggregate_rows(arr[None, :], kind, omega)[0])
-
-
-def hard_max(row) -> float:
-    return _aggregate_row(row, OperatorKind.HARD_MAX, None)
-
-
 def mellowmax(row, omega: float) -> float:
     """(1/omega) * log(mean(exp(omega * row))), max-shifted for stability.
 
     Always lies between min(row) and max(row).
     """
-    return _aggregate_row(row, OperatorKind.MELLOW_MAX, omega)
+    arr = _check_row(row, omega)
+    return float(aggregate_rows(arr[None, :], OperatorKind.MELLOW_MAX, omega)[0])
 
 
 def mellowmax_grad(row, omega: float) -> np.ndarray:
@@ -105,11 +98,6 @@ def mellowmax_grad(row, omega: float) -> np.ndarray:
     arr = _check_row(row, omega)
     w = np.exp(omega * (arr - arr.max()))
     return w / w.sum()
-
-
-def boltzmann_softmax(row, omega: float) -> float:
-    """sum_i row_i * exp(omega*row_i) / sum_i exp(omega*row_i), max-shifted."""
-    return _aggregate_row(row, OperatorKind.BOLTZMANN_SOFTMAX, omega)
 
 
 def _check_q(mdp: TabularMdp | MdpStack, q) -> np.ndarray:
@@ -134,12 +122,6 @@ def apply_bellman(mdp: TabularMdp | MdpStack, q, op: OperatorSpec) -> np.ndarray
     out *= mdp.gamma
     out += mdp.rewards
     return out
-
-
-def residual(mdp: TabularMdp, q, op: OperatorSpec) -> np.ndarray:
-    """Fixed-point residual TQ - Q, elementwise."""
-    arr = _check_q(mdp, q)
-    return apply_bellman(mdp, arr, op) - arr
 
 
 def greedy_policy(q) -> np.ndarray:

@@ -218,16 +218,16 @@ def _trace_record(
     res_l2: float,
     mixed_l2: float,
     sol: anderson.MixingSolution,
-    sol_non: anderson.MixingSolution | None,
+    own: anderson.HistoryMatrices | None,
     beta: float,
     eta: float,
-    p: int,
+    safeguard_triggered: bool,
 ) -> TraceRecord:
-    """Iteration ``k``'s record, short of full diagnostics' update norm.
+    """Iteration ``k``'s record; ``wall_nanos`` is left at 0.
 
-    ``mixed_l2`` is ``||E alpha||_2`` of ``sol``, and ``sol_non`` the
-    unregularized solution full diagnostics compare against (None
-    otherwise); ``wall_nanos`` is left at 0.
+    ``mixed_l2`` is ``||E alpha||_2`` of ``sol``.  Under full diagnostics
+    ``own`` is the run's window, whose unregularized solution and update
+    norm the record adds; None otherwise.
     """
     theta_l2 = 0.0 if res_l2 < anderson.GAIN_ZERO_TOL else mixed_l2 / res_l2
     rec = TraceRecord(
@@ -241,7 +241,7 @@ def _trace_record(
         jitter_flag=bool(sol.jitter > 0.0 or sol.fallback),
         jitter=sol.jitter,
         fallback=sol.fallback,
-        safeguard_triggered=False,
+        safeguard_triggered=safeguard_triggered,
         solver_kind=sol.solver_kind,
         wall_nanos=0,
     )
@@ -249,6 +249,7 @@ def _trace_record(
         rec.reg_share = (
             sol.ridge_scale / sol.gram_trace if sol.gram_trace > 0.0 else np.inf
         )
+    sol_non = None if own is None else anderson.solve_tau_unconstrained(own)
     if sol.solver_kind == anderson.KIND_REGULARIZED and eta > 0.0:
         (
             rec.coeff_norm_lhs,
@@ -260,7 +261,11 @@ def _trace_record(
             None if sol_non is None else sol_non.alpha,
             res_l2,
             eta,
-            p,
+            sol.alpha.size - 1,
+        )
+    if own is not None:
+        rec.update_norm_lhs = anderson.update_matrix_norms(
+            own, beta, eta, jitter=sol.jitter, fallback=sol.fallback
         )
     return rec
 
@@ -354,14 +359,11 @@ def _run_lockstep(
     that stopped it.  Each run's trace is bitwise the one its MDP gives
     alone, but for ``wall_nanos``, which holds the whole group's iteration
     time.  Each iteration does one sweep of the stack and one coefficient
-    solve: the one-run solver while one run is live, else one stacked
-    solve, which settles every run.  Full diagnostics are computed run by
-    run.  A run that stops leaves the group.  The safeguard clears the
-    window every run of the group shares, so a safeguard config takes one
-    MDP only.
+    solve per window width (the safeguard restarts a run's window at width
+    1; without it all runs share one width): the one-run solver for one
+    run, else one stacked solve, which settles every run.  Full
+    diagnostics are computed run by run.  A run that stops leaves the group.
     """
-    if cfg.safeguard and len(mdps) > 1:
-        raise ValueError(f"a safeguard config runs one MDP at a time, got {len(mdps)}")
     stack = MdpStack(mdps)
     beta = cfg.effective_beta()
     kind = _KINDS[cfg.scheme]
@@ -373,7 +375,8 @@ def _run_lockstep(
     live = list(range(len(mdps)))  # MDP index of each row of the group
     records: list[list[TraceRecord]] = [[] for _ in mdps]
     out: list[SolverTrace | DivergenceError | None] = [None] * len(mdps)
-    prev_res = None  # the safeguard's reference: one run's last residual
+    prev_res = [np.inf] * len(mdps)  # the safeguard's reference, per row
+    quiet = [False] * len(mdps)  # the hits of a run without the safeguard
     k = 0
     while live:
         t0 = time.perf_counter_ns()
@@ -391,42 +394,51 @@ def _run_lockstep(
                 break
             stack, q, tq = stack.take(keep), q[keep], tq[keep]
             history.take(keep)
+            prev_res = [prev_res[r] for r in keep]
         history.push(q, tq)
-        matrices = anderson.build_history_matrices(history)
-        e = matrices.e_newest
+        widest = anderson.build_history_matrices(history)
+        e = widest.e_newest
         res_inf = np.abs(e).max(axis=1, initial=0.0).tolist()
         res_l2 = np.sqrt(squared_norms(e)).tolist()
-        safeguard_hit = (
-            cfg.safeguard and prev_res is not None and res_inf[0] > 2.0 * prev_res
-        )
-        if safeguard_hit:
-            history.clear_keep_newest()
-            matrices = anderson.build_history_matrices(history)
-        p = matrices.n_columns - 1
-        if len(live) == 1:
-            sols = [_solve_coefficients(cfg.scheme, matrices.run(0), cfg.eta)]
-            alpha, mixed = sols[0].alpha[None], sols[0].mixed_residual[None]
-        else:
-            alpha, mixed, sols = anderson.solve_stacked(matrices, kind, cfg.eta)
-        mixed_l2 = np.sqrt(squared_norms(mixed)).tolist()
-        for r, sol in enumerate(sols):
-            sol_non = None
-            if full_diag and p > 0:
-                own = matrices.run(r)
-                sol_non = anderson.solve_tau_unconstrained(own)
-            rec = _trace_record(
-                k, res_inf[r], res_l2[r], mixed_l2[r], sol, sol_non, beta, cfg.eta, p
-            )
-            rec.safeguard_triggered = safeguard_hit
-            if sol_non is not None:
-                rec.update_norm_lhs = anderson.update_matrix_norms(
-                    own, beta, cfg.eta, jitter=sol.jitter, fallback=sol.fallback
+        hits = quiet
+        if cfg.safeguard:
+            hits = [x > 2.0 * y for x, y in zip(res_inf, prev_res)]
+            history.width = [1 if hit else w for hit, w in zip(hits, history.width)]
+        widths = history.width
+        if widths.count(widths[0]) == len(widths):  # one width, as without restarts
+            classes, nxt = {widths[0]: range(len(live))}, None
+        else:  # the rows of each width; nxt is filled class by class
+            classes, nxt = {}, np.empty((len(live), n))
+            for r, w in enumerate(widths):
+                classes.setdefault(w, []).append(r)
+        for w, rows in classes.items():
+            matrices = widest
+            if w < len(history):
+                matrices = anderson.build_history_matrices(history, w)
+            part = rows if len(rows) < len(live) else ...  # ...: all runs, as views
+            if part is rows:
+                matrices = matrices.run(rows)
+            if len(rows) == 1:
+                sols = [_solve_coefficients(cfg.scheme, matrices.run(0), cfg.eta)]
+                alpha, mixed = sols[0].alpha[None], sols[0].mixed_residual[None]
+            else:
+                alpha, mixed, sols = anderson.solve_stacked(matrices, kind, cfg.eta)
+            mixed_l2 = np.sqrt(squared_norms(mixed)).tolist()
+            for i, (r, sol) in enumerate(zip(rows, sols)):
+                own = matrices.run(i) if full_diag and w > 1 else None
+                rec = _trace_record(
+                    k, res_inf[r], res_l2[r], mixed_l2[i], sol, own, beta, cfg.eta, hits[r]
                 )
-            records[live[r]].append(rec)
+                records[live[r]].append(rec)
+            step = anderson.next_iterates(history, alpha, mixed, beta, part)
+            if nxt is None:
+                nxt = step
+            else:
+                nxt[rows] = step
         wall = time.perf_counter_ns() - t0
         for j in live:
             records[j][-1].wall_nanos = wall
-        nxt = anderson.next_iterates(history, alpha, mixed, beta).reshape(q.shape)
+        nxt = nxt.reshape(q.shape)
         # the whole group is checked at once, and run by run only if one stops;
         # "not <=" also holds for a non-finite iterate, whose max is nan or inf
         if (
@@ -455,8 +467,8 @@ def _run_lockstep(
                 break
             stack, nxt = stack.take(keep), nxt[keep]
             history.take(keep)
-        q = nxt
-        prev_res = res_inf[0]
+            res_inf = [res_inf[r] for r in keep]
+        q, prev_res = nxt, res_inf
         k += 1
     return out
 
@@ -569,11 +581,11 @@ def run_ensemble(
     """Run every (config, mdp) pair and summarize, in input product order.
 
     Every config runs on each group of same-shape MDPs through
-    :func:`_run_lockstep`, which advances the group's runs together; a
-    safeguard config runs its MDPs one at a time.  Each run's trace is
-    the one ``run`` gives.  Oracles are computed per exact operator, one
-    stack per shape.  Divergence in one run is recorded as a failure,
-    never aborts the ensemble.
+    :func:`_run_lockstep`, which advances the group's runs together, a
+    safeguard config's too.  Each run's trace is the one ``run`` gives.
+    Oracles are computed per exact operator, one stack per shape.
+    Divergence in one run is recorded as a failure, never aborts the
+    ensemble.
 
     ``jobs`` is accepted and ignored; it stays only because
     ``perfbench/workloads.py`` passes ``jobs=1``.
@@ -603,10 +615,8 @@ def run_ensemble(
     outcomes: dict[tuple[int, int], SolverTrace | DivergenceError] = {}
     for i, cfg in enumerate(configs):
         for group in groups:
-            # the safeguard clears the window all runs of a group share
-            for part in [[j] for j in group] if cfg.safeguard else [group]:
-                found = _run_lockstep([mdps[j] for j in part], cfg)
-                outcomes.update(((i, j), o) for j, o in zip(part, found))
+            found = _run_lockstep([mdps[j] for j in group], cfg)
+            outcomes.update(((i, j), o) for j, o in zip(group, found))
 
     tasks = [(i, j) for i in range(len(configs)) for j in range(len(mdps))]
     summaries = [

@@ -129,17 +129,47 @@ class TestHistoryBuffers:
             h.push(*pair)
             assert_window(h, pairs[-(depth + 1):])
 
-    def test_clear_keep_newest(self):
+    def test_window_of_width_is_the_newest_pairs(self):
+        # build_history_matrices(h, width) is the window a history of the
+        # newest width pairs gives, run by run under a run axis
         rng = np.random.default_rng(11)
-        h = AndersonHistory(3)
-        pairs = [(rng.standard_normal(5), rng.standard_normal(5)) for _ in range(9)]
-        for pair in pairs[:6]:
-            h.push(*pair)
-        h.clear_keep_newest()
-        assert_window(h, pairs[5:6])
-        for j in range(6, 9):
-            h.push(*pairs[j])
-            assert_window(h, pairs[5 : j + 1])
+        for runs in (None, 2):
+            lead = () if runs is None else (runs,)
+            h = AndersonHistory(3, runs=runs)
+            pairs = []
+            for j in range(9):
+                pairs.append((rng.standard_normal((*lead, 5)), rng.standard_normal((*lead, 5))))
+                h.push(*pairs[-1])
+                assert h.width == [min(j + 1, 4)] * (runs or 1)
+                for width in range(1, len(h) + 1):
+                    m = build_history_matrices(h, width)
+                    for r in range(runs or 1):
+                        own = m if runs is None else m.run(r)
+                        window = [(q, tq) if runs is None else (q[r], tq[r])
+                                  for q, tq in pairs[-width:]]
+                        _, e, dq, de = reference_window(window)
+                        for got, want in [(own.residuals, e), (own.delta_q, dq), (own.delta_e, de)]:
+                            assert got.shape == want.shape
+                            assert np.array_equal(got, want)
+            with pytest.raises(ValueError, match="width"):
+                build_history_matrices(h, 5)
+
+    def test_widths_grow_to_depth_and_follow_take(self):
+        rng = np.random.default_rng(13)
+        h = AndersonHistory(2, runs=3)
+        for _ in range(4):
+            h.push(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
+        before = build_history_matrices(h).residuals.copy()
+        h.width[1] = 1  # a restart moves no data
+        assert np.array_equal(build_history_matrices(h).residuals, before)
+        grown = []
+        for _ in range(3):
+            h.push(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
+            grown.append(list(h.width))
+        assert grown == [[3, 2, 3], [3, 3, 3], [3, 3, 3]]
+        h.width[2] = 1
+        h.take([2, 0])
+        assert h.width == [1, 3]
 
     def test_views_alias_the_buffers_until_the_next_push(self):
         # the docstring's promise: views, valid until the next push, which

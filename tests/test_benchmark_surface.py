@@ -29,6 +29,11 @@ def perfbench():
     return tracing, workloads
 
 
+def test_every_exported_name_resolves():
+    # a deleted function must not leave a stale export behind
+    assert [name for name in ap.__all__ if not hasattr(ap, name)] == []
+
+
 def test_traced_diagnostics_run_records_no_error(perfbench):
     tracing, workloads = perfbench
     originals = [getattr(owner, attr) for owner, attr, *_ in tracing.TARGETS]

@@ -280,8 +280,14 @@ class TestCheck:
             (["--beta", 2.0], "beta must be in [0, 1]"),
             (["--beta", -0.5], "beta must be in [0, 1]"),
             (["--omega", 0.0], "omega must be positive"),
+            (["--eta", "nan"], "eta must be finite and positive"),
+            (["--eta", "inf"], "eta must be finite and positive"),
+            (["--eta", 0.0], "eta must be finite and positive"),
+            (["--eta", -0.1], "eta must be finite and positive"),
+            (["--pairs", 0], "pairs must be >= 1"),
         ],
-        ids=["beta2", "beta-negative", "omega0"],
+        ids=["beta2", "beta-negative", "omega0", "eta-nan", "eta-inf", "eta0",
+             "eta-negative", "pairs0"],
     )
     def test_out_of_range_flag_is_usage_error(self, flags, message, tmp_path, capsys):
         argv = ["check", "--seed", 1, "--pairs", 10, *flags, "-o", tmp_path / "out"]

@@ -3,38 +3,63 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anderson_pi.linalg import (
-    SingularSystemError,
+    _solve_spd_impl,
     frobenius_norm,
-    solve_spd,
+    jitter_ladder,
+    spd_solve,
     spectral_norm,
 )
 
 
+def solve_accepted(a, b):
+    """The one-system solve, which must be accepted."""
+    x, _, accepted = _solve_spd_impl(a, b)
+    assert accepted
+    return x
+
+
 class TestSolveSpd:
     def test_identity(self):
-        x = solve_spd(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        x = solve_accepted(np.eye(3), np.array([1.0, 2.0, 3.0]))
         assert np.allclose(x, [1.0, 2.0, 3.0], atol=1e-12)
 
     def test_diagonal(self):
-        x = solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
+        x = solve_accepted(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
         assert np.allclose(x, [1.0, 2.0], atol=1e-12)
 
     def test_rank_one_jittered(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
         b = np.array([1.0, 1.0])
-        x = solve_spd(a, b)
+        x, jitter, accepted = _solve_spd_impl(a, b)
+        assert accepted and jitter > 0.0
         assert np.linalg.norm(a @ x - b) <= 1e-6
 
-    def test_inconsistent_singular_raises(self):
+    def test_inconsistent_singular_not_accepted(self):
+        # no level of the ladder solves the original system: the flag is
+        # down and the jitter is the last level tried
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         b = np.array([0.0, 1.0])
-        with pytest.raises(SingularSystemError) as exc:
-            solve_spd(a, b)
-        assert exc.value.jitter > 0.0
+        _, jitter, accepted = _solve_spd_impl(a, b)
+        assert not accepted
+        assert jitter == jitter_ladder(a)[-1]
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            solve_spd(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0]))
+    def test_stack_settles_each_system(self):
+        # a rejected system in a stack leaves the others' solutions as they
+        # are alone
+        systems = [
+            (np.diag([2.0, 4.0]), np.array([2.0, 8.0])),
+            (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0.0, 1.0])),
+            (np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0])),
+        ]
+        x, jitter, accepted = spd_solve(
+            np.stack([a for a, _ in systems]), np.stack([b for _, b in systems])
+        )
+        assert accepted.tolist() == [True, False, True]
+        for r, (a, b) in enumerate(systems):
+            xr, jr, ar = _solve_spd_impl(a, b)
+            assert (jitter[r], accepted[r]) == (jr, ar)
+            if ar:
+                assert x[r].tobytes() == xr.tobytes()
 
     @given(
         n=st.integers(1, 20),
@@ -45,7 +70,7 @@ class TestSolveSpd:
         b_mat = rng.standard_normal((n, n))
         a = b_mat.T @ b_mat + np.eye(n)
         b = rng.standard_normal(n)
-        x = solve_spd(a, b)
+        x = solve_accepted(a, b)
         assert np.linalg.norm(a @ x - b) <= 1e-8 * (1 + np.linalg.norm(b))
 
 

@@ -74,35 +74,43 @@ class TestMellowmaxGradient:
             assert np.abs(g - fd).max() <= 1e-6
 
 
+def aggregate_row(row, kind, omega=1.0):
+    """``aggregate_rows`` of a one-row table, as a float."""
+    table = np.array([row], dtype=np.float64).reshape(1, -1)
+    return float(ap.operators.aggregate_rows(table, kind, omega)[0])
+
+
 class TestBoltzmannSoftmax:
+    SOFTMAX = OperatorKind.BOLTZMANN_SOFTMAX
+
     def test_constant_row(self):
-        assert ap.boltzmann_softmax([2.0, 2.0], 3.0) == pytest.approx(2.0, abs=1e-12)
+        assert aggregate_row([2.0, 2.0], self.SOFTMAX, 3.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_large_omega_limit(self):
-        assert ap.boltzmann_softmax([0.0, 1.0], 100.0) == pytest.approx(1.0, abs=1e-10)
+        assert aggregate_row([0.0, 1.0], self.SOFTMAX, 100.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_reference_value(self):
         # e / (1 + e)
         expected = math.e / (1.0 + math.e)
         assert expected == pytest.approx(0.7310585786300049, abs=1e-15)
-        assert ap.boltzmann_softmax([0.0, 1.0], 1.0) == pytest.approx(
+        assert aggregate_row([0.0, 1.0], self.SOFTMAX, 1.0) == pytest.approx(
             expected, abs=1e-13
         )
 
     def test_empty_row_rejected(self):
         with pytest.raises(ValueError):
-            ap.boltzmann_softmax([], 1.0)
+            aggregate_row([], self.SOFTMAX)
 
 
 class TestHardMax:
     def test_basic(self):
-        assert ap.hard_max([1.0, 3.0, 2.0]) == 3.0
-        assert ap.hard_max([-5.0]) == -5.0
-        assert ap.hard_max([2.0, 2.0]) == 2.0
+        assert aggregate_row([1.0, 3.0, 2.0], OperatorKind.HARD_MAX) == 3.0
+        assert aggregate_row([-5.0], OperatorKind.HARD_MAX) == -5.0
+        assert aggregate_row([2.0, 2.0], OperatorKind.HARD_MAX) == 2.0
 
     def test_empty_row_rejected(self):
         with pytest.raises(ValueError):
-            ap.hard_max([])
+            aggregate_row([], OperatorKind.HARD_MAX)
 
 
 class TestOperatorSpec:
@@ -201,18 +209,23 @@ class TestStackedSweep:
             assert got.tobytes() == q.max(axis=1).tobytes()
 
 
+def residual(mdp, q, op):
+    """The fixed-point residual ``TQ - Q``."""
+    return ap.apply_bellman(mdp, q, op) - q
+
+
 class TestResidual:
     def test_zero_at_fixed_point(self, mm5):
         mdp = ap.generate_random_mdp(3, 10, 3, 3, 1.0, 0.9)
         q_star = ap.fixed_point_oracle(mdp, mm5)
-        assert np.abs(ap.residual(mdp, q_star, mm5)).max() <= 1e-10
+        assert np.abs(residual(mdp, q_star, mm5)).max() <= 1e-10
 
     def test_zero_q(self, mm5):
         mdp = ap.generate_random_mdp(3, 6, 2, 2, 1.0, 0.9)
-        assert np.array_equal(ap.residual(mdp, np.zeros((6, 2)), mm5), mdp.rewards)
+        assert np.array_equal(residual(mdp, np.zeros((6, 2)), mm5), mdp.rewards)
 
     def test_self_loop_arithmetic(self, self_loop_mdp, hardmax_op):
-        res = ap.residual(self_loop_mdp, np.full((1, 1), 9.0), hardmax_op)
+        res = residual(self_loop_mdp, np.full((1, 1), 9.0), hardmax_op)
         assert res[0, 0] == pytest.approx(0.1, abs=1e-14)
 
 

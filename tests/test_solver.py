@@ -270,7 +270,7 @@ class TestOracle:
     def test_output_residual_below_cap(self, mm5):
         mdp = ap.generate_random_mdp(7, 12, 3, 3, 1.0, 0.9)
         q = ap.fixed_point_oracle(mdp, mm5)
-        assert np.abs(ap.residual(mdp, q, mm5)).max() <= 1e-13
+        assert np.abs(ap.apply_bellman(mdp, q, mm5) - q).max() <= 1e-13
 
     def test_cap_raises_with_achieved_residual(self, mm5):
         mdp = ap.generate_random_mdp(7, 12, 3, 3, 1.0, 0.9)
@@ -588,16 +588,34 @@ class TestLockstep:
             assert all(r.coeff_gap_lhs is not None for r in o.records[1:])
             assert all(r.coeff_gap_rhs is not None for r in o.records[1:])
 
-    def test_safeguard_takes_one_mdp(self, mm5):
-        mdps = [ap.generate_random_mdp(s, 10, 3, 2, 1.0, 0.9) for s in range(2)]
-        cfg = cfg_for(Scheme.ANDERSON_KKT, mm5, m=3, safeguard=True)
-        with pytest.raises(ValueError, match="one MDP at a time"):
-            solver._run_lockstep(mdps, cfg)
+    @pytest.mark.parametrize(
+        "scheme,kw",
+        [
+            (Scheme.ANDERSON_KKT, dict(m=3)),
+            (Scheme.STABLE_AA, dict(m=3, eta=1e-3, diagnostics_level="full")),
+        ],
+        ids=["kkt", "stable-aa-full"],
+    )
+    def test_safeguard_group_matches_runs(self, mm5, scheme, kw):
+        # the instances of test_safeguard_fires_at_rounding_floor: the guard
+        # restarts some runs' windows and not others, so windows of two
+        # widths are live in one iteration of the group
+        mdps = [ap.generate_random_mdp(s, 10, 3, 2, 1.0, 0.9) for s in range(8)]
+        cfg = cfg_for(scheme, mm5, tol=1e-16, max_iter=400, safeguard=True, **kw)
+        outcomes = assert_lockstep_matches_run(mdps, cfg)
+        records = [o.records for o in outcomes]
+        fired = [any(r.safeguard_triggered for r in recs) for recs in records]
+        assert any(fired) and not all(fired)
+        widths = [
+            {len(recs[k].alpha) for recs in records if len(recs) > k}
+            for k in range(max(map(len, records)))
+        ]
+        assert any(len(w) >= 2 for w in widths)
 
     def test_ensemble_of_mixed_shapes_matches_runs(self, mm5, monkeypatch):
-        # every config reaches the engine once per shape: the two 30x4 random
-        # MDPs and the two 3x3 grids as groups of two, the 4x4 grid alone;
-        # the safeguard config one MDP at a time
+        # every config reaches the engine once per shape, the safeguard
+        # config too: the two 30x4 random MDPs and the two 3x3 grids as
+        # groups of two, the 4x4 grid alone
         groups = []
         lockstep = solver._run_lockstep
 
@@ -617,7 +635,9 @@ class TestLockstep:
         seeds = [0, 1, None, None, None]
         rep = ap.run_ensemble(configs, mdps, mdp_seeds=seeds)
         monkeypatch.undo()  # run goes through the engine too
-        assert groups == [(2, False), (2, False), (1, False)] * 4 + [(1, True)] * 5
+        assert groups == [(2, False), (2, False), (1, False)] * 4 + [
+            (2, True), (2, True), (1, True)
+        ]
         expected = []
         for i, cfg in enumerate(configs):
             for j, mdp in enumerate(mdps):

@@ -461,3 +461,29 @@ class TestSolveGolden:
         digest, iterations, converged, exit_code, code = solve_outputs(case, tmp_path)
         assert code == exit_code
         assert (digest, iterations, converged, exit_code) == self.GOLDEN[case]
+
+
+class TestCheckGolden:
+    """``check``'s report and exit code, pinned.
+
+    Recorded while the contraction check swept one Q table per call and
+    every full-diagnostics record solved its own window.  700 pairs is not
+    a multiple of 128; at eta 1.0 the asserted Theorem3 bound fails (exit 5).
+    """
+
+    @pytest.mark.parametrize(
+        "flags,exit_code,digest",
+        [
+            (["--seed", 0], 0,
+             "cbe7b80a4875e0a9e348ac6e7451eef39c923dabc5fe34394036489abe613eb4"),
+            (["--seed", 1, "--eta", 1.0, "--pairs", 700], 5,
+             "62ed0986bb335057dc8a198f4466252bb7618e5a19df788411a2fb6aa9fd7d0b"),
+        ],
+        ids=["seed0", "seed1-eta1-pairs700"],
+    )
+    def test_report_digest(self, flags, exit_code, digest, tmp_path):
+        argv = ["check", *flags, "-o", tmp_path]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([str(a) for a in argv])
+        report = (tmp_path / "check_report.jsonl").read_bytes()
+        assert (code, hashlib.sha256(report).hexdigest()) == (exit_code, digest)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -686,3 +687,71 @@ class TestTraceCsv:
         ap.write_trace_csv(tr, path, include_timing=True)
         lines = path.read_text().splitlines()[1:]
         assert any(int(line.rsplit(",", 1)[1]) > 0 for line in lines)
+
+
+FULL_DIAGNOSTIC_FIELDS = (
+    "coeff_norm_lhs", "coeff_norm_rhs", "coeff_gap_lhs", "coeff_gap_rhs",
+    "update_norm_lhs", "reg_share",
+)
+
+
+def full_diagnostics_digest(records):
+    """sha256 of the repr of every record's full-diagnostics fields, in order."""
+    rows = [repr(tuple(getattr(r, f) for f in FULL_DIAGNOSTIC_FIELDS)) for r in records]
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+class TestFullDiagnosticsGolden:
+    """The coefficient bounds, update norms and ridge shares of full diagnostics, pinned.
+
+    Recorded while every record still solved its window's unregularized
+    coefficients and its update norm on its own.
+    """
+
+    # the diagnostics-full benchmark configs: stable-aa m=5 on a 30x4 MDP
+    @pytest.mark.parametrize(
+        "eta,iterations,digest",
+        [
+            (0.1, 297, "bdee62dcc618e0e46333d599ba119c95cfeb65e3b2cd2d4ac12327c9ad42d63e"),
+            (0.5, 398, "ca1260ec77a73560500fe329a7bf7b00fcdb3e9215db1b81af220ef4e8928da6"),
+            (1.0, 415, "28f273d339270a6219d4cf97a7ce0254470da0084b07425133354ba3d1bbfd44"),
+        ],
+    )
+    def test_benchmark_configs(self, mm5, eta, iterations, digest):
+        mdp = ap.generate_random_mdp(0, 30, 4, 3, 1.0, 0.95)
+        cfg = cfg_for(
+            Scheme.STABLE_AA, mm5, m=5, eta=eta, tol=1e-10, diagnostics_level="full"
+        )
+        tr = ap.run(mdp, cfg)
+        assert (tr.iterations, full_diagnostics_digest(tr.records)) == (iterations, digest)
+
+    def test_safeguard_group_with_restarts(self, mm5):
+        # at tol 1e-16 the residuals plateau and the guard restarts windows:
+        # at iterations 64 and 92 of the second run, 71 of the third and 221
+        # and 346 of the last, which stops at max_iter
+        mdps = [ap.generate_random_mdp(s, 10, 3, 2, 1.0, 0.9) for s in range(6, 10)]
+        cfg = cfg_for(
+            Scheme.STABLE_AA, mm5, m=3, eta=1e-3, tol=1e-16, max_iter=400,
+            safeguard=True, diagnostics_level="full",
+        )
+        traces = solver._run_lockstep(mdps, cfg)
+        restarts = [[r.k for r in t.records if r.safeguard_triggered] for t in traces]
+        assert restarts == [[], [64, 92], [71], [221, 346]]
+        assert [t.iterations for t in traces] == [67, 163, 86, 400]
+        assert [full_diagnostics_digest(t.records) for t in traces] == [
+            "da179b4697ee240528fcdf0601b29c419341825b472f08dfc77aae0917fdf24b",
+            "e911f7a06ad7b911ccc62e9bc041df0b862f03d35598a48b4ea0929b90821e8f",
+            "921687e89b036527fe0f3c9f38658f4b336bca779072521312607846aac43b25",
+            "56cafb0b9da6da67f00231f012dae06d022e8e6184bd0a090731c3728d534547",
+        ]
+
+    def test_jittered_unregularized_solves(self, mm5):
+        # 87 of the 273 unregularized window solves of this run need jitter
+        mdp = ap.generate_random_mdp(0, 10, 3, 2, 1.0, 0.9)
+        cfg = cfg_for(
+            Scheme.STABLE_AA, mm5, m=5, eta=1.0, tol=1e-14, diagnostics_level="full"
+        )
+        tr = ap.run(mdp, cfg)
+        assert (tr.iterations, full_diagnostics_digest(tr.records)) == (
+            273, "2fd503da5bd6a1e26dccd90c6604f5507142851d4c7d93dcde28b6ca30547d09"
+        )

@@ -579,9 +579,9 @@ def update_matrix_norms(
     matrices: HistoryMatrices,
     beta: float,
     eta: float,
-    jitter: float = 0.0,
-    fallback: bool = False,
-) -> float:
+    jitter=0.0,
+    fallback=False,
+) -> float | list[float]:
     """Exact ``||G~||_2`` without any n x n matrix.
 
     ``G~`` is what :func:`materialize_update_matrix` forms from the same
@@ -589,21 +589,31 @@ def update_matrix_norms(
     Q [R_U, R_H]`` and ``M~ = R_U K^{-1} R_H^T - beta I`` on it, so the
     norm is the largest singular value of the at most 2p x 2p matrix
     ``M~``, raised to ``beta`` if Q has a complement.
+
+    Stacked matrices (a run axis in front) take one ``jitter`` and one
+    ``fallback`` per window and give a list of norms, each the one its
+    window gives alone: the QR, solve and SVD take one stacked call each.
     """
     h = matrices.delta_e
-    n, p = h.shape
+    if h.ndim == 2:  # one window: the stack of one
+        one = HistoryMatrices(matrices.residuals[None], matrices.delta_q[None], h[None])
+        return update_matrix_norms(one, beta, eta, [jitter], [fallback])[0]
+    runs, n, p = h.shape
     if p == 0:
-        return beta
-    r = np.linalg.qr(np.hstack([matrices.delta_q + beta * h, h]), mode="r")
-    rank = r.shape[0]
+        return [beta] * runs
+    r = np.linalg.qr(np.concatenate([matrices.delta_q + beta * h, h], axis=-1), mode="r")
+    rank = r.shape[-2]
     eye = np.eye(rank)
-    if fallback:
-        m_tilde = -beta * eye
-    else:
-        reg = _ridge_scale(matrices, eta)[0] + jitter
-        k = h.T @ h + reg * np.eye(p)
-        m_tilde = r[:, :p] @ np.linalg.solve(k, r[:, p:].T) - beta * eye
-    return max(spectral_norm(m_tilde), beta if n > rank else 0.0)
+    m_tilde = np.empty((runs, rank, rank))
+    m_tilde[:] = -beta * eye  # the fallback's, whose update matrix is -beta I
+    solved = ~np.array(fallback, dtype=bool)
+    if solved.any():
+        reg = _ridge_scale(matrices, eta)[0] + np.array(jitter)
+        k = (h.mT @ h + reg[:, None, None] * np.eye(p))[solved]
+        r_s = r[solved]
+        m_tilde[solved] = r_s[..., :p] @ np.linalg.solve(k, r_s[..., p:].mT) - beta * eye
+    floor = beta if n > rank else 0.0
+    return [max(x, floor) for x in spectral_norm(m_tilde)]
 
 
 def quasi_newton_update(

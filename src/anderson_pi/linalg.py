@@ -95,14 +95,22 @@ def _solve_spd_impl(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bo
     return x[0], float(jitter[0]), bool(accepted[0])
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value, from an exact SVD rather than an iterative estimate."""
+def spectral_norm(m: np.ndarray) -> float | list[float]:
+    """Largest singular value, from an exact SVD rather than an iterative estimate.
+
+    0.0 for an empty or zero matrix (or one holding nan).  For a stack of
+    matrices, a list with the norm of each, from one stacked SVD.
+    """
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"need a 2-D matrix, got shape {a.shape}")
-    if a.size == 0 or not np.abs(a).max(initial=0.0) > 0.0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    if a.ndim == 2:
+        return spectral_norm(a[None])[0]
+    if a.ndim != 3:
+        raise ValueError(f"need a matrix or a stack of matrices, got shape {a.shape}")
+    norms = np.zeros(len(a))
+    live = np.abs(a).max(axis=(1, 2), initial=0.0) > 0.0
+    if live.any():
+        norms[live] = np.linalg.svd(a[live], compute_uv=False)[:, 0]
+    return norms.tolist()
 
 
 def frobenius_norm(m: np.ndarray) -> float:

@@ -49,8 +49,8 @@ class OperatorSpec:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.kind is not OperatorKind.HARD_MAX and not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if self.kind is not OperatorKind.HARD_MAX:
+            _check_omega(self.omega)
 
     def label(self) -> str:
         if self.kind is OperatorKind.HARD_MAX:
@@ -72,12 +72,17 @@ def aggregate_rows(q: np.ndarray, kind: OperatorKind, omega: float) -> np.ndarra
     return (q * w).sum(axis=1) / w.sum(axis=1)
 
 
-def _check_row(row, omega: float | None = None) -> np.ndarray:
+def _check_omega(omega: float) -> None:
+    # an infinite omega makes mellowmax 0 * inf, so nan; nan fails too
+    if not 0.0 < omega < np.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega}")
+
+
+def _check_row(row, omega: float) -> np.ndarray:
     arr = np.asarray(row, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("row must be a nonempty 1-D vector")
-    if omega is not None and not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    _check_omega(omega)
     return arr
 
 

@@ -30,6 +30,9 @@ DIVERGENCE_LIMIT = 1e12
 ORACLE_TOL = 1e-13
 ORACLE_MAX_ITER = 10**6
 
+# json.dumps(obj, sort_keys=True, separators=(",", ":")) builds an encoder per call
+COMPACT_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 TRACE_COLUMNS = (
     "iter",
     "residual_inf",
@@ -141,7 +144,7 @@ class SolverConfig:
         }
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        blob = COMPACT_JSON.encode(self.to_dict())
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def label(self) -> str:
@@ -218,16 +221,14 @@ def _trace_record(
     res_l2: float,
     mixed_l2: float,
     sol: anderson.MixingSolution,
-    own: anderson.HistoryMatrices | None,
     beta: float,
     eta: float,
     safeguard_triggered: bool,
 ) -> TraceRecord:
     """Iteration ``k``'s record; ``wall_nanos`` is left at 0.
 
-    ``mixed_l2`` is ``||E alpha||_2`` of ``sol``.  Under full diagnostics
-    ``own`` is the run's window, whose unregularized solution and update
-    norm the record adds; None otherwise.
+    ``mixed_l2`` is ``||E alpha||_2`` of ``sol``.  What full diagnostics
+    add is left to :class:`_DiagnosticsChunk`.
     """
     theta_l2 = 0.0 if res_l2 < anderson.GAIN_ZERO_TOL else mixed_l2 / res_l2
     rec = TraceRecord(
@@ -249,25 +250,66 @@ def _trace_record(
         rec.reg_share = (
             sol.ridge_scale / sol.gram_trace if sol.gram_trace > 0.0 else np.inf
         )
-    sol_non = None if own is None else anderson.solve_tau_unconstrained(own)
     if sol.solver_kind == anderson.KIND_REGULARIZED and eta > 0.0:
-        (
-            rec.coeff_norm_lhs,
-            rec.coeff_norm_rhs,
-            rec.coeff_gap_lhs,
-            rec.coeff_gap_rhs,
-        ) = anderson.coefficient_bounds(
-            sol.alpha,
-            None if sol_non is None else sol_non.alpha,
-            res_l2,
-            eta,
-            sol.alpha.size - 1,
-        )
-    if own is not None:
-        rec.update_norm_lhs = anderson.update_matrix_norms(
-            own, beta, eta, jitter=sol.jitter, fallback=sol.fallback
+        rec.coeff_norm_lhs, rec.coeff_norm_rhs, _, _ = anderson.coefficient_bounds(
+            sol.alpha, None, res_l2, eta, sol.alpha.size - 1
         )
     return rec
+
+
+# the window copies one run keeps for full diagnostics: 16 windows at 30x4, m = 5
+DIAGNOSTICS_CHUNK_BYTES = 250_000
+
+
+class _DiagnosticsChunk:
+    """One run's full-diagnostics records, with copies of their windows, awaiting their extras.
+
+    :meth:`add` queues a record with its window; :meth:`settle` adds to
+    every queued record the coefficient gap against the unregularized
+    solution and ``||G~||_2``, from one stacked solve and one stacked norm
+    computation.  The windows of one chunk have one width: a record of
+    another width, or a full chunk, settles the chunk first.  Each window
+    is copied in the history's layout, each column contiguous, so each
+    result is bitwise the one its window gives alone.
+    """
+
+    def __init__(self, n: int, beta: float, eta: float):
+        self.n, self.beta, self.eta = n, beta, eta
+        self.records: list[TraceRecord] = []
+        self.e = self.d = self.h = np.empty((0, 0, n))  # E, D and H columns, per window
+
+    def add(self, rec: TraceRecord, window: anderson.HistoryMatrices) -> None:
+        cols = window.residuals.shape[1]
+        if cols != self.e.shape[1]:
+            self.settle()
+            n = self.n
+            size = max(1, DIAGNOSTICS_CHUNK_BYTES // (8 * n * (3 * cols - 2)))
+            self.e = np.empty((size, cols, n))
+            self.d, self.h = np.empty((2, size, cols - 1, n))
+        c = len(self.records)
+        self.e[c], self.d[c], self.h[c] = window.residuals.T, window.delta_q.T, window.delta_e.T
+        self.records.append(rec)
+        if c + 1 == len(self.e):
+            self.settle()
+
+    def settle(self) -> None:
+        recs, c = self.records, len(self.records)
+        if not c:
+            return
+        windows = anderson.HistoryMatrices(self.e[:c].mT, self.d[:c].mT, self.h[:c].mT)
+        _, _, unregularized = anderson.solve_stacked(
+            windows, anderson.KIND_UNCONSTRAINED, 0.0
+        )
+        norms = anderson.update_matrix_norms(
+            windows, self.beta, self.eta, [r.jitter for r in recs], [r.fallback for r in recs]
+        )
+        p = self.d.shape[1]
+        for rec, non, norm in zip(recs, unregularized, norms):
+            _, _, rec.coeff_gap_lhs, rec.coeff_gap_rhs = anderson.coefficient_bounds(
+                rec.alpha, non.alpha, rec.residual_l2, self.eta, p
+            )
+            rec.update_norm_lhs = norm
+        self.records = []
 
 
 def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> SolverTrace:
@@ -362,14 +404,18 @@ def _run_lockstep(
     solve per window width (the safeguard restarts a run's window at width
     1; without it all runs share one width): the one-run solver for one
     run, else one stacked solve, which settles every run.  Full
-    diagnostics are computed run by run.  A run that stops leaves the group.
+    diagnostics are computed per run in chunks of iterations, and every
+    record has them when this returns.  A run that stops leaves the group.
     """
     stack = MdpStack(mdps)
     beta = cfg.effective_beta()
     kind = _KINDS[cfg.scheme]
-    # eta > 0 means stable-aa: the only scheme full diagnostics add to
-    full_diag = cfg.diagnostics_level == "full" and cfg.eta > 0.0
     n = mdps[0].n_entries
+    # eta > 0 means stable-aa: the only scheme full diagnostics add to; each
+    # MDP's chunk holds its records until the chunk settles
+    chunks = []
+    if cfg.diagnostics_level == "full" and cfg.eta > 0.0:
+        chunks = [_DiagnosticsChunk(n, beta, cfg.eta) for _ in mdps]
     history = anderson.AndersonHistory(cfg.m, runs=len(mdps))
     q = np.zeros(stack.rewards.shape) if q0 is None else q0
     live = list(range(len(mdps)))  # MDP index of each row of the group
@@ -425,11 +471,12 @@ def _run_lockstep(
                 alpha, mixed, sols = anderson.solve_stacked(matrices, kind, cfg.eta)
             mixed_l2 = np.sqrt(squared_norms(mixed)).tolist()
             for i, (r, sol) in enumerate(zip(rows, sols)):
-                own = matrices.run(i) if full_diag and w > 1 else None
                 rec = _trace_record(
-                    k, res_inf[r], res_l2[r], mixed_l2[i], sol, own, beta, cfg.eta, hits[r]
+                    k, res_inf[r], res_l2[r], mixed_l2[i], sol, beta, cfg.eta, hits[r]
                 )
                 records[live[r]].append(rec)
+                if chunks and w > 1:
+                    chunks[live[r]].add(rec, matrices.run(i))
             step = anderson.next_iterates(history, alpha, mixed, beta, part)
             if nxt is None:
                 nxt = step
@@ -470,6 +517,8 @@ def _run_lockstep(
             res_inf = [res_inf[r] for r in keep]
         q, prev_res = nxt, res_inf
         k += 1
+    for chunk in chunks:  # the traces hold these records, DivergenceError's too
+        chunk.settle()
     return out
 
 
@@ -493,7 +542,7 @@ class RunSummary:
     def to_json(self) -> str:
         # not vars(self): that would give every record a materialized __dict__
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return COMPACT_JSON.encode(payload)
 
 
 @dataclass

@@ -716,6 +716,24 @@ class TestUpdateMatrixNorms:
         single = build_history_matrices(random_history(rng, 12, 1))
         assert update_matrix_norms(single, 0.7, 0.1) == 0.7
 
+    @pytest.mark.parametrize("beta", [1.0, 0.0])
+    def test_stack_matches_each_window(self, beta):
+        # one window takes the stacked path as a stack of one: the stacked QR,
+        # solve and SVD must give each window's norm bit for bit
+        rng = np.random.default_rng(13)
+        h = AndersonHistory(3, runs=4)
+        for _ in range(5):
+            h.push(rng.standard_normal((4, 30)), rng.standard_normal((4, 30)))
+        m = build_history_matrices(h)
+        jitter, fallback = [0.0, 1e-3, 0.0, 0.0], [False, False, True, False]
+        norms = update_matrix_norms(m, beta, 0.1, jitter, fallback)
+        alone = [update_matrix_norms(m.run(r), beta, 0.1, jitter[r], fallback[r]) for r in range(4)]
+        assert [repr(x) for x in norms] == [repr(x) for x in alone]
+        assert norms[2] == beta
+        for r in (0, 1, 3):
+            dense = dense_norm(m.run(r), beta, 0.1, jitter=jitter[r])
+            assert norms[r] == pytest.approx(dense, rel=1e-12)
+
     def test_singular_g_tilde_has_no_ratio(self):
         rng = np.random.default_rng(17)
         m = build_history_matrices(random_history(rng, 12, 3))

@@ -146,6 +146,14 @@ class TestSolve:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("op", ["mellowmax", "softmax"])
+    def test_infinite_omega_is_usage_error(self, op, mdp_file, tmp_path, capsys):
+        argv = ["solve", "--mdp", mdp_file, "--scheme", "vanilla", "--op", op,
+                "--omega", "inf", "-o", tmp_path / "out"]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert "omega must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_scheme_combo_is_usage_error(self, mdp_file, tmp_path):
         proc = run_cli(
             "solve", "--mdp", mdp_file, "--scheme", "stable-aa", "-m", 3,
@@ -267,6 +275,18 @@ class TestCompare:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--omega", "inf"], ["--scheme", "kkt:m=3,omega=inf"]],
+        ids=["flag", "scheme-spec"],
+    )
+    def test_infinite_omega_is_usage_error(self, flags, tmp_path, capsys):
+        argv = ["compare", "--scheme", "vanilla", "--scheme", "kkt:m=3", "--gen",
+                "random", "--seeds", "0:2", "--op", "mellowmax", *flags,
+                "-o", tmp_path / "cmp"]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert "omega must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
 
 class TestCheck:
     def test_clean_run_exits_zero(self, tmp_path):
@@ -280,14 +300,15 @@ class TestCheck:
             (["--beta", 2.0], "beta must be in [0, 1]"),
             (["--beta", -0.5], "beta must be in [0, 1]"),
             (["--omega", 0.0], "omega must be positive"),
+            (["--omega", "inf"], "omega must be positive and finite"),
             (["--eta", "nan"], "eta must be finite and positive"),
             (["--eta", "inf"], "eta must be finite and positive"),
             (["--eta", 0.0], "eta must be finite and positive"),
             (["--eta", -0.1], "eta must be finite and positive"),
             (["--pairs", 0], "pairs must be >= 1"),
         ],
-        ids=["beta2", "beta-negative", "omega0", "eta-nan", "eta-inf", "eta0",
-             "eta-negative", "pairs0"],
+        ids=["beta2", "beta-negative", "omega0", "omega-inf", "eta-nan", "eta-inf",
+             "eta0", "eta-negative", "pairs0"],
     )
     def test_out_of_range_flag_is_usage_error(self, flags, message, tmp_path, capsys):
         argv = ["check", "--seed", 1, "--pairs", 10, *flags, "-o", tmp_path / "out"]

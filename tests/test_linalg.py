@@ -89,6 +89,16 @@ class TestSpectralNorm:
     def test_empty_column_matrix(self):
         assert spectral_norm(np.zeros((5, 0))) == 0.0
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((4, 5, 5))
+        stack[1] = 0.0
+        stack[2, 0, 0] = np.nan  # as a zero matrix: no SVD is taken
+        norms = spectral_norm(stack)
+        assert norms[1:3] == [0.0, 0.0]
+        assert norms == [spectral_norm(a) for a in stack]
+        assert norms[0] == np.linalg.svd(stack[0], compute_uv=False)[0]
+
     @given(
         rows=st.integers(1, 8),
         cols=st.integers(1, 8),

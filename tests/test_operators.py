@@ -121,6 +121,16 @@ class TestOperatorSpec:
             OperatorSpec(OperatorKind.BOLTZMANN_SOFTMAX, -1.0)
         OperatorSpec(OperatorKind.HARD_MAX)  # omega ignored
 
+    @pytest.mark.parametrize("omega", [np.inf, np.nan])
+    def test_omega_must_be_finite(self, omega):
+        # an infinite omega would aggregate every row to nan
+        for kind in (OperatorKind.MELLOW_MAX, OperatorKind.BOLTZMANN_SOFTMAX):
+            with pytest.raises(ValueError, match="positive and finite"):
+                OperatorSpec(kind, omega)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ap.mellowmax([0.0, 1.0], omega)
+        OperatorSpec(OperatorKind.HARD_MAX, omega)  # omega ignored
+
 
 class TestApplyBellman:
     def test_zero_q_gives_rewards(self, mm5):

@@ -755,3 +755,64 @@ class TestFullDiagnosticsGolden:
         assert (tr.iterations, full_diagnostics_digest(tr.records)) == (
             273, "2fd503da5bd6a1e26dccd90c6604f5507142851d4c7d93dcde28b6ca30547d09"
         )
+
+
+def assert_full_diagnostics_complete(records):
+    """Every record has the Prop2_1 sides; each with p > 0, the gap and the update norm."""
+    for rec in records:
+        assert rec.coeff_norm_lhs is not None and rec.coeff_norm_rhs is not None
+        extras = (rec.coeff_gap_lhs, rec.coeff_gap_rhs, rec.update_norm_lhs)
+        if rec.alpha.size > 1:
+            assert None not in extras, rec.k
+        else:
+            assert extras == (None, None, None), rec.k
+
+
+def full_diagnostics_of(records):
+    return [tuple(repr(getattr(r, f)) for f in FULL_DIAGNOSTIC_FIELDS) for r in records]
+
+
+class TestDiagnosticsChunks:
+    """Full diagnostics are settled in chunks; every record has them when a run returns."""
+
+    def chunk_size(self, n, m):
+        return solver.DIAGNOSTICS_CHUNK_BYTES // (8 * n * (3 * (m + 1) - 2))
+
+    def test_max_iter_stop_mid_chunk(self, mm5):
+        mdp = ap.generate_random_mdp(0, 30, 4, 3, 1.0, 0.95)
+        cfg = cfg_for(
+            Scheme.STABLE_AA, mm5, m=5, eta=0.1, tol=1e-10, diagnostics_level="full"
+        )
+        full = ap.run(mdp, cfg)
+        cut = ap.run(mdp, dataclasses.replace(cfg, max_iter=40))
+        # 36 records of the full width m + 1 after the window fills
+        widest = sum(r.alpha.size == 6 for r in cut.records)
+        assert widest == 36 and widest % self.chunk_size(120, 5) != 0
+        assert not cut.converged and len(cut.records) == 41
+        assert_full_diagnostics_complete(cut.records)
+        assert full_diagnostics_of(cut.records) == full_diagnostics_of(full.records[:41])
+
+    def test_safeguard_restart_mid_chunk(self, mm5):
+        # the restart at iteration 64 falls inside the chunk begun at iteration 3
+        mdp = ap.generate_random_mdp(7, 10, 3, 2, 1.0, 0.9)
+        cfg = cfg_for(
+            Scheme.STABLE_AA, mm5, m=3, eta=1e-3, tol=1e-16, max_iter=400,
+            safeguard=True, diagnostics_level="full",
+        )
+        tr = ap.run(mdp, cfg)
+        assert [r.k for r in tr.records if r.safeguard_triggered] == [64, 92]
+        assert 64 - 3 < self.chunk_size(30, 3)
+        assert [r.alpha.size for r in tr.records[63:68]] == [4, 1, 2, 3, 4]
+        assert_full_diagnostics_complete(tr.records)
+
+    def test_divergence_partial_trace(self, mm5):
+        # the fixed point exceeds the divergence limit: Q* is about 1e13
+        mdp = ap.generate_random_mdp(0, 8, 2, 2, 1e11, 0.99)
+        cfg = cfg_for(Scheme.STABLE_AA, mm5, m=3, eta=0.1, diagnostics_level="full")
+        with pytest.raises(DivergenceError, match="iteration 24") as info:
+            ap.run(mdp, cfg)
+        records = info.value.trace.records
+        assert len(records) == 24
+        assert_full_diagnostics_complete(records)
+        cut = ap.run(mdp, dataclasses.replace(cfg, max_iter=10))
+        assert full_diagnostics_of(cut.records) == full_diagnostics_of(records[:11])

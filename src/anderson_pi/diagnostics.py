@@ -102,7 +102,7 @@ def check_contraction(
     tag = f"{op.label()}|seed={seed}"
     # the pairs of a chunk are drawn at once, the same stream as Q, Q', Q, Q',
     # ..., and swept as one stack, whose rows are each the MDP's own sweep
-    chunk = min(n_pairs, CONTRACTION_CHUNK)
+    chunk = max(1, min(n_pairs, CONTRACTION_CHUNK))  # no pairs: no records
     stack = MdpStack([mdp] * (2 * chunk))
     q = np.zeros((2 * chunk, mdp.n_states, mdp.n_actions))
     image_gaps, gaps = [], []  # ||TQ - TQ'||_inf and ||Q - Q'||_inf per pair

@@ -54,6 +54,32 @@ class TestContraction:
         assert all(not r.asserted for r in records)
         assert all(r.bound_id == "Contraction(softmax)" for r in records)
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            OperatorSpec(OperatorKind.HARD_MAX),
+            OperatorSpec(OperatorKind.MELLOW_MAX, 5.0),
+            OperatorSpec(OperatorKind.BOLTZMANN_SOFTMAX, 10.0),
+        ],
+        ids=lambda op: op.kind.value,
+    )
+    def test_matches_pair_by_pair_reference(self, op):
+        # 300 pairs: two full chunks and a partial one
+        mdp = ap.generate_random_mdp(0, 20, 3, 3, 1.0, 0.95)
+        records = check_contraction(mdp, op, 300, seed=11)
+        rng = np.random.default_rng(11)
+        for rec in records:
+            qa = rng.uniform(-10.0, 10.0, size=(20, 3))
+            qb = rng.uniform(-10.0, 10.0, size=(20, 3))
+            lhs = np.abs(ap.apply_bellman(mdp, qa, op) - ap.apply_bellman(mdp, qb, op)).max()
+            rhs = mdp.gamma * float(np.abs(qa - qb).max())
+            assert (rec.lhs, rec.rhs) == (float(lhs), rhs)
+        assert [r.iter for r in records] == list(range(300))
+
+    def test_no_pairs_no_records(self, mm5):
+        mdp = ap.generate_random_mdp(0, 6, 2, 2, 1.0, 0.9)
+        assert check_contraction(mdp, mm5, 0, seed=1) == []
+
     def test_reproducible_to_the_bit(self, mm5):
         mdp = ap.generate_random_mdp(0, 8, 2, 2, 1.0, 0.9)
         a = check_contraction(mdp, mm5, 50, seed=3)

@@ -23,10 +23,15 @@ well-conditioned histories:
 :func:`transformation_matrix`; the inverse is the reversed partial-sum
 formula ``tau_i = sum_{j<=p-i-1} alpha_j``.
 
-The next iterate can be formed in two algebraically identical ways:
-the damped linear mixing ``(1-beta) X alpha + beta F alpha`` (computed
-as ``F alpha - (1-beta) E alpha``) or the quasi-Newton step
-``Q - G e_k`` with ``G = (D + beta H)(H^T H + reg I)^{-1} H^T - beta I``.
+Every function that describes a step takes that step's
+:class:`MixingSolution`, so nothing solves a window a second time.  The
+next iterate can be formed in two algebraically identical ways: the
+damped linear mixing ``(1-beta) X alpha + beta F alpha`` (computed as
+``F alpha - (1-beta) E alpha``) or the quasi-Newton step ``Q - G e_k``
+with ``G = (D + beta H)(H^T H + reg I)^{-1} H^T - beta I``.  ``reg`` is
+the solution's ridge scale plus the jitter its solve used, and a
+fallback solution's ``G`` is ``-beta I``; only the solvers form the
+ridge.
 
 Solvers guard themselves: each candidate coefficient vector must
 certify ``||E alpha||_2 <= ||e_k||_2`` (which the exact minimizer
@@ -104,12 +109,6 @@ class AndersonHistory:
 
     def __len__(self) -> int:
         return self._len
-
-    @property
-    def n(self) -> int:
-        if self._n is None:
-            raise ValueError("history is empty")
-        return self._n
 
     def push(self, q: np.ndarray, tq: np.ndarray) -> None:
         """Copy ``q`` and ``tq`` into the window, evicting the oldest pair if full.
@@ -311,30 +310,25 @@ def _gains(mixed: np.ndarray, e_newest: np.ndarray) -> list[float]:
     return [0.0 if d < GAIN_ZERO_TOL else x / d for x, d in zip(nums, denoms)]
 
 
-def coefficient_bounds(
-    alpha_reg: np.ndarray,
-    alpha_non: np.ndarray | None,
-    e_norm: float,
-    eta: float,
-    p: int,
-) -> tuple[float, float, float | None, float | None]:
-    """Left and right sides of the coefficient bounds of a regularized solve.
+def coefficient_norm_bound(
+    alpha: np.ndarray, e_norm: float, eta: float
+) -> tuple[float, float]:
+    """Prop2_1 of a regularized solve: ``||alpha||^2 <= 4 (1 + ||e_k||_2^2 / eta^2)``."""
+    return frobenius_norm(alpha) ** 2, 4.0 * (1.0 + e_norm**2 / eta**2)
 
-    Prop2_1: ``||alpha_reg||^2 <= 4 (1 + ||e_k||_2^2 / eta^2)``.  Prop2_2,
-    against the unregularized coefficients ``alpha_non`` (its sides are
-    None without them): ``||alpha_reg - alpha_non||^2 <= cond2(A)^2
-    ||alpha_non||^2 - (2p + 1) / (p + 1)`` with ``A =
-    transformation_matrix(p)``.
+
+def coefficient_gap_bound(
+    alpha_reg: np.ndarray, alpha_non: np.ndarray, p: int
+) -> tuple[float, float]:
+    """Prop2_2, against the unregularized coefficients ``alpha_non`` of the window.
+
+    ``||alpha_reg - alpha_non||^2 <= cond2(A)^2 ||alpha_non||^2 - (2p + 1) /
+    (p + 1)`` with ``A = transformation_matrix(p)``.
     """
-    norm_lhs = frobenius_norm(alpha_reg) ** 2
-    norm_rhs = 4.0 * (1.0 + e_norm**2 / eta**2)
-    if alpha_non is None:
-        return norm_lhs, norm_rhs, None, None
-    gap_lhs = frobenius_norm(alpha_reg - alpha_non) ** 2
     gap_rhs = transform_cond2(p) ** 2 * frobenius_norm(alpha_non) ** 2 - (
         2.0 * p + 1.0
     ) / (p + 1.0)
-    return norm_lhs, norm_rhs, gap_lhs, gap_rhs
+    return frobenius_norm(alpha_reg - alpha_non) ** 2, gap_rhs
 
 
 def _gram(rows: np.ndarray, ridge=None) -> np.ndarray:
@@ -521,14 +515,7 @@ def solve_stacked(
     return alpha, mixed, sols
 
 
-def mixed_update(
-    history: AndersonHistory, solution: MixingSolution, beta: float
-) -> np.ndarray:
-    """Damped linear mixing: (1-beta) * X alpha + beta * F alpha.
-
-    Formed with one product as ``F alpha - (1-beta) * E alpha`` from the
-    solution's ``mixed_residual``, which must be ``E alpha`` of this window.
-    """
+def _check_step(history: AndersonHistory, solution: MixingSolution, beta: float) -> None:
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
     k = len(history)
@@ -537,6 +524,17 @@ def mixed_update(
             f"alpha length {solution.alpha.size} does not match history "
             f"length {k}"
         )
+
+
+def mixed_update(
+    history: AndersonHistory, solution: MixingSolution, beta: float
+) -> np.ndarray:
+    """Damped linear mixing: (1-beta) * X alpha + beta * F alpha.
+
+    Formed with one product as ``F alpha - (1-beta) * E alpha`` from the
+    solution's ``mixed_residual``, which must be ``E alpha`` of this window.
+    """
+    _check_step(history, solution, beta)
     return next_iterates(history, solution.alpha, solution.mixed_residual, beta)
 
 
@@ -549,38 +547,45 @@ def next_iterates(
     return np.vecmat(alpha, images) - (1.0 - beta) * mixed
 
 
+def quasi_newton_update(
+    history: AndersonHistory, solution: MixingSolution, beta: float
+) -> np.ndarray:
+    """Quasi-Newton form of the mixed step: ``Q + beta e_k - (D + beta H) tau``.
+
+    Applies the update matrix-free with the solution's ``tau``, so the
+    result matches :func:`mixed_update` of the same solution up to
+    floating-point reordering.  With one entry it is the plain step.
+    """
+    _check_step(history, solution, beta)
+    matrices = build_history_matrices(history)
+    step = (matrices.delta_q + beta * matrices.delta_e) @ solution.tau
+    return history.newest_iterate() + beta * matrices.e_newest - step
+
+
 def materialize_update_matrix(
-    matrices: HistoryMatrices,
-    beta: float,
-    eta: float,
-    jitter: float = 0.0,
-    fallback: bool = False,
+    matrices: HistoryMatrices, beta: float, solution: MixingSolution
 ) -> np.ndarray:
     """Form the dense n x n update matrix G with next = Q - G e_k.
 
-    ``G = (D + beta H)(H^T H + reg I)^{-1} H^T - beta I`` where reg
-    combines the ridge scale and any jitter the coefficient solve used.
-    The dense reference the tests check :func:`update_matrix_norms` and
-    :func:`quasi_newton_update` against; the package never forms it, and
-    it stays only as that reference and because ``perfbench/tracing.py``
-    wraps it by name.
+    ``G = (D + beta H)(H^T H + reg I)^{-1} H^T - beta I`` with ``reg`` the
+    solution's ridge scale plus the jitter its solve used; a fallback
+    solution gives ``-beta I``.  The dense reference the tests check
+    :func:`update_matrix_norms` and :func:`quasi_newton_update` against;
+    the package never forms it, and it stays only as that reference and
+    because ``perfbench/tracing.py`` wraps it by name.
     """
     n = matrices.residuals.shape[0]
     h = matrices.delta_e
     p = h.shape[1]
-    if fallback or p == 0:
+    if solution.fallback or p == 0:
         return -beta * np.eye(n)
-    k = h.T @ h + (_ridge_scale(matrices, eta)[0] + jitter) * np.eye(p)
+    k = h.T @ h + (solution.ridge_scale + solution.jitter) * np.eye(p)
     w = np.linalg.solve(k, h.T)
     return (matrices.delta_q + beta * h) @ w - beta * np.eye(n)
 
 
 def update_matrix_norms(
-    matrices: HistoryMatrices,
-    beta: float,
-    eta: float,
-    jitter=0.0,
-    fallback=False,
+    matrices: HistoryMatrices, beta: float, solutions
 ) -> float | list[float]:
     """Exact ``||G~||_2`` without any n x n matrix.
 
@@ -590,14 +595,14 @@ def update_matrix_norms(
     norm is the largest singular value of the at most 2p x 2p matrix
     ``M~``, raised to ``beta`` if Q has a complement.
 
-    Stacked matrices (a run axis in front) take one ``jitter`` and one
-    ``fallback`` per window and give a list of norms, each the one its
-    window gives alone: the QR, solve and SVD take one stacked call each.
+    Stacked matrices (a run axis in front) take a list of solutions, one
+    per window, and give a list of norms, each the one its window gives
+    alone: the QR, solve and SVD take one stacked call each.
     """
     h = matrices.delta_e
     if h.ndim == 2:  # one window: the stack of one
         one = HistoryMatrices(matrices.residuals[None], matrices.delta_q[None], h[None])
-        return update_matrix_norms(one, beta, eta, [jitter], [fallback])[0]
+        return update_matrix_norms(one, beta, [solutions])[0]
     runs, n, p = h.shape
     if p == 0:
         return [beta] * runs
@@ -606,33 +611,11 @@ def update_matrix_norms(
     eye = np.eye(rank)
     m_tilde = np.empty((runs, rank, rank))
     m_tilde[:] = -beta * eye  # the fallback's, whose update matrix is -beta I
-    solved = ~np.array(fallback, dtype=bool)
+    solved = np.array([not s.fallback for s in solutions])
     if solved.any():
-        reg = _ridge_scale(matrices, eta)[0] + np.array(jitter)
+        reg = np.array([s.ridge_scale + s.jitter for s in solutions])
         k = (h.mT @ h + reg[:, None, None] * np.eye(p))[solved]
         r_s = r[solved]
         m_tilde[solved] = r_s[..., :p] @ np.linalg.solve(k, r_s[..., p:].mT) - beta * eye
     floor = beta if n > rank else 0.0
     return [max(x, floor) for x in spectral_norm(m_tilde)]
-
-
-def quasi_newton_update(
-    history: AndersonHistory,
-    beta: float,
-    eta: float,
-) -> np.ndarray:
-    """Quasi-Newton form of the mixed step: ``Q + beta e_k - (D + beta H) tau``.
-
-    Applies the update matrix-free through the same tau solve as
-    :func:`solve_tau_regularized` (``eta = 0`` gives the unregularized
-    form), so the result matches :func:`mixed_update` under matched
-    coefficients up to floating-point reordering.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-    if len(history) < 2:
-        raise ValueError("quasi-Newton update needs at least 2 history entries")
-    matrices = build_history_matrices(history)
-    sol = _solve_one(matrices, KIND_REGULARIZED, eta)
-    step = (matrices.delta_q + beta * matrices.delta_e) @ sol.tau
-    return history.newest_iterate() + beta * matrices.e_newest - step

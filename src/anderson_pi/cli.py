@@ -36,6 +36,7 @@ from .mdp import (
 )
 from .operators import OperatorKind, OperatorSpec
 from .solver import (
+    COMPACT_JSON,
     BetaConvention,
     DivergenceError,
     Scheme,
@@ -295,7 +296,7 @@ def cmd_solve(args) -> int:
         "exit_code": exit_code,
     }
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(COMPACT_JSON.encode(summary) + "\n")
     print(
         f"{cfg.label()}: converged={trace.converged} iterations={trace.iterations} "
         f"final_residual={summary['final_residual_inf']!r}"
@@ -401,7 +402,7 @@ def cmd_compare(args) -> int:
             if i2 != i:
                 aggregate["win_rate"][f"{label} vs {label2}"] = report.win_rate(i, i2)
     with open(outdir / "aggregate.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(aggregate, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(COMPACT_JSON.encode(aggregate) + "\n")
     for key in sorted(aggregate["win_rate"]):
         print(f"win-rate {key}: {aggregate['win_rate'][key]:.3f}")
     n_failed = sum(1 for s in report.summaries if s.failed)

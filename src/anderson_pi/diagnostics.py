@@ -176,7 +176,8 @@ def check_form_equivalence(
 
     Evolves one trajectory by the mixing form and, at every step with at
     least two history entries, compares it against the matrix-free
-    quasi-Newton step under the same coefficients.
+    quasi-Newton step of the same solution: one coefficient solve per step
+    (``eta = 0`` is the unregularized solve).
     """
     history = anderson.AndersonHistory(m)
     q = np.zeros((mdp.n_states, mdp.n_actions))
@@ -184,15 +185,10 @@ def check_form_equivalence(
     for k in range(n_iters):
         tq = apply_bellman(mdp, q, op)
         history.push(q, tq)
-        matrices = anderson.build_history_matrices(history)
-        sol = (
-            anderson.solve_tau_regularized(matrices, eta)
-            if eta > 0.0
-            else anderson.solve_tau_unconstrained(matrices)
-        )
+        sol = anderson.solve_tau_regularized(anderson.build_history_matrices(history), eta)
         nxt = anderson.mixed_update(history, sol, beta)
         if len(history) >= 2:
-            qn = anderson.quasi_newton_update(history, beta, eta)
+            qn = anderson.quasi_newton_update(history, sol, beta)
             records.append(
                 _record(
                     "FormEquiv",

@@ -16,6 +16,7 @@ import csv
 import enum
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -104,17 +105,16 @@ class SolverConfig:
             raise ValueError(f"m must be >= 0, got {self.m}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if self.scheme is Scheme.STABLE_AA and not self.eta > 0.0:
-            raise ValueError("stable-aa requires eta > 0")
-        if (
-            self.scheme in (Scheme.ANDERSON_KKT, Scheme.ANDERSON_UNCONSTRAINED)
-            and self.eta != 0.0
-        ):
+        # Prop2_1's right side divides by eta**2, so the square must be finite too
+        if not math.isfinite(self.eta * self.eta):
+            raise ValueError(f"eta must be finite, with a finite square, got {self.eta}")
+        if self.scheme is Scheme.STABLE_AA:
+            if not self.eta > 0.0:
+                raise ValueError("stable-aa requires eta > 0")
+        elif self.eta != 0.0:
             raise ValueError(f"{self.scheme.value} requires eta = 0")
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.diagnostics_level not in ("basic", "full"):
@@ -164,12 +164,10 @@ class TraceRecord:
     theta: float
     theta_l2: float
     alpha: np.ndarray
-    beta_used: float
     jitter_flag: bool
     jitter: float
     fallback: bool
     safeguard_triggered: bool
-    solver_kind: str
     wall_nanos: int
     coeff_norm_lhs: float | None = None
     coeff_norm_rhs: float | None = None
@@ -221,14 +219,14 @@ def _trace_record(
     res_l2: float,
     mixed_l2: float,
     sol: anderson.MixingSolution,
-    beta: float,
     eta: float,
     safeguard_triggered: bool,
 ) -> TraceRecord:
     """Iteration ``k``'s record; ``wall_nanos`` is left at 0.
 
-    ``mixed_l2`` is ``||E alpha||_2`` of ``sol``.  What full diagnostics
-    add is left to :class:`_DiagnosticsChunk`.
+    ``mixed_l2`` is ``||E alpha||_2`` of ``sol``.  A stable-aa record
+    (``eta > 0``) gets the Prop2_1 sides; what full diagnostics add is
+    left to :class:`_DiagnosticsChunk`.
     """
     theta_l2 = 0.0 if res_l2 < anderson.GAIN_ZERO_TOL else mixed_l2 / res_l2
     rec = TraceRecord(
@@ -238,21 +236,19 @@ def _trace_record(
         theta=sol.gain_theta,
         theta_l2=theta_l2,
         alpha=sol.alpha,
-        beta_used=beta,
         jitter_flag=bool(sol.jitter > 0.0 or sol.fallback),
         jitter=sol.jitter,
         fallback=sol.fallback,
         safeguard_triggered=safeguard_triggered,
-        solver_kind=sol.solver_kind,
         wall_nanos=0,
     )
     if sol.gram_trace is not None:
         rec.reg_share = (
             sol.ridge_scale / sol.gram_trace if sol.gram_trace > 0.0 else np.inf
         )
-    if sol.solver_kind == anderson.KIND_REGULARIZED and eta > 0.0:
-        rec.coeff_norm_lhs, rec.coeff_norm_rhs, _, _ = anderson.coefficient_bounds(
-            sol.alpha, None, res_l2, eta, sol.alpha.size - 1
+    if eta > 0.0:
+        rec.coeff_norm_lhs, rec.coeff_norm_rhs = anderson.coefficient_norm_bound(
+            sol.alpha, res_l2, eta
         )
     return rec
 
@@ -262,23 +258,26 @@ DIAGNOSTICS_CHUNK_BYTES = 250_000
 
 
 class _DiagnosticsChunk:
-    """One run's full-diagnostics records, with copies of their windows, awaiting their extras.
+    """One run's full-diagnostics records, their solutions and window copies, awaiting extras.
 
-    :meth:`add` queues a record with its window; :meth:`settle` adds to
-    every queued record the coefficient gap against the unregularized
-    solution and ``||G~||_2``, from one stacked solve and one stacked norm
-    computation.  The windows of one chunk have one width: a record of
-    another width, or a full chunk, settles the chunk first.  Each window
-    is copied in the history's layout, each column contiguous, so each
-    result is bitwise the one its window gives alone.
+    :meth:`add` queues a record with its solution and window; :meth:`settle`
+    adds to every queued record the coefficient gap against the
+    unregularized solution and ``||G~||_2``, from one stacked solve and one
+    stacked norm computation.  The windows of one chunk have one width: a
+    record of another width, or a full chunk, settles the chunk first.  Each
+    window is copied in the history's layout, each column contiguous, so
+    each result is bitwise the one its window gives alone.
     """
 
-    def __init__(self, n: int, beta: float, eta: float):
-        self.n, self.beta, self.eta = n, beta, eta
+    def __init__(self, n: int, beta: float):
+        self.n, self.beta = n, beta
         self.records: list[TraceRecord] = []
+        self.solutions: list[anderson.MixingSolution] = []
         self.e = self.d = self.h = np.empty((0, 0, n))  # E, D and H columns, per window
 
-    def add(self, rec: TraceRecord, window: anderson.HistoryMatrices) -> None:
+    def add(
+        self, rec: TraceRecord, sol: anderson.MixingSolution, window: anderson.HistoryMatrices
+    ) -> None:
         cols = window.residuals.shape[1]
         if cols != self.e.shape[1]:
             self.settle()
@@ -289,27 +288,26 @@ class _DiagnosticsChunk:
         c = len(self.records)
         self.e[c], self.d[c], self.h[c] = window.residuals.T, window.delta_q.T, window.delta_e.T
         self.records.append(rec)
+        self.solutions.append(sol)
         if c + 1 == len(self.e):
             self.settle()
 
     def settle(self) -> None:
-        recs, c = self.records, len(self.records)
+        c = len(self.records)
         if not c:
             return
         windows = anderson.HistoryMatrices(self.e[:c].mT, self.d[:c].mT, self.h[:c].mT)
         _, _, unregularized = anderson.solve_stacked(
             windows, anderson.KIND_UNCONSTRAINED, 0.0
         )
-        norms = anderson.update_matrix_norms(
-            windows, self.beta, self.eta, [r.jitter for r in recs], [r.fallback for r in recs]
-        )
+        norms = anderson.update_matrix_norms(windows, self.beta, self.solutions)
         p = self.d.shape[1]
-        for rec, non, norm in zip(recs, unregularized, norms):
-            _, _, rec.coeff_gap_lhs, rec.coeff_gap_rhs = anderson.coefficient_bounds(
-                rec.alpha, non.alpha, rec.residual_l2, self.eta, p
+        for rec, non, norm in zip(self.records, unregularized, norms):
+            rec.coeff_gap_lhs, rec.coeff_gap_rhs = anderson.coefficient_gap_bound(
+                rec.alpha, non.alpha, p
             )
             rec.update_norm_lhs = norm
-        self.records = []
+        self.records, self.solutions = [], []
 
 
 def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> SolverTrace:
@@ -336,30 +334,25 @@ def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> Sol
 
 
 def fixed_point_oracle(
-    mdp: TabularMdp,
-    op: OperatorSpec,
-    tol: float = ORACLE_TOL,
-    max_iter: int = ORACLE_MAX_ITER,
+    mdp: TabularMdp, op: OperatorSpec, max_iter: int = ORACLE_MAX_ITER
 ) -> np.ndarray:
     """High-precision reference fixed point by plain undamped iteration.
 
-    Only defined for the contractive aggregators (hard max, mellowmax).
-    The one-MDP case of :func:`fixed_point_oracles`.
+    Iterates until the residual is at most ``ORACLE_TOL``.  Only defined
+    for the contractive aggregators (hard max, mellowmax).  The one-MDP
+    case of :func:`fixed_point_oracles`.
     """
-    return fixed_point_oracles(MdpStack([mdp]), op, tol, max_iter)[0]
+    return fixed_point_oracles(MdpStack([mdp]), op, max_iter)[0]
 
 
 def fixed_point_oracles(
-    stack: MdpStack,
-    op: OperatorSpec,
-    tol: float = ORACLE_TOL,
-    max_iter: int = ORACLE_MAX_ITER,
+    stack: MdpStack, op: OperatorSpec, max_iter: int = ORACLE_MAX_ITER
 ) -> list[np.ndarray]:
     """:func:`fixed_point_oracle` of every MDP of ``stack``, in one sweep each step.
 
     Each MDP leaves the stack at the sweep where its own iteration stops,
     so every result equals its one-MDP oracle bitwise.  If some MDPs miss
-    ``tol`` within ``max_iter`` sweeps, the first of them raises
+    ``ORACLE_TOL`` within ``max_iter`` sweeps, the first of them raises
     :class:`OraclePrecisionError` with its own residual.
     """
     if op.kind not in CONTRACTIVE_KINDS:
@@ -371,10 +364,10 @@ def fixed_point_oracles(
     for _ in range(max_iter + 1):
         tq = apply_bellman(stack, q, op)
         res = np.abs(tq - q).reshape(len(live), -1).max(axis=1, initial=0.0).tolist()
-        if any(x <= tol for x in res):
+        if any(x <= ORACLE_TOL for x in res):
             keep = []
             for r, x in enumerate(res):
-                if x <= tol:
+                if x <= ORACLE_TOL:
                     out[live[r]] = q[r]
                 else:
                     keep.append(r)
@@ -385,7 +378,7 @@ def fixed_point_oracles(
         q = tq
     first = res[0]
     raise OraclePrecisionError(
-        f"oracle did not reach {tol:g} within {max_iter} iterations "
+        f"oracle did not reach {ORACLE_TOL:g} within {max_iter} iterations "
         f"(achieved {first:g})",
         residual=first,
     )
@@ -415,7 +408,7 @@ def _run_lockstep(
     # MDP's chunk holds its records until the chunk settles
     chunks = []
     if cfg.diagnostics_level == "full" and cfg.eta > 0.0:
-        chunks = [_DiagnosticsChunk(n, beta, cfg.eta) for _ in mdps]
+        chunks = [_DiagnosticsChunk(n, beta) for _ in mdps]
     history = anderson.AndersonHistory(cfg.m, runs=len(mdps))
     q = np.zeros(stack.rewards.shape) if q0 is None else q0
     live = list(range(len(mdps)))  # MDP index of each row of the group
@@ -472,11 +465,11 @@ def _run_lockstep(
             mixed_l2 = np.sqrt(squared_norms(mixed)).tolist()
             for i, (r, sol) in enumerate(zip(rows, sols)):
                 rec = _trace_record(
-                    k, res_inf[r], res_l2[r], mixed_l2[i], sol, beta, cfg.eta, hits[r]
+                    k, res_inf[r], res_l2[r], mixed_l2[i], sol, cfg.eta, hits[r]
                 )
                 records[live[r]].append(rec)
                 if chunks and w > 1:
-                    chunks[live[r]].add(rec, matrices.run(i))
+                    chunks[live[r]].add(rec, sol, matrices.run(i))
             step = anderson.next_iterates(history, alpha, mixed, beta, part)
             if nxt is None:
                 nxt = step
@@ -692,22 +685,20 @@ def write_trace_csv(trace: SolverTrace, path, include_timing: bool = False) -> N
     ``wall_nanos`` is written as 0 unless ``include_timing`` is set, so
     repeated runs with identical inputs produce byte-identical files.
     """
+    beta = repr(trace.config.effective_beta())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for rec in trace.records:
-            alpha_json = json.dumps(
-                [float(a) for a in rec.alpha], separators=(",", ":")
-            )
             writer.writerow(
                 [
                     rec.k,
                     repr(rec.residual_inf),
                     repr(rec.residual_l2),
                     repr(rec.theta),
-                    repr(rec.beta_used),
+                    beta,
                     int(rec.jitter_flag),
-                    alpha_json,
+                    COMPACT_JSON.encode(rec.alpha.tolist()),
                     rec.wall_nanos if include_timing else 0,
                 ]
             )

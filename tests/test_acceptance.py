@@ -178,7 +178,7 @@ def test_criterion_5_equivalence_suite():
             )
             nxt = mixed_update(h, sol, 1.0)
             if len(h) >= 2:
-                qn = quasi_newton_update(h, 1.0, eta)
+                qn = quasi_newton_update(h, sol, 1.0)
                 worst_b = max(worst_b, float(np.abs(nxt - qn).max()))
             q = nxt.reshape(30, 4)
 

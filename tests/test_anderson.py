@@ -460,7 +460,7 @@ class TestQuasiNewtonUpdate:
             )
             nxt = mixed_update(h, sol, 1.0)
             if len(h) >= 2:
-                qn = quasi_newton_update(h, 1.0, eta)
+                qn = quasi_newton_update(h, sol, 1.0)
                 worst = max(worst, float(np.abs(nxt - qn).max()))
             q = nxt.reshape(30, 4)
         assert worst <= 1e-8
@@ -471,7 +471,8 @@ class TestQuasiNewtonUpdate:
         h.push(*pair)
         h.push(*pair)
         beta = 0.7
-        nxt = quasi_newton_update(h, beta, 0.0)
+        sol = solve_tau_regularized(build_history_matrices(h), 0.0)
+        nxt = quasi_newton_update(h, sol, beta)
         expected = pair[0] + beta * (pair[1] - pair[0])
         assert np.abs(nxt - expected).max() <= 1e-6
 
@@ -480,7 +481,7 @@ class TestQuasiNewtonUpdate:
         h = random_history(rng, 8, 3)
         m = build_history_matrices(h)
         beta = 0.6
-        nxt = quasi_newton_update(h, beta, 1e12)
+        nxt = quasi_newton_update(h, solve_tau_regularized(m, 1e12), beta)
         expected = h.newest_iterate() + beta * m.e_newest
         assert np.abs(nxt - expected).max() <= 1e-6
 
@@ -488,18 +489,29 @@ class TestQuasiNewtonUpdate:
         rng = np.random.default_rng(37)
         h = random_history(rng, 10, 4)
         m = build_history_matrices(h)
-        nxt = quasi_newton_update(h, 1.0, 0.5)
         sol = solve_tau_regularized(m, 0.5)
-        g = materialize_update_matrix(
-            m, 1.0, 0.5, jitter=sol.jitter, fallback=sol.fallback
-        )
+        nxt = quasi_newton_update(h, sol, 1.0)
+        g = materialize_update_matrix(m, 1.0, sol)
         direct = h.newest_iterate() - g @ m.e_newest
         assert np.abs(nxt - direct).max() <= 1e-10
 
-    def test_needs_two_entries(self):
+    def test_one_entry_is_plain_step(self):
+        # D and H are empty, so the step of the plain-step solution is Q + beta e_k
         h = history_from_pairs([([1, 2], [3, 4])])
-        with pytest.raises(ValueError, match="2 history entries"):
-            quasi_newton_update(h, 1.0, 0.0)
+        m = build_history_matrices(h)
+        sol = vanilla_solution(m)
+        beta = 0.6
+        nxt = quasi_newton_update(h, sol, beta)
+        assert np.array_equal(nxt, h.newest_iterate() + beta * m.e_newest)
+        assert np.allclose(nxt, mixed_update(h, sol, beta), rtol=0.0, atol=1e-15)
+
+    def test_solution_of_another_window_rejected(self):
+        h = AndersonHistory(2)
+        h.push(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        sol = vanilla_solution(build_history_matrices(h))
+        h.push(np.array([5.0, 6.0]), np.array([7.0, 8.0]))
+        with pytest.raises(ValueError, match="length"):
+            quasi_newton_update(h, sol, 1.0)
 
 
 class TestCertificates:
@@ -668,9 +680,15 @@ def test_gram_is_exactly_symmetric(ridge):
             assert np.array_equal(one, one.T)
 
 
-def dense_norm(m, beta, eta, **kwargs):
+def ridge_solution(m, eta, jitter=0.0, fallback=False):
+    """The regularized solution of window ``m``, with the given jitter and fallback."""
+    sol = solve_tau_regularized(m, eta)
+    return dataclasses.replace(sol, jitter=jitter, fallback=fallback)
+
+
+def dense_norm(m, beta, sol):
     """||G~||_2 from the dense n x n matrix."""
-    return np.linalg.norm(materialize_update_matrix(m, beta, eta, **kwargs), 2)
+    return np.linalg.norm(materialize_update_matrix(m, beta, sol), 2)
 
 
 class TestUpdateMatrixNorms:
@@ -679,8 +697,9 @@ class TestUpdateMatrixNorms:
         rng = np.random.default_rng(100 + p)
         for beta, eta in [(1.0, 0.1), (0.6, 0.5), (1.0, 1.0), (0.3, 2.0)]:
             m = build_history_matrices(random_history(rng, 24, p + 1))
-            norm = update_matrix_norms(m, beta, eta)
-            assert norm == pytest.approx(dense_norm(m, beta, eta), rel=1e-12)
+            sol = ridge_solution(m, eta)
+            norm = update_matrix_norms(m, beta, sol)
+            assert norm == pytest.approx(dense_norm(m, beta, sol), rel=1e-12)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_no_complement_block(self, p):
@@ -688,8 +707,9 @@ class TestUpdateMatrixNorms:
         rng = np.random.default_rng(200 + p)
         for n in range(p, 3 * p + 1):
             m = build_history_matrices(random_history(rng, n, p + 1))
-            norm = update_matrix_norms(m, 1.0, 0.2)
-            assert norm == pytest.approx(dense_norm(m, 1.0, 0.2), rel=1e-12)
+            sol = ridge_solution(m, 0.2)
+            norm = update_matrix_norms(m, 1.0, sol)
+            assert norm == pytest.approx(dense_norm(m, 1.0, sol), rel=1e-12)
 
     def test_rank_deficient_h(self):
         rng = np.random.default_rng(7)
@@ -698,23 +718,25 @@ class TestUpdateMatrixNorms:
         de = rng.standard_normal((n, 3))
         de[:, 2] = de[:, 0]  # two equal residual differences: H^T H singular
         m = HistoryMatrices(rng.standard_normal((n, 4)), dq, de)
-        norm = update_matrix_norms(m, 1.0, 0.1)
-        assert norm == pytest.approx(dense_norm(m, 1.0, 0.1), rel=1e-12)
+        sol = ridge_solution(m, 0.1)
+        norm = update_matrix_norms(m, 1.0, sol)
+        assert norm == pytest.approx(dense_norm(m, 1.0, sol), rel=1e-12)
         # the zero-jitter unconstrained solve flags the same history
         assert solve_tau_unconstrained(m).jitter > 0.0
 
     def test_jitter_matches_dense(self):
         rng = np.random.default_rng(9)
         m = build_history_matrices(random_history(rng, 15, 4))
-        norm = update_matrix_norms(m, 0.8, 0.3, jitter=1e-3)
-        assert norm == pytest.approx(dense_norm(m, 0.8, 0.3, jitter=1e-3), rel=1e-12)
+        sol = ridge_solution(m, 0.3, jitter=1e-3)
+        norm = update_matrix_norms(m, 0.8, sol)
+        assert norm == pytest.approx(dense_norm(m, 0.8, sol), rel=1e-12)
 
     def test_fallback_and_empty_history_give_beta(self):
         rng = np.random.default_rng(11)
         m = build_history_matrices(random_history(rng, 12, 4))
-        assert update_matrix_norms(m, 0.7, 0.1, fallback=True) == 0.7
+        assert update_matrix_norms(m, 0.7, ridge_solution(m, 0.1, fallback=True)) == 0.7
         single = build_history_matrices(random_history(rng, 12, 1))
-        assert update_matrix_norms(single, 0.7, 0.1) == 0.7
+        assert update_matrix_norms(single, 0.7, ridge_solution(single, 0.1)) == 0.7
 
     @pytest.mark.parametrize("beta", [1.0, 0.0])
     def test_stack_matches_each_window(self, beta):
@@ -726,20 +748,22 @@ class TestUpdateMatrixNorms:
             h.push(rng.standard_normal((4, 30)), rng.standard_normal((4, 30)))
         m = build_history_matrices(h)
         jitter, fallback = [0.0, 1e-3, 0.0, 0.0], [False, False, True, False]
-        norms = update_matrix_norms(m, beta, 0.1, jitter, fallback)
-        alone = [update_matrix_norms(m.run(r), beta, 0.1, jitter[r], fallback[r]) for r in range(4)]
+        sols = [ridge_solution(m.run(r), 0.1, jitter[r], fallback[r]) for r in range(4)]
+        norms = update_matrix_norms(m, beta, sols)
+        alone = [update_matrix_norms(m.run(r), beta, sols[r]) for r in range(4)]
         assert [repr(x) for x in norms] == [repr(x) for x in alone]
         assert norms[2] == beta
         for r in (0, 1, 3):
-            dense = dense_norm(m.run(r), beta, 0.1, jitter=jitter[r])
+            dense = dense_norm(m.run(r), beta, sols[r])
             assert norms[r] == pytest.approx(dense, rel=1e-12)
 
     def test_singular_g_tilde_has_no_ratio(self):
         rng = np.random.default_rng(17)
         m = build_history_matrices(random_history(rng, 12, 3))
         # beta = 0 leaves G~ = U K^-1 H^T, of rank 2 < n
-        norm = update_matrix_norms(m, 0.0, 0.1)
-        assert norm == pytest.approx(dense_norm(m, 0.0, 0.1), rel=1e-12)
+        sol = ridge_solution(m, 0.1)
+        norm = update_matrix_norms(m, 0.0, sol)
+        assert norm == pytest.approx(dense_norm(m, 0.0, sol), rel=1e-12)
 
 
 class TestTransformCond2:

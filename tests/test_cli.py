@@ -154,6 +154,26 @@ class TestSolve:
         assert "omega must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--scheme", "stable-aa", "-m", 5, "--eta", "1e308"], "finite square"),
+            (["--scheme", "stable-aa", "-m", 5, "--eta", "inf"], "eta must be finite"),
+            (["--scheme", "vanilla", "--eta", "nan"], "eta must be finite"),
+            (["--scheme", "vanilla", "--eta", 0.5], "vanilla requires eta = 0"),
+            (["--scheme", "kkt", "-m", 5, "--tol", "inf"], "tol must be positive and finite"),
+        ],
+        ids=["eta-square-overflows", "eta-inf", "vanilla-eta-nan", "vanilla-eta", "tol-inf"],
+    )
+    def test_out_of_range_eta_or_tol_is_usage_error(
+        self, flags, message, mdp_file, tmp_path, capsys
+    ):
+        argv = ["solve", "--mdp", mdp_file, "--op", "mellowmax", "--omega", 5, *flags,
+                "-o", tmp_path / "out"]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_scheme_combo_is_usage_error(self, mdp_file, tmp_path):
         proc = run_cli(
             "solve", "--mdp", mdp_file, "--scheme", "stable-aa", "-m", 3,
@@ -288,6 +308,24 @@ class TestCompare:
         assert not (tmp_path / "cmp").exists()
 
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--tol", "inf"], "tol must be positive and finite"),
+            (["--scheme", "stable-aa:m=5,eta=inf"], "eta must be finite"),
+            (["--scheme", "stable-aa:m=5,eta=1e200"], "finite square"),
+            (["--scheme", "vanilla:eta=0.5"], "vanilla requires eta = 0"),
+        ],
+        ids=["tol-inf", "eta-inf", "eta-square-overflows", "vanilla-eta"],
+    )
+    def test_out_of_range_eta_or_tol_is_usage_error(self, flags, message, tmp_path, capsys):
+        argv = ["compare", "--scheme", "vanilla", "--scheme", "kkt:m=3", "--gen",
+                "random", "--seeds", "0:2", *flags, "-o", tmp_path / "cmp"]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+
 class TestCheck:
     def test_clean_run_exits_zero(self, tmp_path):
         proc = run_cli("check", "--seed", 1, "--pairs", 50, "-o", tmp_path)
@@ -305,10 +343,11 @@ class TestCheck:
             (["--eta", "inf"], "eta must be finite and positive"),
             (["--eta", 0.0], "eta must be finite and positive"),
             (["--eta", -0.1], "eta must be finite and positive"),
+            (["--eta", "1e200"], "finite square"),
             (["--pairs", 0], "pairs must be >= 1"),
         ],
         ids=["beta2", "beta-negative", "omega0", "omega-inf", "eta-nan", "eta-inf",
-             "eta0", "eta-negative", "pairs0"],
+             "eta0", "eta-negative", "eta-square-overflows", "pairs0"],
     )
     def test_out_of_range_flag_is_usage_error(self, flags, message, tmp_path, capsys):
         argv = ["check", "--seed", 1, "--pairs", 10, *flags, "-o", tmp_path / "out"]

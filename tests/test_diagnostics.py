@@ -135,8 +135,9 @@ class TestUpdateNormBound:
 def bounds(reg, non, m, eta):
     """Prop2_1 and Prop2_2 sides of a regularized and an unregularized solve."""
     e_l2 = float(np.linalg.norm(m.e_newest))
-    return anderson.coefficient_bounds(
-        reg.alpha, non.alpha, e_l2, eta, m.delta_e.shape[1]
+    return (
+        *anderson.coefficient_norm_bound(reg.alpha, e_l2, eta),
+        *anderson.coefficient_gap_bound(reg.alpha, non.alpha, m.delta_e.shape[1]),
     )
 
 
@@ -209,6 +210,19 @@ class TestSuitePieces:
         records = check_form_equivalence(mdp, mm5, m=3, beta=1.0, eta=0.1, n_iters=15)
         assert records
         assert all(r.satisfied for r in records)
+
+    def test_form_equivalence_solves_once_per_step(self, mm5, monkeypatch):
+        # both forms read the step's one solution: one coefficient solve per step
+        calls = []
+        solve_one = anderson._solve_one
+        monkeypatch.setattr(
+            anderson, "_solve_one", lambda *a, **kw: calls.append(a) or solve_one(*a, **kw)
+        )
+        mdp = ap.generate_random_mdp(1, 20, 3, 3, 1.0, 0.9)
+        for eta in (0.0, 0.1):
+            calls.clear()
+            records = check_form_equivalence(mdp, mm5, m=3, beta=1.0, eta=eta, n_iters=20)
+            assert (len(calls), len(records)) == (20, 19)
 
     def test_solver_equivalence_records(self):
         records = check_solver_equivalence(seed=2, n_histories=50)

@@ -38,6 +38,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="eta"):
             cfg_for(Scheme.ANDERSON_KKT, mm5, m=3, eta=0.5)
 
+    @pytest.mark.parametrize(
+        "scheme,kw,message",
+        [
+            (Scheme.STABLE_AA, {"m": 3, "eta": float("inf")}, "eta must be finite"),
+            (Scheme.STABLE_AA, {"m": 3, "eta": float("nan")}, "eta must be finite"),
+            (Scheme.STABLE_AA, {"m": 3, "eta": 1e308}, "finite square"),
+            (Scheme.STABLE_AA, {"m": 3, "eta": -0.1}, "stable-aa requires eta > 0"),
+            (Scheme.VANILLA_VI, {"eta": 0.5}, "vanilla requires eta = 0"),
+            (Scheme.VANILLA_VI, {"eta": float("nan")}, "eta must be finite"),
+            (Scheme.ANDERSON_KKT, {"m": 3, "tol": float("inf")}, "tol must be positive and finite"),
+            (Scheme.VANILLA_VI, {"tol": float("nan")}, "tol must be positive and finite"),
+        ],
+        ids=["eta-inf", "eta-nan", "eta-square-overflows", "eta-negative",
+             "vanilla-eta", "vanilla-eta-nan", "tol-inf", "tol-nan"],
+    )
+    def test_out_of_range_eta_or_tol_rejected(self, mm5, scheme, kw, message):
+        with pytest.raises(ValueError, match=message):
+            cfg_for(scheme, mm5, **kw)
+
+    def test_largest_eta_with_a_finite_square_runs(self, mm5):
+        # the ridge swamps H^T H: every step is numerically the plain step
+        mdp = ap.generate_random_mdp(3, 8, 2, 2, 1.0, 0.9)
+        tr = ap.run(mdp, cfg_for(Scheme.STABLE_AA, mm5, m=3, eta=1e154, max_iter=50))
+        assert all(r.coeff_norm_lhs <= r.coeff_norm_rhs for r in tr.records)
+
     def test_hash_is_stable_and_sensitive(self, mm5):
         a = cfg_for(Scheme.ANDERSON_KKT, mm5, m=3)
         b = cfg_for(Scheme.ANDERSON_KKT, mm5, m=3)

@@ -58,7 +58,7 @@ class TestConfigValidation:
             cfg_for(scheme, mm5, **kw)
 
     def test_largest_eta_with_a_finite_square_runs(self, mm5):
-        # the ridge swamps H^T H: every step is numerically the plain step
+        # an eta this large is accepted: its square, and Prop2_1's right side, stay finite
         mdp = ap.generate_random_mdp(3, 8, 2, 2, 1.0, 0.9)
         tr = ap.run(mdp, cfg_for(Scheme.STABLE_AA, mm5, m=3, eta=1e154, max_iter=50))
         assert all(r.coeff_norm_lhs <= r.coeff_norm_rhs for r in tr.records)

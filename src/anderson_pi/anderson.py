@@ -47,6 +47,7 @@ of the one-run solver, and settles every run itself.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -447,10 +448,11 @@ def solve_tau_regularized(matrices: HistoryMatrices, eta: float) -> MixingSoluti
 
     tau solves ``(H^T H + eta*(||D||_F^2 + ||H||_F^2) I) tau = H^T e_k``;
     with ``eta = 0`` this is exactly the unconstrained solve.  The
-    penalty shrinks ||tau|| monotonically in eta on fixed matrices.
+    penalty shrinks ||tau|| monotonically in eta on fixed matrices.  An
+    eta that is negative, infinite or nan raises ValueError.
     """
-    if eta < 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    if not 0.0 <= eta < math.inf:  # nan fails both
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
     return _solve_one(matrices, KIND_REGULARIZED, eta)
 
 

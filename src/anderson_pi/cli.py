@@ -135,7 +135,7 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     c.add_argument("--scheme", action="append", dest="schemes", default=None,
                    metavar="SPEC",
                    help="scheme spec, repeatable; e.g. vanilla, kkt:m=5, "
-                        "stable-aa:m=5,eta=0.1")
+                        "stable-aa:m=5,eta=0.1,safeguard=1")
     c.add_argument("--mdp", action="append", dest="mdps", default=None,
                    help="MDP file, repeatable")
     c.add_argument("--gen", choices=("random",), default=None,
@@ -289,8 +289,8 @@ def cmd_solve(args) -> int:
         "config_hash": cfg.config_hash(),
         "converged": trace.converged,
         "iterations": trace.iterations,
-        "final_residual_inf": trace.records[-1].residual_inf
-        if trace.records
+        "final_residual_inf": float(trace.residual_inf[-1])
+        if len(trace.residual_inf)
         else None,
         "oracle_error_inf": oracle_err,
         "exit_code": exit_code,
@@ -313,9 +313,12 @@ def _parse_scheme_spec(spec: str, args) -> SolverConfig:
         for item in rest.split(","):
             key, _, value = item.partition("=")
             key = key.strip()
-            if key not in ("m", "beta", "eta", "omega"):
+            if key not in ("m", "beta", "eta", "omega", "safeguard"):
                 raise ValueError(f"unknown key {key!r} in scheme spec {spec!r}")
             overrides[key] = value
+    safeguard = overrides.get("safeguard", "0").strip()
+    if safeguard not in ("0", "1"):
+        raise ValueError(f"safeguard must be 0 or 1, got {safeguard!r} in scheme spec {spec!r}")
     omega = float(overrides.get("omega", args.omega))
     return SolverConfig(
         scheme=Scheme(name),
@@ -326,6 +329,7 @@ def _parse_scheme_spec(spec: str, args) -> SolverConfig:
         eta=float(overrides.get("eta", 0.0)),
         tol=args.tol,
         max_iter=args.max_iter,
+        safeguard=safeguard == "1",
     )
 
 
@@ -386,8 +390,8 @@ def cmd_compare(args) -> int:
         for (i, j), trace in sorted(report.traces.items()):
             scheme = report.config_labels[i]
             seed_txt = "" if seeds[j] is None else str(seeds[j])
-            for rec in trace.records:
-                fh.write(f"{scheme},{seed_txt},{rec.k},{rec.residual_inf!r}\n")
+            for k, res_inf in enumerate(trace.residual_inf.tolist()):
+                fh.write(f"{scheme},{seed_txt},{k},{res_inf!r}\n")
     aggregate = {"win_rate": {}, "mean_iterations": {}}
     for i, label in enumerate(report.config_labels):
         its = [

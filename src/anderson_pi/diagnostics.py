@@ -145,16 +145,16 @@ def check_update_norm_bound(
     asserted = rhs >= beta
     bound_id = "Theorem3" if asserted else "Theorem3(rhs<beta)"
     chash = trace.config.config_hash()
-    for rec in trace.records:
-        if rec.update_norm_lhs is None:
+    for k, lhs in enumerate(trace.values("update_norm_lhs")):
+        if lhs is None:
             continue
         records.append(
             _record(
                 bound_id,
-                rec.update_norm_lhs,
+                lhs,
                 rhs,
                 UPDATE_NORM_SLACK,
-                rec.k,
+                k,
                 chash,
                 context="spectral_norm(G_tilde)",
                 asserted=asserted,
@@ -283,14 +283,14 @@ def theta_records(trace: SolverTrace) -> list[BoundCheckRecord]:
     chash = trace.config.config_hash()
     cap = float(np.sqrt(trace.n))
     records = []
-    for rec in trace.records:
+    for k, (theta_l2, theta) in enumerate(zip(trace.theta_l2.tolist(), trace.theta.tolist())):
         records.append(
             _record(
                 "Theta01",
-                rec.theta_l2,
+                theta_l2,
                 1.0,
                 THETA_SLACK,
-                rec.k,
+                k,
                 chash,
                 context="l2_certificate",
                 asserted=True,
@@ -299,10 +299,10 @@ def theta_records(trace: SolverTrace) -> list[BoundCheckRecord]:
         records.append(
             _record(
                 "Theta01",
-                rec.theta,
+                theta,
                 cap,
                 THETA_SLACK,
-                rec.k,
+                k,
                 chash,
                 context="inf_norm_cap",
                 asserted=True,
@@ -315,28 +315,31 @@ def coefficient_bound_records(trace: SolverTrace) -> list[BoundCheckRecord]:
     """Coefficient-norm (asserted) and coefficient-gap (report-only) rows a run recorded."""
     chash = trace.config.config_hash()
     records = []
-    for rec in trace.records:
-        if rec.coeff_norm_lhs is not None:
+    columns = zip(
+        *(trace.values(name) for name in ("coeff_norm_lhs", "coeff_norm_rhs", "coeff_gap_lhs", "coeff_gap_rhs"))
+    )
+    for k, (norm_lhs, norm_rhs, gap_lhs, gap_rhs) in enumerate(columns):
+        if norm_lhs is not None:
             records.append(
                 _record(
                     "Prop2_1",
-                    rec.coeff_norm_lhs,
-                    rec.coeff_norm_rhs,
+                    norm_lhs,
+                    norm_rhs,
                     COEFF_BOUND_SLACK,
-                    rec.k,
+                    k,
                     chash,
                     context=f"eta={trace.config.eta:g}",
                     asserted=True,
                 )
             )
-        if rec.coeff_gap_lhs is not None:
+        if gap_lhs is not None:
             records.append(
                 _record(
                     "Prop2_2",
-                    rec.coeff_gap_lhs,
-                    rec.coeff_gap_rhs,
+                    gap_lhs,
+                    gap_rhs,
                     0.0,
-                    rec.k,
+                    k,
                     chash,
                     context="coefficient_gap",
                     asserted=False,

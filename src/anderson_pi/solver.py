@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -158,6 +159,12 @@ class SolverConfig:
 
 @dataclass
 class TraceRecord:
+    """One iteration of a trace, built from the trace's columns when it is read.
+
+    A snapshot: writing to it leaves the trace as it is.  Fields a run did
+    not record are None.
+    """
+
     k: int
     residual_inf: float
     residual_l2: float
@@ -183,20 +190,141 @@ class TraceRecord:
     g_unreg: np.ndarray | None = None
 
 
-@dataclass
+# the per-iteration columns every trace has, and their dtypes; alpha is the
+# one two-dimensional column
+_COLUMNS = {
+    "residual_inf": np.float64,
+    "residual_l2": np.float64,
+    "theta": np.float64,
+    "theta_l2": np.float64,
+    "jitter": np.float64,
+    "fallback": np.bool_,
+    "safeguard_triggered": np.bool_,
+    "wall_nanos": np.int64,
+    "width": np.int64,
+    "alpha": np.float64,
+}
+# float64 columns of stable-aa runs, and those full diagnostics add
+_STABLE_COLUMNS = ("coeff_norm_lhs", "coeff_norm_rhs", "reg_share")
+_FULL_COLUMNS = ("coeff_gap_lhs", "coeff_gap_rhs", "update_norm_lhs")
+# absent where the window has width 1 (p = 0)
+_WIDE_ONLY = ("reg_share", *_FULL_COLUMNS)
+# the columns of a TraceRecord's fields before alpha (after k), and after
+# jitter_flag (before g_tilde), in its order
+_RECORD_HEAD = ("residual_inf", "residual_l2", "theta", "theta_l2")
+_RECORD_TAIL = (
+    "jitter", "fallback", "safeguard_triggered", "wall_nanos", "coeff_norm_lhs",
+    "coeff_norm_rhs", "coeff_gap_lhs", "coeff_gap_rhs", "update_norm_lhs", "reg_share",
+)
+
+
+def _column_names(cfg: SolverConfig) -> list[str]:
+    """The columns a run of ``cfg`` records: eta > 0 means stable-aa."""
+    names = list(_COLUMNS)
+    if cfg.eta > 0.0:
+        names += _STABLE_COLUMNS
+        if cfg.diagnostics_level == "full":
+            names += _FULL_COLUMNS
+    return names
+
+
+@dataclass(eq=False)
 class SolverTrace:
-    records: list[TraceRecord]
+    """One run's outcome and its per-iteration fields, one numpy column each.
+
+    Row ``k`` of every column is iteration ``k``.  ``alpha`` has ``m + 1``
+    entries per row, of which the first ``width[k]`` are that iteration's
+    mixing weights.  A column the config does not record is None: the
+    Prop2_1 sides and ``reg_share`` outside stable-aa, the coefficient gap
+    and the update norm outside full diagnostics.  ``reg_share`` and the
+    full-diagnostics columns have no value in a row of width 1.
+    :attr:`records` builds a :class:`TraceRecord` of a row when it is read.
+    """
+
     converged: bool
     iterations: int
     final_q: np.ndarray
     config: SolverConfig
     n: int
+    residual_inf: np.ndarray
+    residual_l2: np.ndarray
+    theta: np.ndarray
+    theta_l2: np.ndarray
+    jitter: np.ndarray
+    fallback: np.ndarray
+    safeguard_triggered: np.ndarray
+    wall_nanos: np.ndarray
+    width: np.ndarray
+    alpha: np.ndarray
+    coeff_norm_lhs: np.ndarray | None = None
+    coeff_norm_rhs: np.ndarray | None = None
+    reg_share: np.ndarray | None = None
+    coeff_gap_lhs: np.ndarray | None = None
+    coeff_gap_rhs: np.ndarray | None = None
+    update_norm_lhs: np.ndarray | None = None
+
+    @property
+    def records(self) -> "TraceRecords":
+        return TraceRecords(self)
 
     def residuals_inf(self) -> np.ndarray:
-        return np.array([r.residual_inf for r in self.records])
+        return self.residual_inf.copy()
 
     def thetas(self) -> np.ndarray:
-        return np.array([r.theta for r in self.records])
+        return self.theta.copy()
+
+    def jitter_flags(self) -> np.ndarray:
+        """Per row: the coefficient solve needed jitter or fell back."""
+        return (self.jitter > 0.0) | self.fallback
+
+    def values(self, name: str, rows=slice(None)) -> list:
+        """Column ``name`` at ``rows`` as Python scalars, None where the field is absent."""
+        column = getattr(self, name)
+        count = len(self.residual_inf[rows])
+        if column is None:
+            return [None] * count
+        out = column[rows].tolist()
+        if name in _WIDE_ONLY:
+            out = [x if w > 1 else None for x, w in zip(out, self.width[rows].tolist())]
+        return out
+
+
+class TraceRecords(Sequence):
+    """The read-only records of a trace; each item read is built from its columns.
+
+    Indices and slices behave as on a list, and a slice gives a list.
+    """
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: SolverTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.residual_inf)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._build(index)
+        k = range(len(self))[index]  # an index out of range raises IndexError
+        return self._build(slice(k, k + 1))[0]
+
+    def __iter__(self):
+        return iter(self._build(slice(None)))
+
+    def _build(self, rows: slice) -> list[TraceRecord]:
+        trace = self._trace
+        alphas = trace.alpha[rows]
+        head = zip(range(len(self))[rows], *(trace.values(f, rows) for f in _RECORD_HEAD))
+        tail = zip(
+            trace.jitter_flags()[rows].tolist(),
+            *(trace.values(f, rows) for f in _RECORD_TAIL),
+        )
+        widths = trace.width[rows].tolist()
+        return [
+            TraceRecord(*h, alphas[i, :w].copy(), *t)
+            for i, (h, w, t) in enumerate(zip(head, widths, tail))
+        ]
 
 
 _KINDS = {
@@ -213,44 +341,65 @@ def _solve_coefficients(
     return anderson._solve_one(matrices, _KINDS[scheme], eta)
 
 
-def _trace_record(
-    k: int,
-    res_inf: float,
-    res_l2: float,
-    mixed_l2: float,
-    sol: anderson.MixingSolution,
-    eta: float,
-    safeguard_triggered: bool,
-) -> TraceRecord:
-    """Iteration ``k``'s record; ``wall_nanos`` is left at 0.
+class _GroupColumns:
+    """The trace columns of a lockstep group: row ``k`` for iteration ``k``, a column per live run.
 
-    ``mixed_l2`` is ``||E alpha||_2`` of ``sol``.  A stable-aa record
-    (``eta > 0``) gets the Prop2_1 sides; what full diagnostics add is
-    left to :class:`_DiagnosticsChunk`.
+    The arrays start zeroed and grow by doubling.  A run that stops takes
+    its trimmed columns (:meth:`run`), and :meth:`take` drops them from the
+    group, as ``AndersonHistory.take`` drops its runs.
     """
-    theta_l2 = 0.0 if res_l2 < anderson.GAIN_ZERO_TOL else mixed_l2 / res_l2
-    rec = TraceRecord(
-        k=k,
-        residual_inf=res_inf,
-        residual_l2=res_l2,
-        theta=sol.gain_theta,
-        theta_l2=theta_l2,
-        alpha=sol.alpha,
-        jitter_flag=bool(sol.jitter > 0.0 or sol.fallback),
-        jitter=sol.jitter,
-        fallback=sol.fallback,
-        safeguard_triggered=safeguard_triggered,
-        wall_nanos=0,
-    )
-    if sol.gram_trace is not None:
-        rec.reg_share = (
-            sol.ridge_scale / sol.gram_trace if sol.gram_trace > 0.0 else np.inf
-        )
+
+    def __init__(self, names: list[str], runs: int, depth: int):
+        self.arrays = {
+            name: np.zeros((64, runs, depth + 1) if name == "alpha" else (64, runs),
+                           _COLUMNS.get(name, np.float64))
+            for name in names
+        }
+
+    def reserve(self, k: int) -> None:
+        """Make room for row ``k``."""
+        rows = len(self.arrays["width"])
+        if k < rows:
+            return
+        for name, a in self.arrays.items():
+            grown = np.zeros((2 * rows, *a.shape[1:]), a.dtype)
+            grown[:rows] = a
+            self.arrays[name] = grown
+
+    def take(self, keep) -> None:
+        """Keep only the runs at ``keep``, in that order."""
+        self.arrays = {name: a.take(keep, axis=1) for name, a in self.arrays.items()}
+
+    def run(self, r: int, length: int) -> dict[str, np.ndarray]:
+        """The first ``length`` rows of run ``r``'s columns, copied."""
+        return {name: a[:length, r].copy() for name, a in self.arrays.items()}
+
+
+def _record_solutions(cols, k, part, w, sols, res_l2, mixed_l2, eta) -> None:
+    """Write row ``k`` of the columns the solutions of one width class give.
+
+    ``part`` indexes the class's runs in the group (``...`` for all of
+    them); ``res_l2`` and ``mixed_l2`` are ``||e_k||_2`` and ``||E alpha||_2``
+    of each.  A stable-aa run (``eta > 0``) gets the Prop2_1 sides and, for
+    ``w > 1``, its ridge share; what full diagnostics add is left to
+    :class:`_DiagnosticsChunk`.
+    """
+    cols["theta"][k, part] = [s.gain_theta for s in sols]
+    cols["theta_l2"][k, part] = [
+        0.0 if y < anderson.GAIN_ZERO_TOL else x / y for x, y in zip(mixed_l2, res_l2)
+    ]
+    cols["jitter"][k, part] = [s.jitter for s in sols]
+    cols["fallback"][k, part] = [s.fallback for s in sols]
     if eta > 0.0:
-        rec.coeff_norm_lhs, rec.coeff_norm_rhs = anderson.coefficient_norm_bound(
-            sol.alpha, res_l2, eta
-        )
-    return rec
+        bounds = [
+            anderson.coefficient_norm_bound(s.alpha, y, eta) for s, y in zip(sols, res_l2)
+        ]
+        cols["coeff_norm_lhs"][k, part], cols["coeff_norm_rhs"][k, part] = zip(*bounds)
+        if w > 1:
+            cols["reg_share"][k, part] = [
+                s.ridge_scale / s.gram_trace if s.gram_trace > 0.0 else np.inf
+                for s in sols
+            ]
 
 
 # the window copies one run keeps for full diagnostics: 16 windows at 30x4, m = 5
@@ -258,56 +407,67 @@ DIAGNOSTICS_CHUNK_BYTES = 250_000
 
 
 class _DiagnosticsChunk:
-    """One run's full-diagnostics records, their solutions and window copies, awaiting extras.
+    """One run's full-diagnostics solutions and window copies, awaiting extras.
 
-    :meth:`add` queues a record with its solution and window; :meth:`settle`
-    adds to every queued record the coefficient gap against the
-    unregularized solution and ``||G~||_2``, from one stacked solve and one
-    stacked norm computation.  The windows of one chunk have one width: a
-    record of another width, or a full chunk, settles the chunk first.  Each
-    window is copied in the history's layout, each column contiguous, so
-    each result is bitwise the one its window gives alone.
+    :meth:`add` queues an iteration's solution and window; :meth:`settle`
+    writes, in the queued rows of the run's column of the group, the
+    coefficient gap against the unregularized solution and ``||G~||_2``,
+    from one stacked solve and one stacked norm computation.  The windows
+    of one chunk have one width: a window of another width, or a full
+    chunk, settles the chunk first.  Each window is copied in the history's
+    layout, each column contiguous, so each result is bitwise the one its
+    window gives alone.
     """
 
     def __init__(self, n: int, beta: float):
         self.n, self.beta = n, beta
-        self.records: list[TraceRecord] = []
+        self.rows: list[int] = []  # the iteration of each queued window
         self.solutions: list[anderson.MixingSolution] = []
         self.e = self.d = self.h = np.empty((0, 0, n))  # E, D and H columns, per window
 
     def add(
-        self, rec: TraceRecord, sol: anderson.MixingSolution, window: anderson.HistoryMatrices
+        self,
+        k: int,
+        sol: anderson.MixingSolution,
+        window: anderson.HistoryMatrices,
+        group: _GroupColumns,
+        r: int,
     ) -> None:
+        """Queue iteration ``k`` of the run in column ``r`` of ``group``."""
         cols = window.residuals.shape[1]
         if cols != self.e.shape[1]:
-            self.settle()
+            self.settle(group, r)
             n = self.n
             size = max(1, DIAGNOSTICS_CHUNK_BYTES // (8 * n * (3 * cols - 2)))
             self.e = np.empty((size, cols, n))
             self.d, self.h = np.empty((2, size, cols - 1, n))
-        c = len(self.records)
+        c = len(self.rows)
         self.e[c], self.d[c], self.h[c] = window.residuals.T, window.delta_q.T, window.delta_e.T
-        self.records.append(rec)
+        self.rows.append(k)
         self.solutions.append(sol)
         if c + 1 == len(self.e):
-            self.settle()
+            self.settle(group, r)
 
-    def settle(self) -> None:
-        c = len(self.records)
+    def settle(self, group: _GroupColumns, r: int) -> None:
+        """Write the queued rows' extras into column ``r`` of ``group``."""
+        c = len(self.rows)
         if not c:
             return
         windows = anderson.HistoryMatrices(self.e[:c].mT, self.d[:c].mT, self.h[:c].mT)
         _, _, unregularized = anderson.solve_stacked(
             windows, anderson.KIND_UNCONSTRAINED, 0.0
         )
-        norms = anderson.update_matrix_norms(windows, self.beta, self.solutions)
         p = self.d.shape[1]
-        for rec, non, norm in zip(self.records, unregularized, norms):
-            rec.coeff_gap_lhs, rec.coeff_gap_rhs = anderson.coefficient_gap_bound(
-                rec.alpha, non.alpha, p
-            )
-            rec.update_norm_lhs = norm
-        self.records, self.solutions = [], []
+        cols = group.arrays
+        gaps = [
+            anderson.coefficient_gap_bound(sol.alpha, non.alpha, p)
+            for sol, non in zip(self.solutions, unregularized)
+        ]
+        cols["coeff_gap_lhs"][self.rows, r], cols["coeff_gap_rhs"][self.rows, r] = zip(*gaps)
+        cols["update_norm_lhs"][self.rows, r] = anderson.update_matrix_norms(
+            windows, self.beta, self.solutions
+        )
+        self.rows, self.solutions = [], []
 
 
 def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> SolverTrace:
@@ -396,36 +556,46 @@ def _run_lockstep(
     time.  Each iteration does one sweep of the stack and one coefficient
     solve per window width (the safeguard restarts a run's window at width
     1; without it all runs share one width): the one-run solver for one
-    run, else one stacked solve, which settles every run.  Full
-    diagnostics are computed per run in chunks of iterations, and every
-    record has them when this returns.  A run that stops leaves the group.
+    run, else one stacked solve, which settles every run.  Each field of
+    the iteration is written for all runs of a width class at once, into
+    the group's columns.  Full diagnostics are computed per run in chunks
+    of iterations, and every row has them when the run's trace is taken.
+    A run that stops leaves the group with its columns.
     """
     stack = MdpStack(mdps)
     beta = cfg.effective_beta()
     kind = _KINDS[cfg.scheme]
     n = mdps[0].n_entries
     # eta > 0 means stable-aa: the only scheme full diagnostics add to; each
-    # MDP's chunk holds its records until the chunk settles
+    # MDP's chunk holds its windows until the chunk settles
     chunks = []
     if cfg.diagnostics_level == "full" and cfg.eta > 0.0:
         chunks = [_DiagnosticsChunk(n, beta) for _ in mdps]
     history = anderson.AndersonHistory(cfg.m, runs=len(mdps))
+    group = _GroupColumns(_column_names(cfg), len(mdps), cfg.m)
     q = np.zeros(stack.rewards.shape) if q0 is None else q0
     live = list(range(len(mdps)))  # MDP index of each row of the group
-    records: list[list[TraceRecord]] = [[] for _ in mdps]
     out: list[SolverTrace | DivergenceError | None] = [None] * len(mdps)
     prev_res = [np.inf] * len(mdps)  # the safeguard's reference, per row
-    quiet = [False] * len(mdps)  # the hits of a run without the safeguard
+
+    def finish(r, length, converged, iterations, final_q):
+        """Run ``r``'s trace of ``length`` rows; its chunk settles first."""
+        if chunks:
+            chunks[live[r]].settle(group, r)
+        return SolverTrace(
+            converged, iterations, final_q.copy(), cfg, n, **group.run(r, length)
+        )
+
     k = 0
     while live:
         t0 = time.perf_counter_ns()
         tq = apply_bellman(stack, q, cfg.operator)
         if not np.isfinite(tq).all():  # then find the runs at fault
             finite = np.isfinite(tq).reshape(len(live), -1).all(axis=1)
-            for r in np.flatnonzero(~finite):
+            for r in np.flatnonzero(~finite).tolist():
                 out[live[r]] = DivergenceError(
                     f"Bellman image non-finite at iteration {k}",
-                    SolverTrace(records[live[r]], False, k, q[r].copy(), cfg, n),
+                    finish(r, k, False, k, q[r]),
                 )
             keep = np.flatnonzero(finite)
             live = [live[r] for r in keep]
@@ -433,17 +603,23 @@ def _run_lockstep(
                 break
             stack, q, tq = stack.take(keep), q[keep], tq[keep]
             history.take(keep)
+            group.take(keep)
             prev_res = [prev_res[r] for r in keep]
         history.push(q, tq)
         widest = anderson.build_history_matrices(history)
         e = widest.e_newest
         res_inf = np.abs(e).max(axis=1, initial=0.0).tolist()
         res_l2 = np.sqrt(squared_norms(e)).tolist()
-        hits = quiet
+        group.reserve(k)
+        cols = group.arrays
+        cols["residual_inf"][k] = res_inf
+        cols["residual_l2"][k] = res_l2
         if cfg.safeguard:
             hits = [x > 2.0 * y for x, y in zip(res_inf, prev_res)]
             history.width = [1 if hit else w for hit, w in zip(hits, history.width)]
+            cols["safeguard_triggered"][k] = hits
         widths = history.width
+        cols["width"][k] = widths
         if widths.count(widths[0]) == len(widths):  # one width, as without restarts
             classes, nxt = {widths[0]: range(len(live))}, None
         else:  # the rows of each width; nxt is filled class by class
@@ -462,22 +638,19 @@ def _run_lockstep(
                 alpha, mixed = sols[0].alpha[None], sols[0].mixed_residual[None]
             else:
                 alpha, mixed, sols = anderson.solve_stacked(matrices, kind, cfg.eta)
+            cols["alpha"][k, part, :w] = alpha
             mixed_l2 = np.sqrt(squared_norms(mixed)).tolist()
-            for i, (r, sol) in enumerate(zip(rows, sols)):
-                rec = _trace_record(
-                    k, res_inf[r], res_l2[r], mixed_l2[i], sol, cfg.eta, hits[r]
-                )
-                records[live[r]].append(rec)
-                if chunks and w > 1:
-                    chunks[live[r]].add(rec, sol, matrices.run(i))
+            own_l2 = [res_l2[r] for r in rows]
+            _record_solutions(cols, k, part, w, sols, own_l2, mixed_l2, cfg.eta)
+            if chunks and w > 1:
+                for i, (r, sol) in enumerate(zip(rows, sols)):
+                    chunks[live[r]].add(k, sol, matrices.run(i), group, r)
             step = anderson.next_iterates(history, alpha, mixed, beta, part)
             if nxt is None:
                 nxt = step
             else:
                 nxt[rows] = step
-        wall = time.perf_counter_ns() - t0
-        for j in live:
-            records[j][-1].wall_nanos = wall
+        cols["wall_nanos"][k] = time.perf_counter_ns() - t0
         nxt = nxt.reshape(q.shape)
         # the whole group is checked at once, and run by run only if one stops;
         # "not <=" also holds for a non-finite iterate, whose max is nan or inf
@@ -492,13 +665,11 @@ def _run_lockstep(
                 converged = res_inf[r] <= cfg.tol
                 if converged or k >= cfg.max_iter:
                     iterations = k if converged else cfg.max_iter
-                    out[j] = SolverTrace(
-                        records[j], converged, iterations, q[r].copy(), cfg, n
-                    )
+                    out[j] = finish(r, k + 1, converged, iterations, q[r])
                 elif diverged[r]:
                     out[j] = DivergenceError(
                         f"iterate diverged at iteration {k + 1}",
-                        SolverTrace(records[j], False, k + 1, nxt[r].copy(), cfg, n),
+                        finish(r, k + 1, False, k + 1, nxt[r]),
                     )
                 else:
                     keep.append(r)
@@ -507,11 +678,10 @@ def _run_lockstep(
                 break
             stack, nxt = stack.take(keep), nxt[keep]
             history.take(keep)
+            group.take(keep)
             res_inf = [res_inf[r] for r in keep]
         q, prev_res = nxt, res_inf
         k += 1
-    for chunk in chunks:  # the traces hold these records, DivergenceError's too
-        chunk.settle()
     return out
 
 
@@ -580,8 +750,8 @@ def _summarize(
     """
     failed = isinstance(outcome, DivergenceError)
     trace = outcome.trace if failed else outcome
-    counted = [] if failed else trace.records
-    thetas = np.array([r.theta for r in counted])
+    rows = slice(0) if failed else slice(None)
+    thetas = trace.theta[rows]
     err = None
     if oracle is not None and trace.converged:
         err = float(np.abs(trace.final_q - oracle).max())
@@ -593,14 +763,14 @@ def _summarize(
         converged=trace.converged,
         failed=failed,
         iterations=trace.iterations,
-        final_residual_inf=float(trace.records[-1].residual_inf)
-        if trace.records
+        final_residual_inf=float(trace.residual_inf[-1])
+        if len(trace.residual_inf)
         else None,
         final_error_vs_oracle=err,
         theta_mean=float(thetas.mean()) if thetas.size else None,
         theta_max=float(thetas.max()) if thetas.size else None,
-        jitter_count=sum(1 for r in counted if r.jitter_flag),
-        safeguard_count=sum(1 for r in counted if r.safeguard_triggered),
+        jitter_count=int(trace.jitter_flags()[rows].sum()),
+        safeguard_count=int(trace.safeguard_triggered[rows].sum()),
         message=str(outcome) if failed else "",
     )
 
@@ -686,19 +856,27 @@ def write_trace_csv(trace: SolverTrace, path, include_timing: bool = False) -> N
     repeated runs with identical inputs produce byte-identical files.
     """
     beta = repr(trace.config.effective_beta())
+    rows = zip(
+        trace.residual_inf.tolist(),
+        trace.residual_l2.tolist(),
+        trace.theta.tolist(),
+        trace.jitter_flags().tolist(),
+        trace.width.tolist(),
+        trace.wall_nanos.tolist() if include_timing else [0] * len(trace.width),
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for rec in trace.records:
+        for k, (res_inf, res_l2, theta, flag, w, nanos) in enumerate(rows):
             writer.writerow(
                 [
-                    rec.k,
-                    repr(rec.residual_inf),
-                    repr(rec.residual_l2),
-                    repr(rec.theta),
+                    k,
+                    repr(res_inf),
+                    repr(res_l2),
+                    repr(theta),
                     beta,
-                    int(rec.jitter_flag),
-                    COMPACT_JSON.encode(rec.alpha.tolist()),
-                    rec.wall_nanos if include_timing else 0,
+                    int(flag),
+                    COMPACT_JSON.encode(trace.alpha[k, :w].tolist()),
+                    nanos,
                 ]
             )

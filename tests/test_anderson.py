@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -310,6 +311,36 @@ class TestTauSolvers:
         m = build_history_matrices(two_column_history())
         with pytest.raises(ValueError):
             solve_tau_regularized(m, -0.1)
+
+    @pytest.mark.parametrize(
+        "eta", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_eta_rejected(self, eta):
+        # nan would pass an "eta < 0" check and solve unregularized, inf would
+        # give a flagged fallback with infinite jitter
+        m = build_history_matrices(two_column_history())
+        with pytest.raises(ValueError, match="eta must be finite"):
+            solve_tau_regularized(m, eta)
+
+    @pytest.mark.parametrize(
+        "eta,digest",
+        [
+            (0.0, "39424983c38dec382df534529d87a4008acaf5eb5e048b3934d9c0e2f5656e17"),
+            (0.1, "8d4cd3b6fa48b08e91432d5fec55aa2a920d1441c2082a798f094c4bbb43638d"),
+            (1e12, "e9a85e38687dbc679ae8d6cd4f8cb38c5c5356ebf8b6753738344a4fee948785"),
+        ],
+    )
+    def test_zero_and_finite_eta_solve_as_before(self, eta, digest):
+        # recorded while the solve checked only eta < 0
+        m = build_history_matrices(random_history(np.random.default_rng(19), 12, 5))
+        sol = solve_tau_regularized(m, eta)
+        blob = b"".join(a.tobytes() for a in (sol.alpha, sol.tau, sol.mixed_residual))
+        blob += repr(
+            (sol.gain_theta, sol.jitter, sol.fallback, sol.ridge_scale, sol.gram_trace)
+        ).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+        if eta == 0.0:  # the unconstrained solve, bit for bit
+            assert sol.alpha.tobytes() == solve_tau_unconstrained(m).alpha.tobytes()
 
     def test_degenerate_history_flagged(self):
         # identical residual columns: H = 0, the Gram solve needs the

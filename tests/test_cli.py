@@ -326,6 +326,62 @@ class TestCompare:
         assert not (tmp_path / "cmp").exists()
 
 
+    def test_safeguard_spec_runs_in_a_lockstep_group(self, tmp_path, monkeypatch):
+        # at tol 1e-16 the guard restarts windows: on every seed here but 0,
+        # and seeds 7 and 8 converge while the others stop at max_iter
+        from anderson_pi import solver
+
+        groups = []
+        lockstep = solver._run_lockstep
+
+        def recording(mdps, cfg):
+            groups.append((len(mdps), cfg.safeguard))
+            return lockstep(mdps, cfg)
+
+        monkeypatch.setattr(solver, "_run_lockstep", recording)
+        argv = ["compare", "--scheme", "vanilla", "--scheme",
+                "stable-aa:m=5,eta=0.1,safeguard=1", "--gen", "random",
+                "--seeds", "0:10", "--states", 10, "--actions", 3, "--branching", 2,
+                "--gamma", 0.9, "--tol", 1e-16, "--max-iter", 400, "-o", tmp_path]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([str(a) for a in argv]) == 0
+        monkeypatch.undo()
+        assert groups == [(10, False), (10, True)]
+        rows = [json.loads(line) for line in (tmp_path / "report.jsonl").read_text().splitlines()]
+        mm5 = ap.OperatorSpec(ap.OperatorKind.MELLOW_MAX, 5.0)
+        cfg = ap.SolverConfig(
+            ap.Scheme.STABLE_AA, mm5, m=5, eta=0.1, tol=1e-16, max_iter=400, safeguard=True
+        )
+        got = [(r["mdp_seed"], r["iterations"], r["safeguard_count"]) for r in rows[10:]]
+        want = []
+        for seed in range(10):
+            trace = ap.run(ap.generate_random_mdp(seed, 10, 3, 2, 1.0, 0.9), cfg)
+            want.append((seed, trace.iterations, int(trace.safeguard_triggered.sum())))
+        assert got == want
+        assert [r["config_hash"] for r in rows[10:]] == [cfg.config_hash()] * 10
+        assert 0 < sum(count for *_, count in got) and [n for _, n, _ in got].count(400) == 8
+
+    @pytest.mark.parametrize("value", ["2", "yes", "", "true"])
+    def test_bad_safeguard_value_is_usage_error(self, value, tmp_path, capsys):
+        argv = ["compare", "--scheme", "vanilla", "--scheme", f"kkt:m=3,safeguard={value}",
+                "--gen", "random", "--seeds", "0:2", "-o", str(tmp_path / "cmp")]
+        assert cli.main(argv) == 2
+        assert "safeguard must be 0 or 1" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    def test_safeguard_zero_is_the_plain_spec(self, tmp_path):
+        outputs = []
+        for spec in ("kkt:m=3", "kkt:m=3,safeguard=0"):
+            out = tmp_path / spec.replace(":", "_").replace(",", "_")
+            argv = ["compare", "--scheme", "vanilla", "--scheme", spec, "--gen", "random",
+                    "--seeds", "0:3", "-o", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            outputs.append([(out / f).read_bytes() for f in
+                            ("report.jsonl", "curves.csv", "aggregate.json")])
+        assert outputs[0] == outputs[1]
+
+
 class TestCheck:
     def test_clean_run_exits_zero(self, tmp_path):
         proc = run_cli("check", "--seed", 1, "--pairs", 50, "-o", tmp_path)

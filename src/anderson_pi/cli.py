@@ -318,7 +318,9 @@ def _parse_scheme_spec(spec: str, args) -> SolverConfig:
             overrides[key] = value
     safeguard = overrides.get("safeguard", "0").strip()
     if safeguard not in ("0", "1"):
-        raise ValueError(f"safeguard must be 0 or 1, got {safeguard!r} in scheme spec {spec!r}")
+        raise ValueError(
+            f"safeguard must be 0 or 1, got {safeguard!r} in scheme spec {spec!r}"
+        )
     omega = float(overrides.get("omega", args.omega))
     return SolverConfig(
         scheme=Scheme(name),

@@ -283,7 +283,8 @@ def theta_records(trace: SolverTrace) -> list[BoundCheckRecord]:
     chash = trace.config.config_hash()
     cap = float(np.sqrt(trace.n))
     records = []
-    for k, (theta_l2, theta) in enumerate(zip(trace.theta_l2.tolist(), trace.theta.tolist())):
+    thetas = zip(trace.theta_l2.tolist(), trace.theta.tolist())
+    for k, (theta_l2, theta) in enumerate(thetas):
         records.append(
             _record(
                 "Theta01",
@@ -315,9 +316,8 @@ def coefficient_bound_records(trace: SolverTrace) -> list[BoundCheckRecord]:
     """Coefficient-norm (asserted) and coefficient-gap (report-only) rows a run recorded."""
     chash = trace.config.config_hash()
     records = []
-    columns = zip(
-        *(trace.values(name) for name in ("coeff_norm_lhs", "coeff_norm_rhs", "coeff_gap_lhs", "coeff_gap_rhs"))
-    )
+    names = ("coeff_norm_lhs", "coeff_norm_rhs", "coeff_gap_lhs", "coeff_gap_rhs")
+    columns = zip(*(trace.values(name) for name in names))
     for k, (norm_lhs, norm_rhs, gap_lhs, gap_rhs) in enumerate(columns):
         if norm_lhs is not None:
             records.append(

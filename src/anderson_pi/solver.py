@@ -342,11 +342,13 @@ def _solve_coefficients(
 
 
 class _GroupColumns:
-    """The trace columns of a lockstep group: row ``k`` for iteration ``k``, a column per live run.
+    """The trace columns of a lockstep group: row ``k`` for iteration ``k``.
 
-    The arrays start zeroed and grow by doubling.  A run that stops takes
-    its trimmed columns (:meth:`run`), and :meth:`take` drops them from the
-    group, as ``AndersonHistory.take`` drops its runs.
+    Column ``r`` is the group's live run ``r``; ``alpha`` has a third axis
+    of ``m + 1`` weights.  The arrays start zeroed and grow by doubling.  A
+    run that stops takes its trimmed columns (:meth:`run`), and
+    :meth:`take` drops them from the group, as ``AndersonHistory.take``
+    drops its runs.
     """
 
     def __init__(self, names: list[str], runs: int, depth: int):
@@ -463,8 +465,9 @@ class _DiagnosticsChunk:
             anderson.coefficient_gap_bound(sol.alpha, non.alpha, p)
             for sol, non in zip(self.solutions, unregularized)
         ]
-        cols["coeff_gap_lhs"][self.rows, r], cols["coeff_gap_rhs"][self.rows, r] = zip(*gaps)
-        cols["update_norm_lhs"][self.rows, r] = anderson.update_matrix_norms(
+        rows = self.rows
+        cols["coeff_gap_lhs"][rows, r], cols["coeff_gap_rhs"][rows, r] = zip(*gaps)
+        cols["update_norm_lhs"][rows, r] = anderson.update_matrix_norms(
             windows, self.beta, self.solutions
         )
         self.rows, self.solutions = [], []

@@ -16,7 +16,9 @@ import anderson_pi as ap
 from anderson_pi.solver import DivergenceError, Scheme, SolverConfig, TraceRecord
 
 # every field but wall_nanos, which holds measured time
-PINNED_FIELDS = tuple(f.name for f in dataclasses.fields(TraceRecord) if f.name != "wall_nanos")
+PINNED_FIELDS = tuple(
+    f.name for f in dataclasses.fields(TraceRecord) if f.name != "wall_nanos"
+)
 
 
 def render(value):

@@ -209,13 +209,9 @@ _STABLE_COLUMNS = ("coeff_norm_lhs", "coeff_norm_rhs", "reg_share")
 _FULL_COLUMNS = ("coeff_gap_lhs", "coeff_gap_rhs", "update_norm_lhs")
 # absent where the window has width 1 (p = 0)
 _WIDE_ONLY = ("reg_share", *_FULL_COLUMNS)
-# the columns of a TraceRecord's fields before alpha (after k), and after
-# jitter_flag (before g_tilde), in its order
-_RECORD_HEAD = ("residual_inf", "residual_l2", "theta", "theta_l2")
-_RECORD_TAIL = (
-    "jitter", "fallback", "safeguard_triggered", "wall_nanos", "coeff_norm_lhs",
-    "coeff_norm_rhs", "coeff_gap_lhs", "coeff_gap_rhs", "update_norm_lhs", "reg_share",
-)
+# a TraceRecord's fields after k, read by SolverTrace.values; g_tilde and
+# g_unreg stay None
+_RECORD_FIELDS = tuple(f.name for f in fields(TraceRecord))[1:-2]
 
 
 def _column_names(cfg: SolverConfig) -> list[str]:
@@ -278,14 +274,20 @@ class SolverTrace:
         return (self.jitter > 0.0) | self.fallback
 
     def values(self, name: str, rows=slice(None)) -> list:
-        """Column ``name`` at ``rows`` as Python scalars, None where the field is absent."""
-        column = getattr(self, name)
-        count = len(self.residual_inf[rows])
+        """Field ``name`` of the records at ``rows``, None where the field is absent.
+
+        Floats, ints and bools are Python scalars; ``alpha`` gives a copy of
+        each row's weights.
+        """
+        widths = self.width[rows].tolist()
+        if name == "alpha":
+            return [a[:w].copy() for a, w in zip(self.alpha[rows], widths)]
+        column = self.jitter_flags() if name == "jitter_flag" else getattr(self, name)
         if column is None:
-            return [None] * count
+            return [None] * len(widths)
         out = column[rows].tolist()
         if name in _WIDE_ONLY:
-            out = [x if w > 1 else None for x, w in zip(out, self.width[rows].tolist())]
+            out = [x if w > 1 else None for x, w in zip(out, widths)]
         return out
 
 
@@ -313,18 +315,8 @@ class TraceRecords(Sequence):
         return iter(self._build(slice(None)))
 
     def _build(self, rows: slice) -> list[TraceRecord]:
-        trace = self._trace
-        alphas = trace.alpha[rows]
-        head = zip(range(len(self))[rows], *(trace.values(f, rows) for f in _RECORD_HEAD))
-        tail = zip(
-            trace.jitter_flags()[rows].tolist(),
-            *(trace.values(f, rows) for f in _RECORD_TAIL),
-        )
-        widths = trace.width[rows].tolist()
-        return [
-            TraceRecord(*h, alphas[i, :w].copy(), *t)
-            for i, (h, w, t) in enumerate(zip(head, widths, tail))
-        ]
+        columns = [self._trace.values(name, rows) for name in _RECORD_FIELDS]
+        return [TraceRecord(k, *row) for k, row in zip(range(len(self))[rows], zip(*columns))]
 
 
 _KINDS = {

@@ -152,6 +152,7 @@ def test_record_is_a_snapshot(restarted):
     rec.alpha[:] = 7.0
     rec.wall_nanos += 1
     assert record_rows(restarted.records) == before
+    assert restarted.records[70].wall_nanos == rec.wall_nanos - 1
     assert restarted.records[70].update_norm_lhs is not None
     assert (restarted.alpha[70] != 7.0).all()
 

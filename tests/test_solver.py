@@ -841,3 +841,58 @@ class TestDiagnosticsChunks:
         assert_full_diagnostics_complete(records)
         cut = ap.run(mdp, dataclasses.replace(cfg, max_iter=10))
         assert full_diagnostics_of(cut.records) == full_diagnostics_of(records[:11])
+
+
+def trace_columns_digest(trace):
+    """sha256 over every column of a trace but ``wall_nanos``, ``final_q`` and the outcome."""
+    h = hashlib.sha256(repr((trace.converged, trace.iterations, trace.n)).encode())
+    for f in dataclasses.fields(solver.SolverTrace):
+        value = getattr(trace, f.name)
+        if f.name == "wall_nanos" or not (value is None or isinstance(value, np.ndarray)):
+            continue
+        h.update(f.name.encode())
+        if value is None:
+            h.update(b"None")
+        else:
+            h.update(f"{value.dtype.str}{value.shape}".encode() + value.tobytes())
+    return h.hexdigest()
+
+
+class TestEnsembleGolden:
+    """The lockstep engine's outputs on the benchmark's ensemble, pinned bit for bit.
+
+    Recorded while the stacked solve still returned one MixingSolution per
+    run and numpy's Cholesky gated each stack as a whole.
+    """
+
+    MDPS = [ap.generate_random_mdp(j, 30, 4, 3, 1.0, 0.99) for j in range(3)]
+
+    def test_ensemble_30x4(self, mm5):
+        # the ensemble-30x4 configs on three 30x4 MDPs at gamma 0.99
+        configs = [
+            cfg_for(Scheme.VANILLA_VI, mm5, tol=1e-10),
+            cfg_for(Scheme.ANDERSON_KKT, mm5, m=5, tol=1e-10),
+            cfg_for(Scheme.ANDERSON_UNCONSTRAINED, mm5, m=5, tol=1e-10),
+            cfg_for(Scheme.STABLE_AA, mm5, m=5, eta=0.1, tol=1e-10),
+        ]
+        report = ap.run_ensemble(configs, self.MDPS)
+        digests = [trace_columns_digest(report.traces[task]) for task in sorted(report.traces)]
+        digests.append(hashlib.sha256(report.to_jsonl().encode()).hexdigest())
+        assert [s.iterations for s in report.summaries] == [
+            2217, 2232, 2156, 39, 39, 35, 39, 39, 35, 2019, 2032, 1963
+        ]
+        assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == (
+            "046f7e932566092ae5c1a3ab2978f43e1f9cff4a6ec68cf00e692bca4fb2f382"
+        )
+
+    def test_full_diagnostics_group_of_three(self, mm5):
+        cfg = cfg_for(
+            Scheme.STABLE_AA, mm5, m=5, eta=0.5, tol=1e-10, diagnostics_level="full"
+        )
+        traces = solver._run_lockstep(self.MDPS, cfg)
+        assert [t.iterations for t in traces] == [2175, 2189, 2115]
+        assert [trace_columns_digest(t) for t in traces] == [
+            "6de82a9a119fd47a1a97d87a7803a7da923e5852da93392f7d834d7666cd5db3",
+            "4410cd197013b44b7c819da0de78653887d218176677b1fb54373025cefc12a8",
+            "ce1b61baa91b02e1b2a292f364ae5887ffc7e304ad012fdf4eb6b79c0918f04b",
+        ]

@@ -41,7 +41,8 @@ that unit vector -- a plain damped step -- and the solution is flagged.
 
 :func:`solve_stacked` runs a solver once for the windows of many runs
 advanced in lockstep (a history with a run axis), with the arithmetic
-of the one-run solver, and settles every run itself.
+of the one-run solver, and settles every run itself: its
+:class:`StackedSolution` holds one row per run.
 """
 
 from __future__ import annotations
@@ -228,6 +229,47 @@ class MixingSolution:
     gram_trace: float | None = None
 
 
+@dataclass
+class StackedSolution:
+    """The solutions of a stack of windows, as arrays with one row per window.
+
+    Row ``r`` of each field is the field of window ``r``'s
+    :class:`MixingSolution` (:meth:`row`); ``mixed_l2`` adds ``||E
+    alpha||_2``.  ``gram_trace`` is None where the solution's is.
+    """
+
+    alpha: np.ndarray
+    tau: np.ndarray
+    mixed_residual: np.ndarray
+    mixed_l2: np.ndarray
+    gain_theta: np.ndarray
+    solver_kind: str
+    jitter: np.ndarray
+    fallback: np.ndarray
+    ridge_scale: np.ndarray
+    gram_trace: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, sol: MixingSolution) -> StackedSolution:
+        """The stack of the one solution ``sol``."""
+        mixed = sol.mixed_residual[None]
+        gram = None if sol.gram_trace is None else np.array([sol.gram_trace])
+        return cls(
+            sol.alpha[None], sol.tau[None], mixed, np.sqrt(squared_norms(mixed)),
+            np.array([sol.gain_theta]), sol.solver_kind, np.array([sol.jitter]),
+            np.array([sol.fallback]), np.array([sol.ridge_scale]), gram,
+        )
+
+    def row(self, r: int) -> MixingSolution:
+        """Window ``r``'s solution; its arrays are views of the stack's rows."""
+        gram = None if self.gram_trace is None else float(self.gram_trace[r])
+        return MixingSolution(
+            self.alpha[r], self.tau[r], self.mixed_residual[r], float(self.gain_theta[r]),
+            self.solver_kind, float(self.jitter[r]), bool(self.fallback[r]),
+            float(self.ridge_scale[r]), gram,
+        )
+
+
 def transformation_matrix(p: int) -> np.ndarray:
     """The (p+1) x (p+1) map A with alpha = A @ (1, tau).
 
@@ -258,13 +300,17 @@ def tau_to_alpha(tau) -> np.ndarray:
     The rows of the map are the adjacent differences of
     ``(0, tau_{p-1}, ..., tau_0, 1)``.  Any input is read as one flat tau.
     """
-    return _tau_rows_to_alpha(np.asarray(tau, dtype=np.float64).ravel())
+    tau = np.asarray(tau, dtype=np.float64).ravel()
+    if not np.isfinite(tau).all():
+        raise ValueError("tau contains non-finite entries")
+    return _tau_rows_to_alpha(tau)
 
 
 def _tau_rows_to_alpha(tau: np.ndarray) -> np.ndarray:
-    """:func:`tau_to_alpha` of each tau along the last axis of ``tau``."""
-    if not np.isfinite(tau).all():
-        raise ValueError("tau contains non-finite entries")
+    """:func:`tau_to_alpha` of each tau along the last axis, unchecked.
+
+    The solvers pass accepted taus, which are finite, and zeros.
+    """
     s = np.zeros((*tau.shape[:-1], tau.shape[-1] + 2))
     s[..., 1:-1] = tau[..., ::-1]
     s[..., -1] = 1.0
@@ -304,32 +350,55 @@ def gain_theta(mixed: np.ndarray, e_newest: np.ndarray) -> float:
     return float(np.abs(mixed).max(initial=0.0) / denom)
 
 
-def _gains(mixed: np.ndarray, e_newest: np.ndarray) -> list[float]:
-    """:func:`gain_theta` of each row."""
-    nums = np.abs(mixed).max(axis=1, initial=0.0).tolist()
-    denoms = np.abs(e_newest).max(axis=1, initial=0.0).tolist()
-    return [0.0 if d < GAIN_ZERO_TOL else x / d for x, d in zip(nums, denoms)]
+def gain_ratios(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """``num / denom`` of each entry, 0 where ``denom`` is below GAIN_ZERO_TOL.
+
+    The rule of :func:`gain_theta`, for norms of a stack of residuals.
+    """
+    return np.divide(num, denom, out=np.zeros(len(denom)), where=~(denom < GAIN_ZERO_TOL))
 
 
-def coefficient_norm_bound(
-    alpha: np.ndarray, e_norm: float, eta: float
-) -> tuple[float, float]:
-    """Prop2_1 of a regularized solve: ``||alpha||^2 <= 4 (1 + ||e_k||_2^2 / eta^2)``."""
-    return frobenius_norm(alpha) ** 2, 4.0 * (1.0 + e_norm**2 / eta**2)
+def residual_norms(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``||e_r||_inf`` and ``||e_r||_2`` of each row of ``e``."""
+    return np.abs(e).max(axis=-1, initial=0.0), np.sqrt(squared_norms(e))
 
 
-def coefficient_gap_bound(
-    alpha_reg: np.ndarray, alpha_non: np.ndarray, p: int
-) -> tuple[float, float]:
+def _squares(norms: np.ndarray) -> np.ndarray:
+    """Python's ``float ** 2`` of each entry.
+
+    numpy's square differs from it in the last bit on some values.
+    """
+    return np.array([x**2 for x in norms.tolist()])
+
+
+def _squared_norm(alpha: np.ndarray):
+    """``||alpha||_2^2``; for a stack of rows, an array of one per row."""
+    if alpha.ndim == 1:
+        return frobenius_norm(alpha) ** 2
+    return _squares(np.sqrt(squared_norms(alpha)))
+
+
+def coefficient_norm_bound(alpha: np.ndarray, e_norm, eta: float):
+    """Prop2_1 of a regularized solve: ``||alpha||^2 <= 4 (1 + ||e_k||_2^2 / eta^2)``.
+
+    For a stack of alphas, one per row, and an array of their ``||e_k||_2``,
+    an array of each side.
+    """
+    e_sq = e_norm**2 if alpha.ndim == 1 else _squares(e_norm)
+    return _squared_norm(alpha), 4.0 * (1.0 + e_sq / eta**2)
+
+
+def coefficient_gap_bound(alpha_reg: np.ndarray, alpha_non: np.ndarray, p: int):
     """Prop2_2, against the unregularized coefficients ``alpha_non`` of the window.
 
     ``||alpha_reg - alpha_non||^2 <= cond2(A)^2 ||alpha_non||^2 - (2p + 1) /
-    (p + 1)`` with ``A = transformation_matrix(p)``.
+    (p + 1)`` with ``A = transformation_matrix(p)``.  For stacks of alphas,
+    one per row, an array of each side.
     """
-    gap_rhs = transform_cond2(p) ** 2 * frobenius_norm(alpha_non) ** 2 - (
-        2.0 * p + 1.0
-    ) / (p + 1.0)
-    return frobenius_norm(alpha_reg - alpha_non) ** 2, gap_rhs
+    gap_rhs = transform_cond2(p) ** 2 * _squared_norm(alpha_non) - (2.0 * p + 1.0) / (
+        p + 1.0
+    )
+    return _squared_norm(alpha_reg - alpha_non), gap_rhs
 
 
 def _gram(rows: np.ndarray, ridge=None) -> np.ndarray:
@@ -352,24 +421,16 @@ def _certified(alpha: np.ndarray, mixed: np.ndarray, e_newest: np.ndarray) -> bo
     return mixed_norm <= frobenius_norm(e_newest) * (1.0 + CERT_RTOL) + 1e-300
 
 
-def _certified_rows(alpha: np.ndarray, mixed: np.ndarray, e_newest: np.ndarray):
-    """:func:`_certified` of each row."""
-    mixed_norm = np.sqrt(squared_norms(mixed))
-    bound = np.sqrt(squared_norms(e_newest)) * (1.0 + CERT_RTOL) + 1e-300
-    return np.isfinite(alpha).all(axis=1) & (mixed_norm <= bound)
-
-
 def _squared_frobenius(m: np.ndarray):
     """``||m||_F^2``; for a run axis in front, an array of one per run.
 
-    The square is Python's ``float ** 2`` of :func:`frobenius_norm`:
-    numpy's square differs from it in the last bit on some values.  The
-    stacked matrices are history views, each run's columns one block.
+    The square is Python's ``float ** 2`` of :func:`frobenius_norm`
+    (:func:`_squares`).  The stacked matrices are history views, each run's
+    columns one block.
     """
     if m.ndim == 2:
         return frobenius_norm(m) ** 2
-    norms = np.sqrt(squared_norms(m.mT.reshape(len(m), -1)))
-    return np.array([x**2 for x in norms.tolist()])
+    return _squares(np.sqrt(squared_norms(m.mT.reshape(len(m), -1))))
 
 
 def _ridge_scale(matrices: HistoryMatrices, eta: float):
@@ -462,26 +523,28 @@ def vanilla_solution(matrices: HistoryMatrices) -> MixingSolution:
 
 
 def solve_stacked(
-    matrices: HistoryMatrices, kind: str, eta: float
-) -> tuple[np.ndarray, np.ndarray, list[MixingSolution]]:
+    matrices: HistoryMatrices, kind: str, eta: float, e_inf: np.ndarray, e_l2: np.ndarray
+) -> StackedSolution:
     """The solver of ``kind`` on every window of a history with a run axis.
 
-    Returns the stacked ``alpha`` and mixed residual ``E alpha``, and per
-    run the solution the one-run solver of ``kind`` returns, bit for bit:
-    the Gram matrices, the SPD solves (:func:`spd_solve`), the
-    certificates and ``E alpha`` take one stacked call for all runs.  A
-    run whose system is not accepted, whose weights fail the certificate
-    or (for KKT) miss sum 1 gets the flagged plain step in its rows, with
-    the jitter the one-run solver reports.
+    ``e_inf`` and ``e_l2`` are :func:`residual_norms` of the newest
+    residuals.  Row ``r`` of the result is the solution the one-run solver
+    of ``kind`` returns for window ``r``, bit for bit: the Gram matrices,
+    the SPD solves (:func:`spd_solve`), the certificates and ``E alpha``
+    take one stacked call for all runs.  A run whose system is not
+    accepted, whose weights fail the certificate or (for KKT) miss sum 1
+    gets the flagged plain step in its rows, with the jitter the one-run
+    solver reports.
     """
     e = matrices.residuals
     e_new = matrices.e_newest
     runs, _, cols = e.shape
     eta = eta if kind == KIND_REGULARIZED else 0.0
-    ridge, scale, h_sq = None, [0.0] * runs, [None] * runs
+    scale, h_sq = np.zeros(runs), None
     if cols == 1:
         alpha, tau = np.ones((runs, 1)), np.zeros((runs, 0))
-        mixed, jitter, accepted = e_new.copy(), np.zeros(runs), np.ones(runs, bool)
+        mixed, mixed_l2 = e_new.copy(), e_l2.copy()
+        jitter, accepted = np.zeros(runs), np.ones(runs, bool)
     else:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if kind == KIND_KKT:
@@ -490,31 +553,29 @@ def solve_stacked(
                 accepted &= _sums_to_one(alpha.sum(axis=-1))
                 tau = _partial_sums(alpha)
             else:
-                h = matrices.delta_e
+                h, ridge = matrices.delta_e, None
                 if eta > 0.0:
-                    ridge, h_sq = _ridge_scale(matrices, eta)
-                    scale, h_sq, ridge = ridge.tolist(), h_sq.tolist(), ridge[:, None]
+                    scale, h_sq = _ridge_scale(matrices, eta)
+                    ridge = scale[:, None]
                 tau, jitter, accepted = spd_solve(
                     _gram(h.mT, ridge), np.matvec(h.mT, e_new)
                 )
                 tau[~accepted] = 0.0
                 alpha = _tau_rows_to_alpha(tau)
             mixed = np.matvec(e, alpha)
-            accepted &= _certified_rows(alpha, mixed, e_new)
+            mixed_l2 = np.sqrt(squared_norms(mixed))
+            # the certificate of _certified, row by row
+            accepted &= np.isfinite(alpha).all(axis=1)
+            accepted &= mixed_l2 <= e_l2 * (1.0 + CERT_RTOL) + 1e-300
             if not accepted.all():  # masked writes cost time even with no row rejected
                 plain = ~accepted
                 alpha[plain], tau[plain], mixed[plain] = 0.0, 0.0, e_new[plain]
                 alpha[plain, -1] = 1.0
-    gains = _gains(mixed, e_new)
-    jitter, fallback = jitter.tolist(), (~accepted).tolist()
-    sols = [
-        MixingSolution(
-            alpha[r], tau[r], mixed[r], gains[r], kind, jitter[r], fallback[r],
-            scale[r], h_sq[r],
-        )
-        for r in range(runs)
-    ]
-    return alpha, mixed, sols
+                mixed_l2[plain] = e_l2[plain]
+    gains = gain_ratios(np.abs(mixed).max(axis=1, initial=0.0), e_inf)
+    return StackedSolution(
+        alpha, tau, mixed, mixed_l2, gains, kind, jitter, ~accepted, scale, h_sq
+    )
 
 
 def _check_step(history: AndersonHistory, solution: MixingSolution, beta: float) -> None:
@@ -586,9 +647,7 @@ def materialize_update_matrix(
     return (matrices.delta_q + beta * h) @ w - beta * np.eye(n)
 
 
-def update_matrix_norms(
-    matrices: HistoryMatrices, beta: float, solutions
-) -> float | list[float]:
+def update_matrix_norms(matrices: HistoryMatrices, beta: float, solutions):
     """Exact ``||G~||_2`` without any n x n matrix.
 
     ``G~`` is what :func:`materialize_update_matrix` forms from the same
@@ -597,14 +656,28 @@ def update_matrix_norms(
     norm is the largest singular value of the at most 2p x 2p matrix
     ``M~``, raised to ``beta`` if Q has a complement.
 
-    Stacked matrices (a run axis in front) take a list of solutions, one
-    per window, and give a list of norms, each the one its window gives
-    alone: the QR, solve and SVD take one stacked call each.
+    Stacked matrices (a run axis in front) take a :class:`StackedSolution`,
+    one row per window, and give a list of norms, each the one its window
+    gives alone: the QR, solve and SVD take one stacked call each.
+    """
+    reg = np.add(solutions.ridge_scale, solutions.jitter)
+    solved = np.logical_not(solutions.fallback)
+    if matrices.delta_e.ndim == 2:  # one window: the stack of one
+        e, d, h = matrices.residuals, matrices.delta_q, matrices.delta_e
+        one = HistoryMatrices(e[None], d[None], h[None])
+        return _update_norms(one, beta, reg[None], solved[None])[0]
+    return _update_norms(matrices, beta, reg, solved)
+
+
+def _update_norms(
+    matrices: HistoryMatrices, beta: float, reg: np.ndarray, solved: np.ndarray
+) -> list[float]:
+    """:func:`update_matrix_norms` of stacked windows.
+
+    ``reg`` is each solution's ``ridge_scale + jitter``, and ``solved``
+    whether it is not a fallback.
     """
     h = matrices.delta_e
-    if h.ndim == 2:  # one window: the stack of one
-        one = HistoryMatrices(matrices.residuals[None], matrices.delta_q[None], h[None])
-        return update_matrix_norms(one, beta, [solutions])[0]
     runs, n, p = h.shape
     if p == 0:
         return [beta] * runs
@@ -613,9 +686,7 @@ def update_matrix_norms(
     eye = np.eye(rank)
     m_tilde = np.empty((runs, rank, rank))
     m_tilde[:] = -beta * eye  # the fallback's, whose update matrix is -beta I
-    solved = np.array([not s.fallback for s in solutions])
     if solved.any():
-        reg = np.array([s.ridge_scale + s.jitter for s in solutions])
         k = (h.mT @ h + reg[:, None, None] * np.eye(p))[solved]
         r_s = r[solved]
         m_tilde[solved] = r_s[..., :p] @ np.linalg.solve(k, r_s[..., p:].mT) - beta * eye

@@ -60,8 +60,10 @@ class BoundCheckRecord:
 
     def to_json(self) -> str:
         # not vars(self): that would give every record a materialized __dict__
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        return COMPACT_JSON.encode(payload)
+        return COMPACT_JSON.encode({name: getattr(self, name) for name in _RECORD_FIELDS})
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(BoundCheckRecord))
 
 
 def _record(

@@ -8,6 +8,13 @@ acceptance rule, for a stack of systems, and returns ``(x, jitter,
 accepted)``, as its one-system case ``_solve_spd_impl`` does: a system
 not accepted is a flag, never an exception.  The solvers pass Gram
 matrices, symmetric by construction.
+
+Each attempt calls LAPACK through numpy's own gufuncs, the Cholesky
+``potrf`` as a positive-definiteness gate and the LU ``gesv`` for the
+solution: the calls ``np.linalg.cholesky`` and ``np.linalg.solve`` make,
+with the same bits, without their Python wrappers.  The gufuncs settle
+each system of a stack alone: a system whose factorization fails gets an
+all-nan result, and the others are untouched.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 SOLVE_RTOL = 1e-8
 BASE_JITTER = 1e-10
@@ -46,17 +54,15 @@ def squared_norms(x: np.ndarray) -> np.ndarray:
 def _attempt(m: np.ndarray, a: np.ndarray, b: np.ndarray, tol: np.ndarray):
     """Solutions of the stack ``m x = b``, and which solve the ORIGINAL ``a x = b``.
 
-    A solution is accepted if it is finite and within ``tol``.  None if
-    numpy's Cholesky gate finds any ``m[r]`` not positive definite.
+    A solution is accepted if the Cholesky gate passes for its ``m[r]``,
+    and if ``||a x - b||`` is finite (so is x) and within ``tol``.  Called
+    under :func:`spd_solve`'s errstate, which keeps a failed system's nan
+    results from warning.
     """
-    try:
-        np.linalg.cholesky(m)  # positive-definiteness gate
-        x = np.linalg.solve(m, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return None
-    # a non-finite x makes its err nan or inf, which this also rejects
+    gate = ~np.isnan(_umath_linalg.cholesky_lo(m)[..., 0, 0])
+    x = _umath_linalg.solve1(m, b)
     err = np.sqrt(squared_norms(np.matvec(a, x) - b))
-    return x, err <= tol
+    return x, gate & np.isfinite(err) & (err <= tol)
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray):
@@ -64,28 +70,24 @@ def spd_solve(a: np.ndarray, b: np.ndarray):
 
     Returns (x, jitter, accepted).  One zero-jitter attempt covers the
     stack; each system it rejects retries alone with ``a[r] + lam I`` up
-    :func:`jitter_ladder` (first at zero jitter, if the Cholesky gate
-    failed the stack), each attempt accepted only if the solution solves
-    the original system within ``SOLVE_RTOL * (1 + ||b[r]||)``.
-    ``jitter[r]`` is the level used, or the last one tried.
+    :func:`jitter_ladder`, each attempt accepted only if the solution
+    solves the original system within ``SOLVE_RTOL * (1 + ||b[r]||)``.
+    ``jitter[r]`` is the level used, or the last one tried; a system never
+    accepted keeps the zero-jitter attempt's x.
     """
     tol = SOLVE_RTOL * (1.0 + np.sqrt(squared_norms(b)))
     jitter = np.zeros(len(a))
-    first = _attempt(a, a, b, tol)
-    if first is None:
-        x, accepted = np.zeros(b.shape), np.zeros(len(a), bool)
-        alone = [0.0] if len(a) > 1 else []
-    else:
-        (x, accepted), alone = first, []
-    for r in (~accepted).nonzero()[0].tolist():
-        ar, br, tr = a[r : r + 1], b[r : r + 1], tol[r : r + 1]
-        eye = np.eye(a.shape[-1])
-        for lam in alone + jitter_ladder(a[r]):
-            jitter[r] = lam
-            found = _attempt(ar + lam * eye, ar, br, tr)
-            if found is not None and found[1][0]:
-                x[r], accepted[r] = found[0][0], True
-                break
+    with np.errstate(all="ignore"):
+        x, accepted = _attempt(a, a, b, tol)
+        for r in (~accepted).nonzero()[0].tolist():
+            ar, br, tr = a[r : r + 1], b[r : r + 1], tol[r : r + 1]
+            eye = np.eye(a.shape[-1])
+            for lam in jitter_ladder(a[r]):
+                jitter[r] = lam
+                xr, ok = _attempt(ar + lam * eye, ar, br, tr)
+                if ok[0]:
+                    x[r], accepted[r] = xr[0], True
+                    break
     return x, jitter, accepted
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import anderson
-from .linalg import squared_norms
 from .mdp import MdpStack, TabularMdp
 from .operators import CONTRACTIVE_KINDS, OperatorSpec, apply_bellman
 
@@ -369,31 +368,29 @@ class _GroupColumns:
         return {name: a[:length, r].copy() for name, a in self.arrays.items()}
 
 
-def _record_solutions(cols, k, part, w, sols, res_l2, mixed_l2, eta) -> None:
+def _record_solutions(cols, k, part, w, sols, e_l2, eta) -> None:
     """Write row ``k`` of the columns the solutions of one width class give.
 
     ``part`` indexes the class's runs in the group (``...`` for all of
-    them); ``res_l2`` and ``mixed_l2`` are ``||e_k||_2`` and ``||E alpha||_2``
-    of each.  A stable-aa run (``eta > 0``) gets the Prop2_1 sides and, for
-    ``w > 1``, its ridge share; what full diagnostics add is left to
-    :class:`_DiagnosticsChunk`.
+    them); ``sols`` is their :class:`anderson.StackedSolution` and ``e_l2``
+    their ``||e_k||_2``.  A stable-aa run (``eta > 0``) gets the Prop2_1
+    sides and, for ``w > 1``, its ridge share; what full diagnostics add
+    is left to :class:`_DiagnosticsChunk`.
     """
-    cols["theta"][k, part] = [s.gain_theta for s in sols]
-    cols["theta_l2"][k, part] = [
-        0.0 if y < anderson.GAIN_ZERO_TOL else x / y for x, y in zip(mixed_l2, res_l2)
-    ]
-    cols["jitter"][k, part] = [s.jitter for s in sols]
-    cols["fallback"][k, part] = [s.fallback for s in sols]
+    cols["alpha"][k, part, :w] = sols.alpha
+    cols["theta"][k, part] = sols.gain_theta
+    cols["theta_l2"][k, part] = anderson.gain_ratios(sols.mixed_l2, e_l2)
+    cols["jitter"][k, part] = sols.jitter
+    cols["fallback"][k, part] = sols.fallback
     if eta > 0.0:
-        bounds = [
-            anderson.coefficient_norm_bound(s.alpha, y, eta) for s, y in zip(sols, res_l2)
-        ]
-        cols["coeff_norm_lhs"][k, part], cols["coeff_norm_rhs"][k, part] = zip(*bounds)
+        cols["coeff_norm_lhs"][k, part], cols["coeff_norm_rhs"][k, part] = (
+            anderson.coefficient_norm_bound(sols.alpha, e_l2, eta)
+        )
         if w > 1:
-            cols["reg_share"][k, part] = [
-                s.ridge_scale / s.gram_trace if s.gram_trace > 0.0 else np.inf
-                for s in sols
-            ]
+            gram = sols.gram_trace
+            cols["reg_share"][k, part] = np.divide(
+                sols.ridge_scale, gram, out=np.full(len(gram), np.inf), where=gram > 0.0
+            )
 
 
 # the window copies one run keeps for full diagnostics: 16 windows at 30x4, m = 5
@@ -410,24 +407,27 @@ class _DiagnosticsChunk:
     of one chunk have one width: a window of another width, or a full
     chunk, settles the chunk first.  Each window is copied in the history's
     layout, each column contiguous, so each result is bitwise the one its
-    window gives alone.
+    window gives alone.  Of each solution the chunk keeps what the extras
+    read: ``alpha``, ``ridge_scale + jitter`` and whether it was solved.
     """
 
     def __init__(self, n: int, beta: float):
         self.n, self.beta = n, beta
         self.rows: list[int] = []  # the iteration of each queued window
-        self.solutions: list[anderson.MixingSolution] = []
         self.e = self.d = self.h = np.empty((0, 0, n))  # E, D and H columns, per window
+        self.alpha = np.empty((0, 0))
+        self.reg, self.solved = np.empty(0), np.empty(0, bool)
 
     def add(
         self,
         k: int,
-        sol: anderson.MixingSolution,
+        sols: anderson.StackedSolution,
+        i: int,
         window: anderson.HistoryMatrices,
         group: _GroupColumns,
         r: int,
     ) -> None:
-        """Queue iteration ``k`` of the run in column ``r`` of ``group``."""
+        """Queue iteration ``k``, solution row ``i``, of the run in column ``r`` of ``group``."""
         cols = window.residuals.shape[1]
         if cols != self.e.shape[1]:
             self.settle(group, r)
@@ -435,10 +435,14 @@ class _DiagnosticsChunk:
             size = max(1, DIAGNOSTICS_CHUNK_BYTES // (8 * n * (3 * cols - 2)))
             self.e = np.empty((size, cols, n))
             self.d, self.h = np.empty((2, size, cols - 1, n))
+            self.alpha = np.empty((size, cols))
+            self.reg, self.solved = np.empty(size), np.empty(size, bool)
         c = len(self.rows)
         self.e[c], self.d[c], self.h[c] = window.residuals.T, window.delta_q.T, window.delta_e.T
+        self.alpha[c] = sols.alpha[i]
+        self.reg[c] = sols.ridge_scale[i] + sols.jitter[i]
+        self.solved[c] = not sols.fallback[i]
         self.rows.append(k)
-        self.solutions.append(sol)
         if c + 1 == len(self.e):
             self.settle(group, r)
 
@@ -448,21 +452,22 @@ class _DiagnosticsChunk:
         if not c:
             return
         windows = anderson.HistoryMatrices(self.e[:c].mT, self.d[:c].mT, self.h[:c].mT)
-        _, _, unregularized = anderson.solve_stacked(
-            windows, anderson.KIND_UNCONSTRAINED, 0.0
+        unregularized = anderson.solve_stacked(
+            windows,
+            anderson.KIND_UNCONSTRAINED,
+            0.0,
+            *anderson.residual_norms(windows.e_newest),
         )
-        p = self.d.shape[1]
-        cols = group.arrays
-        gaps = [
-            anderson.coefficient_gap_bound(sol.alpha, non.alpha, p)
-            for sol, non in zip(self.solutions, unregularized)
-        ]
-        rows = self.rows
-        cols["coeff_gap_lhs"][rows, r], cols["coeff_gap_rhs"][rows, r] = zip(*gaps)
-        cols["update_norm_lhs"][rows, r] = anderson.update_matrix_norms(
-            windows, self.beta, self.solutions
+        cols, rows = group.arrays, self.rows
+        cols["coeff_gap_lhs"][rows, r], cols["coeff_gap_rhs"][rows, r] = (
+            anderson.coefficient_gap_bound(
+                self.alpha[:c], unregularized.alpha, self.d.shape[1]
+            )
         )
-        self.rows, self.solutions = [], []
+        cols["update_norm_lhs"][rows, r] = anderson._update_norms(
+            windows, self.beta, self.reg[:c], self.solved[:c]
+        )
+        self.rows = []
 
 
 def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> SolverTrace:
@@ -602,13 +607,12 @@ def _run_lockstep(
             prev_res = [prev_res[r] for r in keep]
         history.push(q, tq)
         widest = anderson.build_history_matrices(history)
-        e = widest.e_newest
-        res_inf = np.abs(e).max(axis=1, initial=0.0).tolist()
-        res_l2 = np.sqrt(squared_norms(e)).tolist()
+        e_inf, e_l2 = anderson.residual_norms(widest.e_newest)
         group.reserve(k)
         cols = group.arrays
-        cols["residual_inf"][k] = res_inf
-        cols["residual_l2"][k] = res_l2
+        cols["residual_inf"][k] = e_inf
+        cols["residual_l2"][k] = e_l2
+        res_inf = e_inf.tolist()
         if cfg.safeguard:
             hits = [x > 2.0 * y for x, y in zip(res_inf, prev_res)]
             history.width = [1 if hit else w for hit, w in zip(hits, history.width)]
@@ -626,21 +630,22 @@ def _run_lockstep(
             if w < len(history):
                 matrices = anderson.build_history_matrices(history, w)
             part = rows if len(rows) < len(live) else ...  # ...: all runs, as views
+            own_inf, own_l2 = e_inf, e_l2
             if part is rows:
                 matrices = matrices.run(rows)
+                own_inf, own_l2 = e_inf[rows], e_l2[rows]
             if len(rows) == 1:
-                sols = [_solve_coefficients(cfg.scheme, matrices.run(0), cfg.eta)]
-                alpha, mixed = sols[0].alpha[None], sols[0].mixed_residual[None]
+                sol = _solve_coefficients(cfg.scheme, matrices.run(0), cfg.eta)
+                sols = anderson.StackedSolution.of(sol)
             else:
-                alpha, mixed, sols = anderson.solve_stacked(matrices, kind, cfg.eta)
-            cols["alpha"][k, part, :w] = alpha
-            mixed_l2 = np.sqrt(squared_norms(mixed)).tolist()
-            own_l2 = [res_l2[r] for r in rows]
-            _record_solutions(cols, k, part, w, sols, own_l2, mixed_l2, cfg.eta)
+                sols = anderson.solve_stacked(matrices, kind, cfg.eta, own_inf, own_l2)
+            _record_solutions(cols, k, part, w, sols, own_l2, cfg.eta)
             if chunks and w > 1:
-                for i, (r, sol) in enumerate(zip(rows, sols)):
-                    chunks[live[r]].add(k, sol, matrices.run(i), group, r)
-            step = anderson.next_iterates(history, alpha, mixed, beta, part)
+                for i, r in enumerate(rows):
+                    chunks[live[r]].add(k, sols, i, matrices.run(i), group, r)
+            step = anderson.next_iterates(
+                history, sols.alpha, sols.mixed_residual, beta, part
+            )
             if nxt is None:
                 nxt = step
             else:
@@ -699,8 +704,10 @@ class RunSummary:
 
     def to_json(self) -> str:
         # not vars(self): that would give every record a materialized __dict__
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        return COMPACT_JSON.encode(payload)
+        return COMPACT_JSON.encode({name: getattr(self, name) for name in _SUMMARY_FIELDS})
+
+
+_SUMMARY_FIELDS = tuple(f.name for f in fields(RunSummary))
 
 
 @dataclass

@@ -26,6 +26,7 @@ from anderson_pi.anderson import (
     update_matrix_norms,
     vanilla_solution,
 )
+from anderson_pi.linalg import frobenius_norm
 from anderson_pi.operators import OperatorKind, OperatorSpec, apply_bellman
 
 
@@ -225,7 +226,7 @@ class TestKktSolver:
         stacked = stacked_matrices(["random", "kkt-sum"])
         sols = [
             solve_alpha_kkt(one),
-            anderson_module.solve_stacked(stacked, anderson_module.KIND_KKT, 0.0)[2][1],
+            solve_stacked(stacked, anderson_module.KIND_KKT, 0.0).row(1),
         ]
         for sol in sols:
             assert sol.fallback
@@ -633,6 +634,12 @@ SOLVERS = {
 }
 
 
+def solve_stacked(matrices, kind, eta):
+    """The stacked solve, given the newest residuals' norms as the engine gives them."""
+    norms = anderson_module.residual_norms(matrices.e_newest)
+    return anderson_module.solve_stacked(matrices, kind, eta, *norms)
+
+
 def stacked_matrices(names):
     h = AndersonHistory(3, runs=len(names))
     for j in range(4):
@@ -653,7 +660,7 @@ class TestSolveStacked:
     """The stacked solve against the one-run solvers, window by window."""
 
     # (solver, window) -> (jitter > 0, fallback) of the one-run solution;
-    # the zero window fails numpy's Cholesky gate for any stack it is in
+    # the zero window fails the Cholesky gate of its own system only
     CASES = {
         ("kkt", "zero"): (True, True),
         ("kkt", "kkt-ladder"): (True, False),
@@ -688,12 +695,20 @@ class TestSolveStacked:
     def test_equals_one_run_solver(self, kind, names):
         solver_kind, eta, one = SOLVERS[kind]
         matrices = stacked_matrices(names)
-        alpha, mixed, sols = anderson_module.solve_stacked(matrices, solver_kind, eta)
-        assert len(sols) == len(names)
-        for r, sol in enumerate(sols):
-            assert_same_solution(sol, one(matrices.run(r)))
-            assert np.array_equal(alpha[r], sol.alpha)
-            assert np.array_equal(mixed[r], sol.mixed_residual)
+        stacked = solve_stacked(matrices, solver_kind, eta)
+        assert len(stacked.alpha) == len(names)
+        for r in range(len(names)):
+            want = one(matrices.run(r))
+            assert_same_solution(stacked.row(r), want)
+            # ||E alpha||_2, which the engine records as theta_l2's numerator
+            l2 = frobenius_norm(want.mixed_residual)
+            assert stacked.mixed_l2[r].tobytes() == np.float64(l2).tobytes()
+
+    def test_row_of_one_solution_stack(self):
+        m = build_history_matrices(history_from_pairs(WINDOWS["random"]))
+        for solve in (solve_alpha_kkt, vanilla_solution, lambda w: solve_tau_regularized(w, 0.1)):
+            sol = solve(m)
+            assert_same_solution(anderson_module.StackedSolution.of(sol).row(0), sol)
 
 
 @pytest.mark.parametrize("ridge", [None, 0.3])
@@ -778,9 +793,13 @@ class TestUpdateMatrixNorms:
         for _ in range(5):
             h.push(rng.standard_normal((4, 30)), rng.standard_normal((4, 30)))
         m = build_history_matrices(h)
-        jitter, fallback = [0.0, 1e-3, 0.0, 0.0], [False, False, True, False]
-        sols = [ridge_solution(m.run(r), 0.1, jitter[r], fallback[r]) for r in range(4)]
-        norms = update_matrix_norms(m, beta, sols)
+        stacked = dataclasses.replace(
+            solve_stacked(m, anderson_module.KIND_REGULARIZED, 0.1),
+            jitter=np.array([0.0, 1e-3, 0.0, 0.0]),
+            fallback=np.array([False, False, True, False]),
+        )
+        sols = [stacked.row(r) for r in range(4)]
+        norms = update_matrix_norms(m, beta, stacked)
         alone = [update_matrix_norms(m.run(r), beta, sols[r]) for r in range(4)]
         assert [repr(x) for x in norms] == [repr(x) for x in alone]
         assert norms[2] == beta

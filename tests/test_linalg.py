@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from anderson_pi import linalg
 from anderson_pi.linalg import (
     _solve_spd_impl,
     frobenius_norm,
@@ -60,6 +61,48 @@ class TestSolveSpd:
             assert (jitter[r], accepted[r]) == (jr, ar)
             if ar:
                 assert x[r].tobytes() == xr.tobytes()
+
+    def test_mixed_stack_gives_each_system_alone(self):
+        # SPD, PSD-singular (consistent and not) and non-finite systems in one
+        # stack: each row is the one-system solve, x included, bit for bit
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal((3, 5))
+        spd = g @ g.T + np.eye(3)
+        v = g[:, 0]
+        singular = np.outer(v, v)
+        nan_entry, inf_diag = spd.copy(), spd.copy()
+        nan_entry[0, 1] = nan_entry[1, 0] = np.nan
+        inf_diag[2, 2] = np.inf
+        b = rng.standard_normal(3)
+        systems = [
+            (spd, b),
+            (singular, v * 2.0),
+            (singular, b),
+            (nan_entry, b),
+            (inf_diag, b),
+            (spd, np.array([1.0, np.inf, 0.0])),
+            (np.zeros((3, 3)), b),
+        ]
+        x, jitter, accepted = spd_solve(
+            np.stack([a for a, _ in systems]), np.stack([b for _, b in systems])
+        )
+        assert accepted.tolist() == [True, True, False, False, False, False, False]
+        for r, (a, b) in enumerate(systems):
+            xr, jr, ar = _solve_spd_impl(a, b)
+            assert (x[r].tobytes(), jitter[r], accepted[r]) == (xr.tobytes(), jr, ar), r
+
+    def test_lapack_gufuncs_are_numpys(self):
+        # the gufuncs spd_solve calls directly are those np.linalg.cholesky and
+        # np.linalg.solve call: the same factor and solution, bit for bit
+        rng = np.random.default_rng(6)
+        for p in range(1, 11):
+            g = rng.standard_normal((4, p, 3 * p))
+            a = g @ g.mT
+            b = rng.standard_normal((4, p))
+            factor = linalg._umath_linalg.cholesky_lo(a)
+            x = linalg._umath_linalg.solve1(a, b)
+            assert factor.tobytes() == np.linalg.cholesky(a).tobytes()
+            assert x.tobytes() == np.linalg.solve(a, b[..., None])[..., 0].tobytes()
 
     @given(
         n=st.integers(1, 20),

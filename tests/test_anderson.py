@@ -711,6 +711,56 @@ class TestSolveStacked:
             assert_same_solution(anderson_module.StackedSolution.of(sol).row(0), sol)
 
 
+def golden_windows():
+    """History views of random windows and C- and Fortran-ordered copies of each.
+
+    n in (3, 9, 40, 120) and p = 0..5, then the E = 0 window whose KKT
+    system exhausts the jitter ladder: 73 windows.
+    """
+    rng = np.random.default_rng(1616)
+    windows = []
+    for n in (3, 9, 40, 120):
+        for p in range(6):
+            view = build_history_matrices(random_history(rng, n, p + 1))
+            windows.append(view)
+            for order in (np.ascontiguousarray, np.asfortranarray):
+                windows.append(HistoryMatrices(
+                    order(view.residuals), order(view.delta_q), order(view.delta_e)
+                ))
+    windows.append(build_history_matrices(history_from_pairs([(np.ones(3), np.ones(3))] * 4)))
+    return windows
+
+
+class TestPublicSolverGolden:
+    """Every field of the public one-window solvers, pinned bitwise."""
+
+    SOLVES = [
+        solve_alpha_kkt,
+        solve_tau_unconstrained,
+        lambda m: solve_tau_regularized(m, 0.0),
+        lambda m: solve_tau_regularized(m, 0.1),
+        lambda m: solve_tau_regularized(m, 7.5),
+        vanilla_solution,
+    ]
+
+    def test_digest(self):
+        windows = golden_windows()
+        assert len(windows) == 73
+        h = hashlib.sha256()
+        for m in windows:
+            for solve in self.SOLVES:
+                sol = solve(m)
+                for f in dataclasses.fields(MixingSolution):
+                    x = getattr(sol, f.name)
+                    if isinstance(x, np.ndarray):
+                        h.update(repr((f.name, x.dtype.str, x.shape)).encode() + x.tobytes())
+                    else:
+                        h.update(repr((f.name, type(x).__name__, x)).encode())
+        assert h.hexdigest() == (
+            "26ca06bc403e83fa421095a1dfecdb710611be1dfc6c1eaa3a16209dda65e8ce"
+        )
+
+
 @pytest.mark.parametrize("ridge", [None, 0.3])
 def test_gram_is_exactly_symmetric(ridge):
     rng = np.random.default_rng(8)

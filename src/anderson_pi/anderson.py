@@ -55,7 +55,6 @@ import numpy as np
 
 from .linalg import (
     _solve_spd_impl,
-    frobenius_norm,
     spd_solve,
     spectral_norm,
     squared_norms,
@@ -249,17 +248,6 @@ class StackedSolution:
     ridge_scale: np.ndarray
     gram_trace: np.ndarray | None = None
 
-    @classmethod
-    def of(cls, sol: MixingSolution) -> StackedSolution:
-        """The stack of the one solution ``sol``."""
-        mixed = sol.mixed_residual[None]
-        gram = None if sol.gram_trace is None else np.array([sol.gram_trace])
-        return cls(
-            sol.alpha[None], sol.tau[None], mixed, np.sqrt(squared_norms(mixed)),
-            np.array([sol.gain_theta]), sol.solver_kind, np.array([sol.jitter]),
-            np.array([sol.fallback]), np.array([sol.ridge_scale]), gram,
-        )
-
     def row(self, r: int) -> MixingSolution:
         """Window ``r``'s solution; its arrays are views of the stack's rows."""
         gram = None if self.gram_trace is None else float(self.gram_trace[r])
@@ -309,7 +297,8 @@ def tau_to_alpha(tau) -> np.ndarray:
 def _tau_rows_to_alpha(tau: np.ndarray) -> np.ndarray:
     """:func:`tau_to_alpha` of each tau along the last axis, unchecked.
 
-    The solvers pass accepted taus, which are finite, and zeros.
+    The coefficient solve passes every solved tau; a row its SPD solve did
+    not accept, which need not be finite, is replaced by the plain step.
     """
     s = np.zeros((*tau.shape[:-1], tau.shape[-1] + 2))
     s[..., 1:-1] = tau[..., ::-1]
@@ -371,29 +360,26 @@ def _squares(norms: np.ndarray) -> np.ndarray:
     return np.array([x**2 for x in norms.tolist()])
 
 
-def _squared_norm(alpha: np.ndarray):
-    """``||alpha||_2^2``; for a stack of rows, an array of one per row."""
-    if alpha.ndim == 1:
-        return frobenius_norm(alpha) ** 2
+def _squared_norm(alpha: np.ndarray) -> np.ndarray:
+    """``||alpha_r||_2^2`` of each row of a stack of alphas."""
     return _squares(np.sqrt(squared_norms(alpha)))
 
 
-def coefficient_norm_bound(alpha: np.ndarray, e_norm, eta: float):
-    """Prop2_1 of a regularized solve: ``||alpha||^2 <= 4 (1 + ||e_k||_2^2 / eta^2)``.
+def coefficient_norm_bound(alpha: np.ndarray, e_norm: np.ndarray, eta: float):
+    """Prop2_1 of regularized solves: ``||alpha||^2 <= 4 (1 + ||e_k||_2^2 / eta^2)``.
 
-    For a stack of alphas, one per row, and an array of their ``||e_k||_2``,
+    For a stack of alphas, one per row, and an array of their ``||e_k||_2``:
     an array of each side.
     """
-    e_sq = e_norm**2 if alpha.ndim == 1 else _squares(e_norm)
-    return _squared_norm(alpha), 4.0 * (1.0 + e_sq / eta**2)
+    return _squared_norm(alpha), 4.0 * (1.0 + _squares(e_norm) / eta**2)
 
 
 def coefficient_gap_bound(alpha_reg: np.ndarray, alpha_non: np.ndarray, p: int):
-    """Prop2_2, against the unregularized coefficients ``alpha_non`` of the window.
+    """Prop2_2, against the unregularized coefficients ``alpha_non`` of the windows.
 
     ``||alpha_reg - alpha_non||^2 <= cond2(A)^2 ||alpha_non||^2 - (2p + 1) /
     (p + 1)`` with ``A = transformation_matrix(p)``.  For stacks of alphas,
-    one per row, an array of each side.
+    one per row: an array of each side.
     """
     gap_rhs = transform_cond2(p) ** 2 * _squared_norm(alpha_non) - (2.0 * p + 1.0) / (
         p + 1.0
@@ -413,74 +399,42 @@ def _gram(rows: np.ndarray, ridge=None) -> np.ndarray:
     return gram
 
 
-def _certified(alpha: np.ndarray, mixed: np.ndarray, e_newest: np.ndarray) -> bool:
-    """Accept alpha only if it does at least as well as the plain step."""
-    if not np.isfinite(alpha).all():
-        return False
-    mixed_norm = frobenius_norm(mixed)
-    return mixed_norm <= frobenius_norm(e_newest) * (1.0 + CERT_RTOL) + 1e-300
+def _squared_frobenius(m: np.ndarray) -> np.ndarray:
+    """``||m_r||_F^2`` of each matrix of a stack, one per matrix.
 
-
-def _squared_frobenius(m: np.ndarray):
-    """``||m||_F^2``; for a run axis in front, an array of one per run.
-
-    The square is Python's ``float ** 2`` of :func:`frobenius_norm`
-    (:func:`_squares`).  The stacked matrices are history views, each run's
-    columns one block.
+    Each matrix's entries are summed in memory order, as
+    :func:`~anderson_pi.linalg.frobenius_norm` sums them, and the square is
+    Python's ``float ** 2`` of the norm (:func:`_squares`).
     """
-    if m.ndim == 2:
-        return frobenius_norm(m) ** 2
-    return _squares(np.sqrt(squared_norms(m.mT.reshape(len(m), -1))))
+    rows = m.mT if m.strides[-2] < m.strides[-1] else m  # memory order, row by row
+    return _squares(np.sqrt(squared_norms(rows.reshape(len(m), -1))))
 
 
 def _ridge_scale(matrices: HistoryMatrices, eta: float):
-    """The ridge penalty ``eta * (||D||_F^2 + ||H||_F^2)`` and ``||H||_F^2``.
+    """The ridge penalty ``eta * (||D||_F^2 + ||H||_F^2)`` and ``||H||_F^2``, for ``eta > 0``.
 
-    ``||H||_F^2`` is ``trace(H^T H)``.  Both are 0 for eta = 0.  Stacked
-    matrices give an array of each, one entry per run.
+    ``||H||_F^2`` is ``trace(H^T H)``.  An array of each, one entry per window.
     """
-    if not eta > 0.0:
-        return 0.0, 0.0
     h_sq = _squared_frobenius(matrices.delta_e)
     return eta * (_squared_frobenius(matrices.delta_q) + h_sq), h_sq
 
 
-def _solve_one(matrices: HistoryMatrices, kind: str, eta: float = 0.0) -> MixingSolution:
-    """The solver of ``kind`` on one window, in :func:`solve_stacked`'s steps.
+def _spd_one(a: np.ndarray, b: np.ndarray):
+    """:func:`spd_solve` of a stack of one system, as one ``_solve_spd_impl`` call."""
+    x, jitter, accepted = _solve_spd_impl(a[0], b[0])
+    return x[None], np.array([jitter]), np.array([accepted])
 
-    With one column, or for the vanilla kind, this is the unflagged plain
-    step.  Otherwise it solves the KKT or tau system; a system not
-    accepted, weights that fail the certificate or (for KKT) miss sum 1
-    give the plain step flagged as ``fallback``, with the jitter used.
+
+def _solve_one(matrices: HistoryMatrices, kind: str, eta: float = 0.0) -> MixingSolution:
+    """The solver of ``kind`` on one window: the one-row case of :func:`solve_stacked`.
+
+    The window is solved as a stack of one.  Its SPD step is one call of
+    ``_solve_spd_impl``, looked up on this module when it runs.
     """
-    e, e_new = matrices.residuals, matrices.e_newest
-    cols = e.shape[1]
-    scale, h_sq, jitter, accepted = 0.0, None, 0.0, False
-    solved = cols > 1 and kind != KIND_VANILLA
-    if solved and kind == KIND_KKT:
-        y, jitter, accepted = _solve_spd_impl(_gram(e.T), np.ones(cols))
-        total = float(y.sum())
-        accepted = accepted and total != 0.0
-        if accepted:
-            alpha = y / total
-            accepted, tau = _sums_to_one(alpha.sum()), _partial_sums(alpha)
-    elif solved:
-        h = matrices.delta_e
-        if kind == KIND_REGULARIZED and eta > 0.0:
-            scale, h_sq = _ridge_scale(matrices, eta)
-        gram = _gram(h.T, scale if scale > 0.0 else None)
-        tau, jitter, accepted = _solve_spd_impl(gram, np.matvec(h.T, e_new))
-        if accepted:
-            alpha = _tau_rows_to_alpha(tau)
-    if accepted:
-        mixed = np.matvec(e, alpha)
-        accepted = _certified(alpha, mixed, e_new)
-    if not accepted:  # the plain step, whose mixed residual is e_k itself
-        alpha, tau, mixed = np.zeros(cols), np.zeros(cols - 1), e_new.copy()
-        alpha[-1] = 1.0
-    gain = gain_theta(mixed, e_new)
-    fallback = solved and not accepted
-    return MixingSolution(alpha, tau, mixed, gain, kind, jitter, fallback, scale, h_sq)
+    e, d, h = matrices.residuals, matrices.delta_q, matrices.delta_e
+    one = HistoryMatrices(e[None], d[None], h[None])
+    norms = residual_norms(one.e_newest)
+    return solve_stacked(one, kind, eta, *norms, spd=_spd_one).row(0)
 
 
 def solve_alpha_kkt(matrices: HistoryMatrices) -> MixingSolution:
@@ -523,55 +477,61 @@ def vanilla_solution(matrices: HistoryMatrices) -> MixingSolution:
 
 
 def solve_stacked(
-    matrices: HistoryMatrices, kind: str, eta: float, e_inf: np.ndarray, e_l2: np.ndarray
+    matrices: HistoryMatrices,
+    kind: str,
+    eta: float,
+    e_inf: np.ndarray,
+    e_l2: np.ndarray,
+    spd=spd_solve,
 ) -> StackedSolution:
-    """The solver of ``kind`` on every window of a history with a run axis.
+    """The solver of ``kind`` on every window of a stack: the package's one coefficient solve.
 
+    ``matrices`` carry a run axis in front, one window per run, and
     ``e_inf`` and ``e_l2`` are :func:`residual_norms` of the newest
-    residuals.  Row ``r`` of the result is the solution the one-run solver
-    of ``kind`` returns for window ``r``, bit for bit: the Gram matrices,
-    the SPD solves (:func:`spd_solve`), the certificates and ``E alpha``
-    take one stacked call for all runs.  A run whose system is not
-    accepted, whose weights fail the certificate or (for KKT) miss sum 1
-    gets the flagged plain step in its rows, with the jitter the one-run
-    solver reports.
+    residuals.  A window of one column, and every window of the vanilla
+    kind, gets the unflagged plain step.  Otherwise the Gram matrices, the
+    SPD solves (``spd``, :func:`spd_solve` of the stack), the certificates
+    ``||E alpha||_2 <= ||e_k||_2`` and ``E alpha`` take one stacked call for
+    all windows.  A window whose system is not accepted, whose weights fail
+    the certificate or (for KKT) miss sum 1 gets the plain step flagged as
+    ``fallback``, with the jitter its SPD solve reports.  Row ``r`` of the
+    result depends on window ``r`` alone.
     """
     e = matrices.residuals
     e_new = matrices.e_newest
     runs, _, cols = e.shape
-    eta = eta if kind == KIND_REGULARIZED else 0.0
     scale, h_sq = np.zeros(runs), None
-    if cols == 1:
-        alpha, tau = np.ones((runs, 1)), np.zeros((runs, 0))
-        mixed, mixed_l2 = e_new.copy(), e_l2.copy()
-        jitter, accepted = np.zeros(runs), np.ones(runs, bool)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if kind == KIND_KKT:
-                y, jitter, accepted = spd_solve(_gram(e.mT), np.ones((runs, cols)))
-                alpha = y / y.sum(axis=-1, keepdims=True)
-                accepted &= _sums_to_one(alpha.sum(axis=-1))
-                tau = _partial_sums(alpha)
-            else:
-                h, ridge = matrices.delta_e, None
-                if eta > 0.0:
-                    scale, h_sq = _ridge_scale(matrices, eta)
-                    ridge = scale[:, None]
-                tau, jitter, accepted = spd_solve(
-                    _gram(h.mT, ridge), np.matvec(h.mT, e_new)
-                )
-                tau[~accepted] = 0.0
-                alpha = _tau_rows_to_alpha(tau)
-            mixed = np.matvec(e, alpha)
-            mixed_l2 = np.sqrt(squared_norms(mixed))
-            # the certificate of _certified, row by row
-            accepted &= np.isfinite(alpha).all(axis=1)
-            accepted &= mixed_l2 <= e_l2 * (1.0 + CERT_RTOL) + 1e-300
-            if not accepted.all():  # masked writes cost time even with no row rejected
-                plain = ~accepted
-                alpha[plain], tau[plain], mixed[plain] = 0.0, 0.0, e_new[plain]
-                alpha[plain, -1] = 1.0
-                mixed_l2[plain] = e_l2[plain]
+    if cols == 1 or kind == KIND_VANILLA:  # the plain step, whose E alpha is e_k
+        alpha, tau = np.zeros((runs, cols)), np.zeros((runs, cols - 1))
+        alpha[:, -1] = 1.0
+        return StackedSolution(
+            alpha, tau, e_new.copy(), e_l2, gain_ratios(e_inf, e_inf), kind,
+            np.zeros(runs), np.zeros(runs, bool), scale,
+        )
+    eta = eta if kind == KIND_REGULARIZED else 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kind == KIND_KKT:
+            y, jitter, accepted = spd(_gram(e.mT), np.ones((runs, cols)))
+            alpha = y / y.sum(axis=-1, keepdims=True)
+            accepted &= _sums_to_one(alpha.sum(axis=-1))
+            tau = _partial_sums(alpha)
+        else:
+            h, ridge = matrices.delta_e, None
+            if eta > 0.0:
+                scale, h_sq = _ridge_scale(matrices, eta)
+                ridge = scale[:, None]
+            tau, jitter, accepted = spd(_gram(h.mT, ridge), np.matvec(h.mT, e_new))
+            alpha = _tau_rows_to_alpha(tau)  # rows not accepted take the plain step below
+        mixed = np.matvec(e, alpha)
+        mixed_l2 = np.sqrt(squared_norms(mixed))
+        # the certificate: a finite alpha that does at least as well as the plain step
+        accepted &= np.isfinite(alpha).all(axis=1)
+        accepted &= mixed_l2 <= e_l2 * (1.0 + CERT_RTOL) + 1e-300
+        if not accepted.all():  # masked writes cost time even with no row rejected
+            plain = ~accepted
+            alpha[plain], tau[plain], mixed[plain] = 0.0, 0.0, e_new[plain]
+            alpha[plain, -1] = 1.0
+            mixed_l2[plain] = e_l2[plain]
     gains = gain_ratios(np.abs(mixed).max(axis=1, initial=0.0), e_inf)
     return StackedSolution(
         alpha, tau, mixed, mixed_l2, gains, kind, jitter, ~accepted, scale, h_sq
@@ -647,26 +607,21 @@ def materialize_update_matrix(
     return (matrices.delta_q + beta * h) @ w - beta * np.eye(n)
 
 
-def update_matrix_norms(matrices: HistoryMatrices, beta: float, solutions):
-    """Exact ``||G~||_2`` without any n x n matrix.
+def update_matrix_norms(
+    matrices: HistoryMatrices, beta: float, solutions: StackedSolution
+) -> list[float]:
+    """Exact ``||G~||_2`` of each window of a stack, without any n x n matrix.
 
-    ``G~`` is what :func:`materialize_update_matrix` forms from the same
-    arguments.  It equals ``-beta I`` off the span of ``[D + beta H, H] =
-    Q [R_U, R_H]`` and ``M~ = R_U K^{-1} R_H^T - beta I`` on it, so the
-    norm is the largest singular value of the at most 2p x 2p matrix
-    ``M~``, raised to ``beta`` if Q has a complement.
-
-    Stacked matrices (a run axis in front) take a :class:`StackedSolution`,
-    one row per window, and give a list of norms, each the one its window
-    gives alone: the QR, solve and SVD take one stacked call each.
+    ``G~`` is what :func:`materialize_update_matrix` forms from a window
+    and its solution, row ``r`` of ``solutions``.  It equals ``-beta I``
+    off the span of ``[D + beta H, H] = Q [R_U, R_H]`` and ``M~ = R_U
+    K^{-1} R_H^T - beta I`` on it, so the norm is the largest singular
+    value of the at most 2p x 2p matrix ``M~``, raised to ``beta`` if Q has
+    a complement.  The QR, solve and SVD take one stacked call each, and
+    each norm is the one its window gives as a stack of one.
     """
-    reg = np.add(solutions.ridge_scale, solutions.jitter)
-    solved = np.logical_not(solutions.fallback)
-    if matrices.delta_e.ndim == 2:  # one window: the stack of one
-        e, d, h = matrices.residuals, matrices.delta_q, matrices.delta_e
-        one = HistoryMatrices(e[None], d[None], h[None])
-        return _update_norms(one, beta, reg[None], solved[None])[0]
-    return _update_norms(matrices, beta, reg, solved)
+    reg = solutions.ridge_scale + solutions.jitter
+    return _update_norms(matrices, beta, reg, ~solutions.fallback)
 
 
 def _update_norms(

@@ -326,6 +326,8 @@ _KINDS = {
 }
 
 
+# Nothing calls this any more.  It stays only because perfbench/tracing.py
+# wraps it by name; both go together.
 def _solve_coefficients(
     scheme: Scheme, matrices: anderson.HistoryMatrices, eta: float
 ) -> anderson.MixingSolution:
@@ -555,8 +557,8 @@ def _run_lockstep(
     alone, but for ``wall_nanos``, which holds the whole group's iteration
     time.  Each iteration does one sweep of the stack and one coefficient
     solve per window width (the safeguard restarts a run's window at width
-    1; without it all runs share one width): the one-run solver for one
-    run, else one stacked solve, which settles every run.  Each field of
+    1; without it all runs share one width): one stacked solve, which
+    settles every run of the width, one run included.  Each field of
     the iteration is written for all runs of a width class at once, into
     the group's columns.  Full diagnostics are computed per run in chunks
     of iterations, and every row has them when the run's trace is taken.
@@ -634,11 +636,7 @@ def _run_lockstep(
             if part is rows:
                 matrices = matrices.run(rows)
                 own_inf, own_l2 = e_inf[rows], e_l2[rows]
-            if len(rows) == 1:
-                sol = _solve_coefficients(cfg.scheme, matrices.run(0), cfg.eta)
-                sols = anderson.StackedSolution.of(sol)
-            else:
-                sols = anderson.solve_stacked(matrices, kind, cfg.eta, own_inf, own_l2)
+            sols = anderson.solve_stacked(matrices, kind, cfg.eta, own_inf, own_l2)
             _record_solutions(cols, k, part, w, sols, own_l2, cfg.eta)
             if chunks and w > 1:
                 for i, r in enumerate(rows):

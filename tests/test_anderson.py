@@ -704,12 +704,6 @@ class TestSolveStacked:
             l2 = frobenius_norm(want.mixed_residual)
             assert stacked.mixed_l2[r].tobytes() == np.float64(l2).tobytes()
 
-    def test_row_of_one_solution_stack(self):
-        m = build_history_matrices(history_from_pairs(WINDOWS["random"]))
-        for solve in (solve_alpha_kkt, vanilla_solution, lambda w: solve_tau_regularized(w, 0.1)):
-            sol = solve(m)
-            assert_same_solution(anderson_module.StackedSolution.of(sol).row(0), sol)
-
 
 def golden_windows():
     """History views of random windows and C- and Fortran-ordered copies of each.
@@ -776,15 +770,26 @@ def test_gram_is_exactly_symmetric(ridge):
             assert np.array_equal(one, one.T)
 
 
+def stack_of_one(m):
+    """Window ``m`` with a run axis of one in front."""
+    return HistoryMatrices(m.residuals[None], m.delta_q[None], m.delta_e[None])
+
+
 def ridge_solution(m, eta, jitter=0.0, fallback=False):
-    """The regularized solution of window ``m``, with the given jitter and fallback."""
-    sol = solve_tau_regularized(m, eta)
-    return dataclasses.replace(sol, jitter=jitter, fallback=fallback)
+    """The regularized solution of window ``m`` as a stack of one, with the given jitter and fallback."""
+    sol = solve_stacked(stack_of_one(m), anderson_module.KIND_REGULARIZED, eta)
+    return dataclasses.replace(sol, jitter=np.array([jitter]), fallback=np.array([fallback]))
+
+
+def one_norm(m, beta, sol):
+    """``||G~||_2`` of window ``m`` from :func:`update_matrix_norms` of its stack of one."""
+    (norm,) = update_matrix_norms(stack_of_one(m), beta, sol)
+    return norm
 
 
 def dense_norm(m, beta, sol):
-    """||G~||_2 from the dense n x n matrix."""
-    return np.linalg.norm(materialize_update_matrix(m, beta, sol), 2)
+    """||G~||_2 from the dense n x n matrix of row 0 of ``sol``."""
+    return np.linalg.norm(materialize_update_matrix(m, beta, sol.row(0)), 2)
 
 
 class TestUpdateMatrixNorms:
@@ -794,7 +799,7 @@ class TestUpdateMatrixNorms:
         for beta, eta in [(1.0, 0.1), (0.6, 0.5), (1.0, 1.0), (0.3, 2.0)]:
             m = build_history_matrices(random_history(rng, 24, p + 1))
             sol = ridge_solution(m, eta)
-            norm = update_matrix_norms(m, beta, sol)
+            norm = one_norm(m, beta, sol)
             assert norm == pytest.approx(dense_norm(m, beta, sol), rel=1e-12)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
@@ -804,7 +809,7 @@ class TestUpdateMatrixNorms:
         for n in range(p, 3 * p + 1):
             m = build_history_matrices(random_history(rng, n, p + 1))
             sol = ridge_solution(m, 0.2)
-            norm = update_matrix_norms(m, 1.0, sol)
+            norm = one_norm(m, 1.0, sol)
             assert norm == pytest.approx(dense_norm(m, 1.0, sol), rel=1e-12)
 
     def test_rank_deficient_h(self):
@@ -815,7 +820,7 @@ class TestUpdateMatrixNorms:
         de[:, 2] = de[:, 0]  # two equal residual differences: H^T H singular
         m = HistoryMatrices(rng.standard_normal((n, 4)), dq, de)
         sol = ridge_solution(m, 0.1)
-        norm = update_matrix_norms(m, 1.0, sol)
+        norm = one_norm(m, 1.0, sol)
         assert norm == pytest.approx(dense_norm(m, 1.0, sol), rel=1e-12)
         # the zero-jitter unconstrained solve flags the same history
         assert solve_tau_unconstrained(m).jitter > 0.0
@@ -824,15 +829,15 @@ class TestUpdateMatrixNorms:
         rng = np.random.default_rng(9)
         m = build_history_matrices(random_history(rng, 15, 4))
         sol = ridge_solution(m, 0.3, jitter=1e-3)
-        norm = update_matrix_norms(m, 0.8, sol)
+        norm = one_norm(m, 0.8, sol)
         assert norm == pytest.approx(dense_norm(m, 0.8, sol), rel=1e-12)
 
     def test_fallback_and_empty_history_give_beta(self):
         rng = np.random.default_rng(11)
         m = build_history_matrices(random_history(rng, 12, 4))
-        assert update_matrix_norms(m, 0.7, ridge_solution(m, 0.1, fallback=True)) == 0.7
+        assert one_norm(m, 0.7, ridge_solution(m, 0.1, fallback=True)) == 0.7
         single = build_history_matrices(random_history(rng, 12, 1))
-        assert update_matrix_norms(single, 0.7, ridge_solution(single, 0.1)) == 0.7
+        assert one_norm(single, 0.7, ridge_solution(single, 0.1)) == 0.7
 
     @pytest.mark.parametrize("beta", [1.0, 0.0])
     def test_stack_matches_each_window(self, beta):
@@ -843,14 +848,15 @@ class TestUpdateMatrixNorms:
         for _ in range(5):
             h.push(rng.standard_normal((4, 30)), rng.standard_normal((4, 30)))
         m = build_history_matrices(h)
+        jitter, fallback = [0.0, 1e-3, 0.0, 0.0], [False, False, True, False]
         stacked = dataclasses.replace(
             solve_stacked(m, anderson_module.KIND_REGULARIZED, 0.1),
-            jitter=np.array([0.0, 1e-3, 0.0, 0.0]),
-            fallback=np.array([False, False, True, False]),
+            jitter=np.array(jitter),
+            fallback=np.array(fallback),
         )
-        sols = [stacked.row(r) for r in range(4)]
+        sols = [ridge_solution(m.run(r), 0.1, jitter[r], fallback[r]) for r in range(4)]
         norms = update_matrix_norms(m, beta, stacked)
-        alone = [update_matrix_norms(m.run(r), beta, sols[r]) for r in range(4)]
+        alone = [one_norm(m.run(r), beta, sols[r]) for r in range(4)]
         assert [repr(x) for x in norms] == [repr(x) for x in alone]
         assert norms[2] == beta
         for r in (0, 1, 3):
@@ -862,7 +868,7 @@ class TestUpdateMatrixNorms:
         m = build_history_matrices(random_history(rng, 12, 3))
         # beta = 0 leaves G~ = U K^-1 H^T, of rank 2 < n
         sol = ridge_solution(m, 0.1)
-        norm = update_matrix_norms(m, 0.0, sol)
+        norm = one_norm(m, 0.0, sol)
         assert norm == pytest.approx(dense_norm(m, 0.0, sol), rel=1e-12)
 
 

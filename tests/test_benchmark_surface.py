@@ -107,3 +107,32 @@ def test_traced_ladder_exhausted_solve_is_counted(perfbench):
     assert dict(tracer.counters) == {
         "coeff_solves": 1, "jitter_solves": 1, "fallbacks": 1
     }
+
+
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("solve_alpha_kkt", ()),
+        ("solve_tau_unconstrained", ()),
+        ("solve_tau_regularized", (0.1,)),
+        ("vanilla_solution", ()),
+    ],
+)
+def test_traced_one_window_solve_opens_its_spans(perfbench, name, args):
+    # a one-window solve is one coefficient span and, unless vanilla, one
+    # SPD-solve span: the tracer wraps both names on the anderson module
+    tracing, _ = perfbench
+    rng = np.random.default_rng(5)
+    history = anderson.AndersonHistory(3)
+    for _ in range(4):
+        history.push(rng.standard_normal(6), rng.standard_normal(6))
+    matrices = anderson.build_history_matrices(history)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for _ in range(2):
+            getattr(anderson, name)(matrices, *args)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("anderson.coeff_solve") == 2
+    assert tracer.calls("linalg.spd_solve") == (0 if name == "vanilla_solution" else 2)

@@ -133,12 +133,16 @@ class TestUpdateNormBound:
 
 
 def bounds(reg, non, m, eta):
-    """Prop2_1 and Prop2_2 sides of a regularized and an unregularized solve."""
-    e_l2 = float(np.linalg.norm(m.e_newest))
-    return (
-        *anderson.coefficient_norm_bound(reg.alpha, e_l2, eta),
-        *anderson.coefficient_gap_bound(reg.alpha, non.alpha, m.delta_e.shape[1]),
+    """Prop2_1 and Prop2_2 sides of a regularized and an unregularized solve.
+
+    Each solve's alpha goes in as a stack of one; each side comes out as a float.
+    """
+    e_l2 = np.array([np.linalg.norm(m.e_newest)])
+    sides = (
+        *anderson.coefficient_norm_bound(reg.alpha[None], e_l2, eta),
+        *anderson.coefficient_gap_bound(reg.alpha[None], non.alpha[None], m.delta_e.shape[1]),
     )
+    return tuple(float(side[0]) for side in sides)
 
 
 class TestCoefficientBounds:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import anderson_pi as ap
-from anderson_pi import solver
+from anderson_pi import anderson, solver
 from anderson_pi.mdp import MdpStack
 from anderson_pi.operators import OperatorKind, OperatorSpec
 from anderson_pi.solver import (
@@ -547,14 +547,14 @@ class TestLockstep:
     def test_jitter_fallback_and_max_iter(self, mm5, monkeypatch):
         # at a tolerance below the rounding floor kkt needs the jitter ladder
         # and the fallback, and seed 0 stops at max_iter
-        calls = []
-        scalar = solver._solve_coefficients
+        rows = []
+        stacked = anderson.solve_stacked
 
-        def counting(*args):
-            calls.append(args)
-            return scalar(*args)
+        def counting(matrices, *args, **kwargs):
+            rows.append(len(matrices.residuals))
+            return stacked(matrices, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "_solve_coefficients", counting)
+        monkeypatch.setattr(anderson, "solve_stacked", counting)
         mdps = [ap.generate_random_mdp(s, 10, 3, 2, 1.0, 0.9) for s in range(4)]
         cfg = cfg_for(Scheme.ANDERSON_KKT, mm5, m=3, tol=1e-16, max_iter=200)
         got = solver._run_lockstep(mdps, cfg)
@@ -565,10 +565,10 @@ class TestLockstep:
         assert [o.converged for o in outcomes] == [False, True, True, True]
         records = [r for o in outcomes for r in o.records]
         assert any(r.fallback and r.jitter > 0.0 for r in records)
-        # the stacked solve settles jittered and fallback runs itself: the
-        # one-run solver serves only the iterations with one run live
+        # the stacked solve settles jittered and fallback runs itself: it
+        # solves a stack of one only on the iterations with one run live
         live = [sum(len(o.records) > k for o in outcomes) for k in range(201)]
-        assert len(calls) == live.count(1) > 0
+        assert rows.count(1) == live.count(1) > 0
         assert any(live[r.k] >= 2 for r in records if r.jitter_flag)
 
     @pytest.mark.parametrize("scheme,kw", SCHEMES, ids=[s.value for s, _ in SCHEMES])

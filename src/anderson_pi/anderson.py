@@ -39,10 +39,12 @@ satisfies, since the unit vector on the newest residual is feasible).
 Candidates that fail the jitter ladder or the certificate fall back to
 that unit vector -- a plain damped step -- and the solution is flagged.
 
-:func:`solve_stacked` runs a solver once for the windows of many runs
-advanced in lockstep (a history with a run axis), with the arithmetic
-of the one-run solver, and settles every run itself: its
-:class:`StackedSolution` holds one row per run.
+All three solvers and the plain step are one function,
+:func:`solve_stacked`.  It solves a stack of windows (those of runs
+advanced in lockstep: a history with a run axis) in one pass and settles
+each window itself; its :class:`StackedSolution` holds one row per
+window.  The one-window solvers solve their window as a stack of one and
+return its row.
 """
 
 from __future__ import annotations
@@ -482,6 +484,7 @@ def solve_stacked(
     eta: float,
     e_inf: np.ndarray,
     e_l2: np.ndarray,
+    *,
     spd=spd_solve,
 ) -> StackedSolution:
     """The solver of ``kind`` on every window of a stack: the package's one coefficient solve.

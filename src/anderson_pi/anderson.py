@@ -431,7 +431,9 @@ def _solve_one(matrices: HistoryMatrices, kind: str, eta: float = 0.0) -> Mixing
     """The solver of ``kind`` on one window: the one-row case of :func:`solve_stacked`.
 
     The window is solved as a stack of one.  Its SPD step is one call of
-    ``_solve_spd_impl``, looked up on this module when it runs.
+    ``_solve_spd_impl``, looked up on this module when it runs, so a
+    wrapper installed there (``perfbench/tracing.py``) sees every
+    one-window SPD solve.
     """
     e, d, h = matrices.residuals, matrices.delta_q, matrices.delta_e
     one = HistoryMatrices(e[None], d[None], h[None])

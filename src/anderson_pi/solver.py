@@ -326,7 +326,7 @@ _KINDS = {
 }
 
 
-# Nothing calls this any more.  It stays only because perfbench/tracing.py
+# No package code calls this.  It stays only because perfbench/tracing.py
 # wraps it by name; both go together.
 def _solve_coefficients(
     scheme: Scheme, matrices: anderson.HistoryMatrices, eta: float

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import anderson_pi as ap
+from anderson_pi import diagnostics
 from anderson_pi.solver import DivergenceError, Scheme, SolverConfig, TraceRecord
 
 # every field but wall_nanos, which holds measured time
@@ -202,6 +203,53 @@ def test_record_fields_match_the_columns(restarted):
     assert wide.alpha.shape == (2,) and wide.alpha.flags.c_contiguous
     assert wide.reg_share == float(restarted.reg_share[65])
     assert wide.update_norm_lhs == float(restarted.update_norm_lhs[65])
+
+
+@pytest.fixture(scope="module")
+def kkt_basic():
+    """A basic-diagnostics kkt run on the MDP of ``restarted``; it stores no coefficient bounds."""
+    mdp = ap.generate_random_mdp(7, 10, 3, 2, 1.0, 0.9)
+    return ap.run(mdp, SolverConfig(Scheme.ANDERSON_KKT, MELLOW5, m=3))
+
+
+BOUND_READERS = {
+    "theta": diagnostics.theta_records,
+    "coefficient": diagnostics.coefficient_bound_records,
+    "theorem3-eta0.1": lambda tr: diagnostics.check_update_norm_bound(tr, 0.1, 1.0)[0],
+    "theorem3-eta2.0": lambda tr: diagnostics.check_update_norm_bound(tr, 2.0, 1.0)[0],
+}
+
+# (trace, reader): number of records and sha256 of their to_json() lines
+BOUND_RECORD_DIGESTS = {
+    ("restarted", "theta"): (
+        328, "a0388a453897a539174d168d86d734216639adaae1519349f58b48633eece256"
+    ),
+    ("restarted", "coefficient"): (
+        325, "f8370009f98ca1c67a81784d22e44626184eb69e5b5f5164b9d070ad84a28ff5"
+    ),
+    ("restarted", "theorem3-eta0.1"): (
+        161, "e4ec01847052a641500ac66cb698816d3e9a23d027f8d8ee042eb50da83da19c"
+    ),
+    ("restarted", "theorem3-eta2.0"): (
+        161, "c5acca0421dcce97a8d7ea234f3e649322c68b3e3de2b2e70a006b1301b120ad"
+    ),
+    ("kkt_basic", "theta"): (
+        64, "b169481c2d8153d708993d50d5eb0425aa85298f765b4a10fa719de125765858"
+    ),
+    ("kkt_basic", "coefficient"): (
+        0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "trace_name,reader", list(BOUND_RECORD_DIGESTS), ids=lambda x: x
+)
+def test_bound_records_pinned(trace_name, reader, request):
+    records = BOUND_READERS[reader](request.getfixturevalue(trace_name))
+    text = "\n".join(r.to_json() for r in records)
+    got = (len(records), hashlib.sha256(text.encode()).hexdigest())
+    assert got == BOUND_RECORD_DIGESTS[trace_name, reader]
 
 
 # The memory a returned trace holds, per iteration.  With the columns of

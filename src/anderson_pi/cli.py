@@ -167,19 +167,52 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     k.set_defaults(func=cmd_check)
 
     if defaults:
+        # a key may belong to any command; each command takes the keys it knows
+        known = set()
         for sp in (g, s, c, k):
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k_: v for k_, v in defaults.items() if k_ in known})
+            flags = {a.dest: a for a in sp._actions if a.dest != "help"}
+            sp.set_defaults(**{
+                key: _config_value(flags[key], key, value)
+                for key, value in defaults.items() if key in flags
+            })
+            known |= flags.keys()
+        unknown = sorted(set(defaults) - known)
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
     return parser
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A config file's ``value`` for ``key``, checked and typed as its flag would be."""
+    if action.nargs == 0:  # a switch such as --safeguard
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"key {key!r} takes true or false, got {json.dumps(value)}")
+    appended = isinstance(action, argparse._AppendAction)  # --scheme, --mdp: a list or one
+    items = []
+    for item in value if appended and isinstance(value, list) else [value]:
+        # the flag's text: a string, or a number written as it would be typed
+        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+            raise ValueError(f"key {key!r} does not take {json.dumps(item)}")
+        try:
+            item = (action.type or str)(str(item))
+        except ValueError:
+            kind = action.type.__name__
+            raise ValueError(f"key {key!r}: invalid {kind} value {json.dumps(item)}") from None
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(f"key {key!r}: {item!r} is not one of {', '.join(action.choices)}")
+        items.append(item)
+    return items if appended else items[0]
+
+
 def _load_config_defaults(argv: list[str]) -> dict | None:
-    if "--config" not in argv:
+    # argparse finds the path, so --config=PATH and abbreviations work as on
+    # the real parser; a missing value is left for the real parser to report
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return None
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return None  # the real parser will report the missing value
-    path = argv[idx + 1]
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -425,6 +458,8 @@ def cmd_check(args) -> int:
             raise ValueError(f"eta must be finite and positive, got {args.eta}")
         if args.pairs < 1:
             raise ValueError(f"pairs must be >= 1, got {args.pairs}")
+        if args.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         SolverConfig(
             scheme=Scheme.STABLE_AA,
             operator=OperatorSpec(OperatorKind.MELLOW_MAX, args.omega),
@@ -471,11 +506,10 @@ def cmd_check(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        defaults = _load_config_defaults(argv)
+        parser = _build_parser(_load_config_defaults(argv))
     except (OSError, ValueError, MdpFormatError) as exc:
         _err(f"cannot load --config: {exc}")
         return EXIT_USAGE
-    parser = _build_parser(defaults)
     args = parser.parse_args(argv)
     return args.func(args)
 

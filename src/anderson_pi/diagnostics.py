@@ -16,9 +16,10 @@ report-only: Theorem3 with right side below beta (the bound degenerates
              ``check --seed 0`` and 200 of 200 with ``check --seed 1
              --pairs 200``.
 
-Theorem3 bounds ``||G_tilde||_2`` only.  The Prop2 and Theorem3 records
-come from the values a run stored in its trace, never from a second
-computation.
+Theorem3 bounds ``||G_tilde||_2`` only.  The Theta01, Prop2 and Theorem3
+records come from the values a run stored in its trace, never from a
+second computation: one reader, ``_trace_records``, turns each bound's
+row of stored columns into records.
 """
 
 from __future__ import annotations
@@ -91,6 +92,31 @@ def _record(
     )
 
 
+def _trace_records(trace: SolverTrace, bounds: list[tuple]) -> list[BoundCheckRecord]:
+    """Records of bounds whose sides a run stored in its trace columns.
+
+    Each bound is a row ``(bound_id, lhs column, rhs column or constant,
+    slack, context, asserted)``.  Every iteration gives one record per row,
+    in row order, wherever the row's left side is stored.
+    """
+    chash = trace.config.config_hash()
+    n = len(trace.width)
+    rows = [
+        (bound_id, trace.values(lhs),
+         trace.values(rhs) if isinstance(rhs, str) else [rhs] * n,
+         slack, context, asserted)
+        for bound_id, lhs, rhs, slack, context, asserted in bounds
+    ]
+    records = []
+    for k in range(n):
+        for bound_id, lhs, rhs, slack, context, asserted in rows:
+            if lhs[k] is not None:
+                records.append(
+                    _record(bound_id, lhs[k], rhs[k], slack, k, chash, context, asserted)
+                )
+    return records
+
+
 def check_contraction(
     mdp: TabularMdp, op: OperatorSpec, n_pairs: int, seed: int
 ) -> list[BoundCheckRecord]:
@@ -142,27 +168,13 @@ def check_update_norm_bound(
     Returns ``(records, skipped)``; every stored norm gives a record, so
     ``skipped`` is always empty.
     """
-    records: list[BoundCheckRecord] = []
     rhs = abs(2.0 / eta - beta)
     asserted = rhs >= beta
     bound_id = "Theorem3" if asserted else "Theorem3(rhs<beta)"
-    chash = trace.config.config_hash()
-    for k, lhs in enumerate(trace.values("update_norm_lhs")):
-        if lhs is None:
-            continue
-        records.append(
-            _record(
-                bound_id,
-                lhs,
-                rhs,
-                UPDATE_NORM_SLACK,
-                k,
-                chash,
-                context="spectral_norm(G_tilde)",
-                asserted=asserted,
-            )
-        )
-    return records, []
+    return _trace_records(trace, [
+        (bound_id, "update_norm_lhs", rhs, UPDATE_NORM_SLACK,
+         "spectral_norm(G_tilde)", asserted),
+    ]), []
 
 
 def check_form_equivalence(
@@ -282,72 +294,19 @@ def theta_records(trace: SolverTrace) -> list[BoundCheckRecord]:
     minimizing solver (the unit vector is always feasible); the inf-norm
     gain is capped by sqrt(n) through norm equivalence.
     """
-    chash = trace.config.config_hash()
-    cap = float(np.sqrt(trace.n))
-    records = []
-    thetas = zip(trace.theta_l2.tolist(), trace.theta.tolist())
-    for k, (theta_l2, theta) in enumerate(thetas):
-        records.append(
-            _record(
-                "Theta01",
-                theta_l2,
-                1.0,
-                THETA_SLACK,
-                k,
-                chash,
-                context="l2_certificate",
-                asserted=True,
-            )
-        )
-        records.append(
-            _record(
-                "Theta01",
-                theta,
-                cap,
-                THETA_SLACK,
-                k,
-                chash,
-                context="inf_norm_cap",
-                asserted=True,
-            )
-        )
-    return records
+    return _trace_records(trace, [
+        ("Theta01", "theta_l2", 1.0, THETA_SLACK, "l2_certificate", True),
+        ("Theta01", "theta", float(np.sqrt(trace.n)), THETA_SLACK, "inf_norm_cap", True),
+    ])
 
 
 def coefficient_bound_records(trace: SolverTrace) -> list[BoundCheckRecord]:
     """Coefficient-norm (asserted) and coefficient-gap (report-only) rows a run recorded."""
-    chash = trace.config.config_hash()
-    records = []
-    names = ("coeff_norm_lhs", "coeff_norm_rhs", "coeff_gap_lhs", "coeff_gap_rhs")
-    columns = zip(*(trace.values(name) for name in names))
-    for k, (norm_lhs, norm_rhs, gap_lhs, gap_rhs) in enumerate(columns):
-        if norm_lhs is not None:
-            records.append(
-                _record(
-                    "Prop2_1",
-                    norm_lhs,
-                    norm_rhs,
-                    COEFF_BOUND_SLACK,
-                    k,
-                    chash,
-                    context=f"eta={trace.config.eta:g}",
-                    asserted=True,
-                )
-            )
-        if gap_lhs is not None:
-            records.append(
-                _record(
-                    "Prop2_2",
-                    gap_lhs,
-                    gap_rhs,
-                    0.0,
-                    k,
-                    chash,
-                    context="coefficient_gap",
-                    asserted=False,
-                )
-            )
-    return records
+    return _trace_records(trace, [
+        ("Prop2_1", "coeff_norm_lhs", "coeff_norm_rhs", COEFF_BOUND_SLACK,
+         f"eta={trace.config.eta:g}", True),
+        ("Prop2_2", "coeff_gap_lhs", "coeff_gap_rhs", 0.0, "coefficient_gap", False),
+    ])
 
 
 def run_check_suite(

@@ -219,6 +219,61 @@ class TestSolve:
         assert proc.returncode == 0, proc.stderr
         assert json.loads((out2 / "summary.json").read_text())["scheme"] == "vanilla"
 
+    @pytest.mark.parametrize("form", ["--config=PATH", "--conf PATH"])
+    def test_config_path_forms(self, form, mdp_file, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"scheme": "kkt", "m": 3}))
+        config_args = form.replace("PATH", str(cfg_path)).split(" ")
+        argv = ["solve", *config_args, "--mdp", mdp_file, "-o", tmp_path / "out"]
+        assert cli.main([str(a) for a in argv]) == 0
+        assert "kkt m=3" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["scheme"] == "kkt"
+
+    def test_config_values_equal_the_flags(self, mdp_file, tmp_path):
+        # a JSON int for a float flag is typed as the flag would type it;
+        # "pairs" belongs to check and is accepted here too
+        cfg = {"scheme": "stable-aa", "m": 3, "beta": 1, "eta": 0.1, "op": "mellowmax",
+               "omega": 5, "max-iter": 400, "safeguard": True, "pairs": 10}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+        proc = run_cli("solve", "--config", cfg_path, "--mdp", mdp_file, "-o", by_file)
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli(
+            "solve", "--scheme", "stable-aa", "-m", 3, "--beta", 1, "--eta", 0.1,
+            "--op", "mellowmax", "--omega", 5, "--max-iter", 400, "--safeguard",
+            "--mdp", mdp_file, "-o", by_flags,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("trace.csv", "summary.json"):
+            assert (by_file / name).read_bytes() == (by_flags / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            ({"sheme": "kkt"}, "unknown key 'sheme'"),
+            ({"depth": 3}, "unknown key 'depth'"),
+            ({"m": 3.7}, "key 'm': invalid int value 3.7"),
+            ({"m": True}, "key 'm' does not take true"),
+            ({"tol": [1]}, "key 'tol' does not take [1]"),
+            ({"scheme": "kkkt"}, "key 'scheme': 'kkkt' is not one of"),
+            ({"safeguard": 1}, "key 'safeguard' takes true or false"),
+            ({"schemes": ["kkt", {"m": 3}]}, "key 'schemes' does not take {\"m\": 3}"),
+        ],
+        ids=["typo", "flag-not-dest", "m-float", "m-bool", "tol-list", "scheme-choice",
+             "switch-int", "spec-not-text"],
+    )
+    def test_bad_config_key_or_value_is_usage_error(
+        self, cfg, message, mdp_file, tmp_path, capsys
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["solve", "--config", cfg_path, "--mdp", mdp_file, "-o", tmp_path / "out"]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCompare:
     def test_small_ensemble(self, tmp_path):
@@ -401,9 +456,10 @@ class TestCheck:
             (["--eta", -0.1], "eta must be finite and positive"),
             (["--eta", "1e200"], "finite square"),
             (["--pairs", 0], "pairs must be >= 1"),
+            (["--seed", -1], "seed must be >= 0"),
         ],
         ids=["beta2", "beta-negative", "omega0", "omega-inf", "eta-nan", "eta-inf",
-             "eta0", "eta-negative", "eta-square-overflows", "pairs0"],
+             "eta0", "eta-negative", "eta-square-overflows", "pairs0", "seed-negative"],
     )
     def test_out_of_range_flag_is_usage_error(self, flags, message, tmp_path, capsys):
         argv = ["check", "--seed", 1, "--pairs", 10, *flags, "-o", tmp_path / "out"]

@@ -7,7 +7,7 @@ plot-ready curves), ``check`` (the property suite).
 Exit codes are a stable scripting contract:
     0  success
     2  usage / input error
-    3  solver stopped at max_iter without converging
+    3  solver (or the reference oracle) stopped at max_iter without converging
     4  divergence
     5  an asserted bound failed in ``check``
 
@@ -39,6 +39,7 @@ from .solver import (
     COMPACT_JSON,
     BetaConvention,
     DivergenceError,
+    OraclePrecisionError,
     Scheme,
     SolverConfig,
     fixed_point_oracle,
@@ -57,24 +58,15 @@ _OP_CHOICES = tuple(k.value for k in OperatorKind)
 _SCHEME_CHOICES = tuple(s.value for s in Scheme)
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", choices=_SCHEME_CHOICES, default="vanilla")
-    p.add_argument("-m", "--depth", dest="m", type=int, default=0,
-                   help="history depth m (window holds m+1 iterates)")
+def _add_run_flags(p: argparse.ArgumentParser, op: str, omega: float) -> None:
     p.add_argument("--beta", type=float, default=1.0, help="damping in [0,1]")
     p.add_argument("--beta-convention", choices=("eq2", "eq13"), default="eq2",
                    help="eq2: beta weights operator images; eq13: the mirrored "
                         "convention (beta weights raw iterates)")
-    p.add_argument("--eta", type=float, default=0.0,
-                   help="stable regularization scale (stable-aa only)")
-    p.add_argument("--op", choices=_OP_CHOICES, default="max")
-    p.add_argument("--omega", type=float, default=1.0)
+    p.add_argument("--op", choices=_OP_CHOICES, default=op)
+    p.add_argument("--omega", type=float, default=omega)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--safeguard", action="store_true",
-                   help="clear history and take a plain step when the residual "
-                        "more than doubles")
-    p.add_argument("--diagnostics", choices=("basic", "full"), default="basic")
 
 
 def _config_from_args(args) -> SolverConfig:
@@ -90,6 +82,15 @@ def _config_from_args(args) -> SolverConfig:
         safeguard=args.safeguard,
         diagnostics_level=args.diagnostics,
     )
+
+
+class _ReplaceAppend(argparse._AppendAction):
+    """A repeatable flag whose command-line values replace a ``--config`` list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is self.default:  # the first on the line
+            setattr(namespace, self.dest, None)
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -120,7 +121,16 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run one scheme on one MDP")
     s.add_argument("--config", type=str, default=None)
     s.add_argument("--mdp", default=None)
-    _add_solver_flags(s)
+    s.add_argument("--scheme", choices=_SCHEME_CHOICES, default="vanilla")
+    s.add_argument("-m", "--depth", dest="m", type=int, default=0,
+                   help="history depth m (window holds m+1 iterates)")
+    s.add_argument("--eta", type=float, default=0.0,
+                   help="stable regularization scale (stable-aa only)")
+    _add_run_flags(s, op="max", omega=1.0)
+    s.add_argument("--safeguard", action="store_true",
+                   help="clear history and take a plain step when the residual "
+                        "more than doubles")
+    s.add_argument("--diagnostics", choices=("basic", "full"), default="basic")
     s.add_argument("--q0", type=str, default=None,
                    help="JSON file with the starting Q table (default zeros)")
     s.add_argument("--oracle", action="store_true",
@@ -132,11 +142,11 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     c = sub.add_parser("compare", help="ensemble comparison across schemes")
     c.add_argument("--config", type=str, default=None)
-    c.add_argument("--scheme", action="append", dest="schemes", default=None,
+    c.add_argument("--scheme", action=_ReplaceAppend, dest="schemes", default=None,
                    metavar="SPEC",
                    help="scheme spec, repeatable; e.g. vanilla, kkt:m=5, "
                         "stable-aa:m=5,eta=0.1,safeguard=1")
-    c.add_argument("--mdp", action="append", dest="mdps", default=None,
+    c.add_argument("--mdp", action=_ReplaceAppend, dest="mdps", default=None,
                    help="MDP file, repeatable")
     c.add_argument("--gen", choices=("random",), default=None,
                    help="generate instances instead of reading files")
@@ -147,12 +157,7 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     c.add_argument("--gamma", type=float, default=0.95)
     c.add_argument("--seeds", type=str, default="0:10",
                    help="seed range start:stop for --gen")
-    c.add_argument("--op", choices=_OP_CHOICES, default="mellowmax")
-    c.add_argument("--omega", type=float, default=5.0)
-    c.add_argument("--beta", type=float, default=1.0)
-    c.add_argument("--beta-convention", choices=("eq2", "eq13"), default="eq2")
-    c.add_argument("--tol", type=float, default=1e-10)
-    c.add_argument("--max-iter", type=int, default=10000)
+    _add_run_flags(c, op="mellowmax", omega=5.0)
     c.add_argument("-o", "--outdir", default=".")
     c.set_defaults(func=cmd_compare)
 
@@ -354,18 +359,15 @@ def _parse_scheme_spec(spec: str, args) -> SolverConfig:
         raise ValueError(
             f"safeguard must be 0 or 1, got {safeguard!r} in scheme spec {spec!r}"
         )
-    omega = float(overrides.get("omega", args.omega))
-    return SolverConfig(
-        scheme=Scheme(name),
-        operator=OperatorSpec(OperatorKind(args.op), omega),
-        m=int(overrides.get("m", 0)),
-        beta=float(overrides.get("beta", args.beta)),
-        beta_convention=BetaConvention(args.beta_convention),
-        eta=float(overrides.get("eta", 0.0)),
-        tol=args.tol,
-        max_iter=args.max_iter,
-        safeguard=safeguard == "1",
-    )
+    return _config_from_args(argparse.Namespace(**vars(args) | {
+        "scheme": name,
+        "omega": float(overrides.get("omega", args.omega)),
+        "m": int(overrides.get("m", 0)),
+        "beta": float(overrides.get("beta", args.beta)),
+        "eta": float(overrides.get("eta", 0.0)),
+        "safeguard": safeguard == "1",
+        "diagnostics": "basic",
+    }))
 
 
 def _parse_seed_range(text: str) -> range:
@@ -511,7 +513,11 @@ def main(argv: list[str] | None = None) -> int:
         _err(f"cannot load --config: {exc}")
         return EXIT_USAGE
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OraclePrecisionError as exc:  # the reference oracle stopped at its cap
+        _err(str(exc))
+        return EXIT_MAX_ITER
 
 
 if __name__ == "__main__":

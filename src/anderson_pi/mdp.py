@@ -1,9 +1,9 @@
 """Finite tabular MDPs: construction, generators, validation, JSON persistence.
 
 A :class:`TabularMdp` bundles the transitions, stored as padded successor
-lists, the reward table ``R[s, a]`` and the discount.  Instances are
-immutable after construction (the arrays are frozen), so they can be
-shared freely across concurrent solver runs.
+lists, the reward table ``R[s, a]`` and the discount as read-only copies,
+so it can be shared freely across concurrent runs.  It sweeps as its
+one-MDP :class:`MdpStack`, whose ``expectation`` is the one transition matvec.
 """
 
 from __future__ import annotations
@@ -23,15 +23,11 @@ class MdpFormatError(ValueError):
     """An MDP file violates the on-disk schema."""
 
 
-def _frozen(a: np.ndarray, dtype=np.float64) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a, dtype=dtype))
+def _frozen(a, dtype=np.float64) -> np.ndarray:
+    """A read-only C-contiguous copy of ``a``; the caller's array stays as it was."""
+    out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
-
-
-def _successor_major(a, dtype) -> np.ndarray:
-    """Read-only ``(S, A, k)`` view of a contiguous ``(k, S, A)`` copy of ``a``."""
-    return _frozen(np.moveaxis(np.asarray(a, dtype=dtype), 2, 0), dtype).transpose(1, 2, 0)
 
 
 def _successor_lists(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,7 +54,7 @@ class TabularMdp:
     ``k`` the largest support size; shorter rows are padded with
     successor 0 at probability 0.0.  The constructor takes the dense
     tensor ``P[s, a, s']``; :meth:`from_successors` takes the lists.
-    :meth:`expectation` is the transition matvec the Bellman sweep uses.
+    The arrays are read-only copies; the sweep runs on :attr:`stack`.
 
     Structural problems (wrong shapes, non-positive sizes) fail at
     construction; probabilistic invariants are reported by
@@ -111,23 +107,17 @@ class TabularMdp:
         for name, value in (
             ("n_states", n_states),
             ("n_actions", n_actions),
-            ("successors", _successor_major(successors, np.intp)),
-            ("probs", _successor_major(probs, np.float64)),
+            ("successors", _frozen(successors, np.intp)),
+            ("probs", _frozen(probs)),
             ("rewards", r),
             ("gamma", float(gamma)),
         ):
             object.__setattr__(self, name, value)
 
-    def expectation(self, v: np.ndarray) -> np.ndarray:
-        """``sum_t P[s, a, t] * v[t]`` for every ``(s, a)``, as an ``(S, A)`` array.
-
-        The lists are stored successor-major, ``(k, S, A)`` in memory, so
-        the sum over successors adds ``k`` contiguous planes instead of
-        looping over ``S * A`` rows of length ``k``.
-        """
-        terms = v.take(self.successors.transpose(2, 0, 1))
-        terms *= self.probs.transpose(2, 0, 1)
-        return terms.sum(axis=0)
+    @cached_property
+    def stack(self) -> MdpStack:
+        """The one-MDP :class:`MdpStack` the Bellman sweep runs on, built once and kept."""
+        return MdpStack([self])
 
     @cached_property
     def transitions(self) -> np.ndarray:
@@ -151,8 +141,8 @@ class MdpStack:
     belongs to ``mdps[b]``.  The successor lists are stacked
     successor-major as ``(k, B, S, A)``, padded to the largest ``k`` with
     successor 0 at probability 0.0, and offset by ``b * S``, so one gather
-    from the stacked values ``v`` (length ``B * S``) serves every MDP with
-    the arithmetic of its own :meth:`TabularMdp.expectation`.
+    from the stacked values ``v`` (length ``B * S``) serves every MDP; a
+    :class:`TabularMdp` sweeps as a stack of one.  The arrays are read-only.
     """
 
     def __init__(self, mdps):
@@ -165,15 +155,20 @@ class MdpStack:
         n_states = self.mdps[0].n_states
         k = max(m.successors.shape[2] for m in self.mdps)
         b = len(self.mdps)
-        self.successors = np.zeros((k, b, *self.mdps[0].rewards.shape), dtype=np.intp)
-        self.probs = np.zeros(self.successors.shape)
+        successors = np.zeros((k, b, *self.mdps[0].rewards.shape), dtype=np.intp)
+        self.probs = np.zeros(successors.shape)
         for row, m in enumerate(self.mdps):
             kb = m.successors.shape[2]
-            self.successors[:kb, row] = m.successors.transpose(2, 0, 1)
+            successors[:kb, row] = m.successors.transpose(2, 0, 1)
             self.probs[:kb, row] = m.probs.transpose(2, 0, 1)
-        self.successors += (np.arange(b) * n_states)[:, None, None]
+        successors += (np.arange(b) * n_states)[:, None, None]
+        # ndarray.take copies a read-only index array on every call (313 against
+        # 42 us at 2000x8), so the gather keeps the writeable original
+        self._gather, self.successors = successors, successors.view()
         self.rewards = np.stack([m.rewards for m in self.mdps])
         self.gamma = np.array([m.gamma for m in self.mdps])[:, None, None]
+        for a in (self.successors, self.probs, self.rewards, self.gamma):
+            a.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.mdps)
@@ -183,19 +178,17 @@ class MdpStack:
         return MdpStack([self.mdps[r] for r in rows])
 
     def expectation(self, v: np.ndarray) -> np.ndarray:
-        """:meth:`TabularMdp.expectation` of every MDP, as a ``(B, S, A)`` array."""
-        terms = v.take(self.successors)
+        """Every MDP's transition matvec as ``(B, S, A)``: a sum of ``k`` contiguous planes."""
+        terms = v.take(self._gather)
         terms *= self.probs
         return terms.sum(axis=0)
 
 
 def _dense(mdp: TabularMdp) -> np.ndarray:
     """A new read-only dense ``P[s, a, s']`` of ``mdp``'s successor lists."""
-    ns, na, k = mdp.successors.shape
-    p = np.zeros((ns * na, ns))
-    cols = mdp.successors.transpose(2, 0, 1).reshape(k, -1)
-    np.add.at(p, (np.arange(ns * na), cols), mdp.probs.transpose(2, 0, 1).reshape(k, -1))
-    p = p.reshape(ns, na, ns)
+    p = np.zeros((mdp.n_states, mdp.n_actions, mdp.n_states))
+    s, a, _ = np.indices(mdp.successors.shape, sparse=True)
+    np.add.at(p, (s, a, mdp.successors), mdp.probs)
     p.setflags(write=False)
     return p
 

@@ -117,16 +117,16 @@ def _check_q(mdp: TabularMdp | MdpStack, q) -> np.ndarray:
 def apply_bellman(mdp: TabularMdp | MdpStack, q, op: OperatorSpec) -> np.ndarray:
     """One Bellman sweep over the successor lists; the input Q is never modified.
 
-    On an :class:`MdpStack` ``q`` and the result are ``(B, S, A)``, and row
-    ``b`` of the result equals the sweep of ``mdps[b]`` on ``q[b]`` bitwise.
+    On an :class:`MdpStack` ``q`` and the result are ``(B, S, A)``; a
+    :class:`TabularMdp` sweeps as its one-MDP ``mdp.stack``.
     """
     q = _check_q(mdp, q)
-    rows = q if q.ndim == 2 else q.reshape(-1, q.shape[-1])
-    v = aggregate_rows(rows, op.kind, op.omega)
-    out = mdp.expectation(v)
-    out *= mdp.gamma
-    out += mdp.rewards
-    return out
+    stack = mdp.stack if isinstance(mdp, TabularMdp) else mdp
+    v = aggregate_rows(q.reshape(-1, q.shape[-1]), op.kind, op.omega)
+    out = stack.expectation(v)
+    out *= stack.gamma
+    out += stack.rewards
+    return out if stack is mdp else out[0]
 
 
 def greedy_policy(q) -> np.ndarray:

@@ -202,6 +202,19 @@ class TestSolve:
         assert proc.returncode == 2
         assert "contractive" in proc.stderr
 
+    def test_oracle_at_its_cap_is_max_iter_exit(self, mdp_file, tmp_path, monkeypatch, capsys):
+        def capped(mdp, op):
+            raise ap.OraclePrecisionError("oracle did not reach 1e-13", residual=1e-9)
+
+        monkeypatch.setattr(cli, "fixed_point_oracle", capped)
+        argv = ["solve", "--mdp", mdp_file, "--scheme", "kkt", "-m", 3, "--oracle",
+                "-o", tmp_path]
+        assert cli.main([str(a) for a in argv]) == 3
+        assert "error: oracle did not reach 1e-13" in capsys.readouterr().err
+        # as on the divergence path: the trace is written, the summary is not
+        assert (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / "summary.json").exists()
+
     def test_config_file_with_flag_override(self, mdp_file, tmp_path):
         cfg = {"scheme": "kkt", "m": 5, "op": "mellowmax", "omega": 5.0, "tol": 1e-8}
         cfg_path = tmp_path / "cfg.json"
@@ -415,6 +428,44 @@ class TestCompare:
         assert got == want
         assert [r["config_hash"] for r in rows[10:]] == [cfg.config_hash()] * 10
         assert 0 < sum(count for *_, count in got) and [n for _, n, _ in got].count(400) == 8
+
+    def test_flags_replace_config_lists(self, mdp_file, tmp_path):
+        # a repeatable flag on the command line replaces the file's list; with
+        # no such flag the file's list stands
+        other = tmp_path / "other.json"
+        ap.save_mdp(ap.generate_random_mdp(8, 30, 4, 3, 1.0, 0.95), other)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"schemes": ["vanilla", "kkt"], "mdps": [str(mdp_file)]}))
+        runs = {
+            "file": [],
+            "flags": ["--scheme", "stable-aa:m=3,eta=0.1", "--scheme", "unconstrained:m=2",
+                      "--mdp", other],
+        }
+        rows = {}
+        for name, flags in runs.items():
+            proc = run_cli("compare", "--config", cfg_path, *flags, "-o", tmp_path / name)
+            assert proc.returncode == 0, proc.stderr
+            lines = (tmp_path / name / "report.jsonl").read_text().splitlines()
+            rows[name] = [json.loads(line) for line in lines]
+        assert [(r["scheme"], r["mdp_label"]) for r in rows["file"]] == [
+            ("vanilla", str(mdp_file)), ("kkt m=0", str(mdp_file)),
+        ]
+        assert [(r["scheme"], r["mdp_label"]) for r in rows["flags"]] == [
+            ("stable-aa m=3 eta=0.1", str(other)), ("unconstrained m=2", str(other)),
+        ]
+
+    def test_oracle_at_its_cap_is_max_iter_exit(self, tmp_path, monkeypatch, capsys):
+        from anderson_pi import solver
+
+        def capped(stack, op):
+            raise ap.OraclePrecisionError("oracle did not reach 1e-13", residual=1e-9)
+
+        monkeypatch.setattr(solver, "fixed_point_oracles", capped)
+        argv = ["compare", "--scheme", "vanilla", "--scheme", "kkt:m=3", "--gen", "random",
+                "--seeds", "0:2", "-o", str(tmp_path / "cmp")]
+        assert cli.main(argv) == 3
+        assert "error: oracle did not reach 1e-13" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
 
     @pytest.mark.parametrize("value", ["2", "yes", "", "true"])
     def test_bad_safeguard_value_is_usage_error(self, value, tmp_path, capsys):

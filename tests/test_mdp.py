@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import anderson_pi as ap
-from anderson_pi.mdp import MdpFormatError
+from anderson_pi.mdp import MdpFormatError, MdpStack
 
 from conftest import hand_value_iteration
 
@@ -77,6 +77,35 @@ class TestFromSuccessors:
             mdp.successors[0, 0, 0] = 1
         with pytest.raises(ValueError):
             mdp.probs[0, 0, 0] = 0.5
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "successors"])
+    def test_caller_arrays_stay_the_callers(self, dense, mm5):
+        # the MDP keeps copies: the caller's arrays stay writable, and writing
+        # to them changes neither the MDP nor its sweep
+        src = ap.generate_random_mdp(3, 5, 2, 2, 1.0, 0.9)
+        given = [a.copy() for a in (src.rewards, src.transitions, src.successors, src.probs)]
+        r, p, succ, probs = given
+        if dense:
+            mdp = ap.TabularMdp(5, 2, p, r, 0.9)
+        else:
+            mdp = ap.TabularMdp.from_successors(5, 2, succ, probs, r[:], 0.9)
+        q = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 2))
+        tq = ap.apply_bellman(mdp, q, mm5)
+        for arr in given:
+            assert arr.flags.writeable
+            arr[0, 0] = 4
+        for name in ("rewards", "successors", "probs"):
+            assert np.array_equal(getattr(mdp, name), getattr(src, name))
+        assert ap.apply_bellman(mdp, q, mm5).tobytes() == tq.tobytes()
+
+    def test_stack_is_kept_and_read_only(self):
+        mdp = ap.generate_random_mdp(0, 5, 2, 2, 1.0, 0.9)
+        assert mdp.stack is mdp.stack
+        assert mdp.stack.mdps == (mdp,)
+        for stack in (mdp.stack, MdpStack([mdp, mdp])):
+            for name in ("successors", "probs", "rewards", "gamma"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(stack, name)[0, 0, 0] = 1
 
 
 class TestGridworld:

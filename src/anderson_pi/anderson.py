@@ -236,7 +236,8 @@ class StackedSolution:
 
     Row ``r`` of each field is the field of window ``r``'s
     :class:`MixingSolution` (:meth:`row`); ``mixed_l2`` adds ``||E
-    alpha||_2``.  ``gram_trace`` is None where the solution's is.
+    alpha||_2`` and ``gain_l2`` its ratio to ``||e_k||_2``, by the rule of
+    :func:`gain_ratios`.  ``gram_trace`` is None where the solution's is.
     """
 
     alpha: np.ndarray
@@ -244,6 +245,7 @@ class StackedSolution:
     mixed_residual: np.ndarray
     mixed_l2: np.ndarray
     gain_theta: np.ndarray
+    gain_l2: np.ndarray
     solver_kind: str
     jitter: np.ndarray
     fallback: np.ndarray
@@ -347,6 +349,17 @@ def gain_ratios(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     The rule of :func:`gain_theta`, for norms of a stack of residuals.
     """
     return np.divide(num, denom, out=np.zeros(len(denom)), where=~(denom < GAIN_ZERO_TOL))
+
+
+def _plain_gains(norms: np.ndarray) -> np.ndarray:
+    """``gain_ratios(norms, norms)``, the plain step's gains, without dividing.
+
+    0 below GAIN_ZERO_TOL and 1 up to inf; only inf and nan are divided.
+    """
+    return np.array([
+        0.0 if x < GAIN_ZERO_TOL else 1.0 if x < math.inf else x / x
+        for x in norms.tolist()
+    ])
 
 
 def residual_norms(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -510,8 +523,8 @@ def solve_stacked(
         alpha, tau = np.zeros((runs, cols)), np.zeros((runs, cols - 1))
         alpha[:, -1] = 1.0
         return StackedSolution(
-            alpha, tau, e_new.copy(), e_l2, gain_ratios(e_inf, e_inf), kind,
-            np.zeros(runs), np.zeros(runs, bool), scale,
+            alpha, tau, e_new.copy(), e_l2, _plain_gains(e_inf), _plain_gains(e_l2),
+            kind, np.zeros(runs), np.zeros(runs, bool), scale,
         )
     eta = eta if kind == KIND_REGULARIZED else 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -539,7 +552,8 @@ def solve_stacked(
             mixed_l2[plain] = e_l2[plain]
     gains = gain_ratios(np.abs(mixed).max(axis=1, initial=0.0), e_inf)
     return StackedSolution(
-        alpha, tau, mixed, mixed_l2, gains, kind, jitter, ~accepted, scale, h_sq
+        alpha, tau, mixed, mixed_l2, gains, gain_ratios(mixed_l2, e_l2), kind, jitter,
+        ~accepted, scale, h_sq,
     )
 
 

@@ -146,27 +146,34 @@ class MdpStack:
     """
 
     def __init__(self, mdps):
-        self.mdps = tuple(mdps)
-        if not self.mdps:
+        mdps = tuple(mdps)
+        if not mdps:
             raise ValueError("need at least one MDP")
-        shapes = {m.rewards.shape for m in self.mdps}
+        shapes = {m.rewards.shape for m in mdps}
         if len(shapes) != 1:
             raise ValueError(f"MDPs differ in shape: {sorted(shapes)}")
-        n_states = self.mdps[0].n_states
-        k = max(m.successors.shape[2] for m in self.mdps)
-        b = len(self.mdps)
-        successors = np.zeros((k, b, *self.mdps[0].rewards.shape), dtype=np.intp)
-        self.probs = np.zeros(successors.shape)
-        for row, m in enumerate(self.mdps):
+        k = max(m.successors.shape[2] for m in mdps)
+        successors = np.zeros((k, len(mdps), *mdps[0].rewards.shape), dtype=np.intp)
+        probs = np.zeros(successors.shape)
+        for row, m in enumerate(mdps):
             kb = m.successors.shape[2]
             successors[:kb, row] = m.successors.transpose(2, 0, 1)
-            self.probs[:kb, row] = m.probs.transpose(2, 0, 1)
-        successors += (np.arange(b) * n_states)[:, None, None]
+            probs[:kb, row] = m.probs.transpose(2, 0, 1)
+        successors += (np.arange(len(mdps)) * mdps[0].n_states)[:, None, None]
+        self._store(
+            mdps,
+            successors,
+            probs,
+            np.stack([m.rewards for m in mdps]),
+            np.array([m.gamma for m in mdps])[:, None, None],
+        )
+
+    def _store(self, mdps, successors, probs, rewards, gamma) -> None:
+        self.mdps = mdps
         # ndarray.take copies a read-only index array on every call (313 against
         # 42 us at 2000x8), so the gather keeps the writeable original
         self._gather, self.successors = successors, successors.view()
-        self.rewards = np.stack([m.rewards for m in self.mdps])
-        self.gamma = np.array([m.gamma for m in self.mdps])[:, None, None]
+        self.probs, self.rewards, self.gamma = probs, rewards, gamma
         for a in (self.successors, self.probs, self.rewards, self.gamma):
             a.setflags(write=False)
 
@@ -174,8 +181,27 @@ class MdpStack:
         return len(self.mdps)
 
     def take(self, rows) -> MdpStack:
-        """The stack of the MDPs at ``rows``, in that order."""
-        return MdpStack([self.mdps[r] for r in rows])
+        """The stack of the MDPs at ``rows``, in that order.
+
+        Slices the stacked arrays, with no pass over the MDPs' own lists:
+        each kept row's indices move by ``S`` per row it moves up, and the
+        padding is trimmed to the kept MDPs' largest ``k``, so the result
+        equals ``MdpStack`` of those MDPs bitwise.
+        """
+        mdps = tuple(self.mdps[r] for r in rows)
+        rows = np.asarray(rows, dtype=np.intp)
+        k = max(m.successors.shape[2] for m in mdps)
+        successors = self._gather[:k].take(rows, axis=1)
+        successors -= ((rows - np.arange(len(rows))) * mdps[0].n_states)[:, None, None]
+        sub = object.__new__(MdpStack)
+        sub._store(
+            mdps,
+            successors,
+            self.probs[:k].take(rows, axis=1),
+            self.rewards[rows],
+            self.gamma[rows],
+        )
+        return sub
 
     def expectation(self, v: np.ndarray) -> np.ndarray:
         """Every MDP's transition matvec as ``(B, S, A)``: a sum of ``k`` contiguous planes."""

@@ -425,6 +425,33 @@ class TestGainTheta:
         mixed = m.residuals @ [0.2, 0.8]
         assert gain_theta(mixed, m.e_newest) == pytest.approx(0.8, abs=1e-14)
 
+    def test_plain_gains_equal_a_norm_divided_by_itself(self):
+        tol = anderson_module.GAIN_ZERO_TOL
+        x = np.array([
+            0.0, -0.0, 5e-324, 1e-15, np.nextafter(tol, 0.0), tol, 1.0, 1e300,
+            np.inf, -np.inf, np.nan, -1.0,
+        ])
+        with np.errstate(invalid="ignore"):
+            want = anderson_module.gain_ratios(x, x)
+        assert anderson_module._plain_gains(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind", [anderson_module.KIND_VANILLA, anderson_module.KIND_KKT]
+    )
+    def test_stacked_plain_step_gains(self, kind):
+        # vanilla at width 3 and any kind at width 1 take the plain step
+        rng = np.random.default_rng(5)
+        width = 3 if kind == anderson_module.KIND_VANILLA else 1
+        h = AndersonHistory(width - 1, runs=3)
+        for _ in range(width):
+            h.push(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
+        h.push(np.zeros((3, 4)), np.zeros((3, 4)) + [[1.0], [6e-15], [0.0]])
+        matrices = build_history_matrices(h)
+        norms = anderson_module.residual_norms(matrices.e_newest)
+        sols = anderson_module.solve_stacked(matrices, kind, 0.0, *norms)
+        assert sols.gain_theta.tolist() == [1.0, 0.0, 0.0]
+        assert sols.gain_l2.tolist() == [1.0, 1.0, 0.0]  # ||e_k||_2 = 1.2e-14 at row 1
+
 
 class TestMixedUpdate:
     def test_m0_beta1_is_plain_image(self):

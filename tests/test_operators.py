@@ -203,6 +203,27 @@ class TestStackedSweep:
             np.stack([ap.apply_bellman(mdps[3], q[0], mm5), ap.apply_bellman(mdps[1], q[1], mm5)]),
         )
 
+    @pytest.mark.parametrize("rows", [[2, 0], [0, 2], [1], [3, 1, 0], [0, 1, 2, 3]])
+    def test_take_equals_a_stack_of_the_kept_mdps(self, rows):
+        # only the gridworld has k = 4, the random MDPs k = 2 and 3: a take
+        # without it trims the padding
+        mdps = [
+            ap.generate_random_mdp(1, 9, 4, 2, 1.0, 0.9),
+            ap.generate_gridworld(3, 3, 0.1, 1.0, 0.8),
+            ap.generate_random_mdp(2, 9, 4, 3, 5.0, 0.95),
+            ap.generate_random_mdp(3, 9, 4, 2, 1.0, 0.5),
+        ]
+        stack = MdpStack(mdps)
+        for sub in (stack.take(rows), stack.take([3, 2, 1, 0]).take([3 - r for r in rows])):
+            want = MdpStack([mdps[r] for r in rows])
+            assert sub.mdps == want.mdps
+            for name in ("successors", "probs", "rewards", "gamma"):
+                got = getattr(sub, name)
+                assert got.shape == getattr(want, name).shape
+                assert got.tobytes() == getattr(want, name).tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    got[(0,) * got.ndim] = 1
+
     def test_shapes_must_match(self, mm5):
         mdps = [ap.generate_random_mdp(0, 6, 2, 2, 1.0, 0.9), ap.generate_random_mdp(0, 6, 3, 2, 1.0, 0.9)]
         with pytest.raises(ValueError, match="shape"):

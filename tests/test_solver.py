@@ -313,14 +313,31 @@ class TestOracle:
 
 
 def value_iteration(mdp, op, tol=solver.ORACLE_TOL, max_iter=solver.ORACLE_MAX_ITER):
-    """The one-MDP oracle loop, written out: (fixed point, sweeps) or (None, residual)."""
+    """Plain value iteration to the oracle's stop rule: (fixed point, sweeps) or (None, residual)."""
+    return oracle_iteration(mdp, op, tol, max_iter, extrapolate=False)
+
+
+def oracle_iteration(
+    mdp, op, tol=solver.ORACLE_TOL, max_iter=solver.ORACLE_MAX_ITER, extrapolate=True
+):
+    """The one-MDP oracle loop, written out: (fixed point, sweeps) or (None, residual).
+
+    A residual ``r = TQ - Q`` of one sign moves ``TQ`` by ``g/(1-g)`` times
+    ``min r`` if ``r > 0`` and ``max r`` if ``r < 0``.
+    """
+    g = mdp.gamma
     q = np.zeros((mdp.n_states, mdp.n_actions))
     res = float("inf")
     for sweep in range(max_iter + 1):
         tq = ap.apply_bellman(mdp, q, op)
-        res = float(np.abs(tq - q).max(initial=0.0))
+        r = tq - q
+        res = float(np.abs(r).max(initial=0.0))
         if res <= tol:
             return q, sweep
+        if extrapolate and r.min() > 0.0:
+            tq = tq + g / (1.0 - g) * r.min()
+        elif extrapolate and r.max() < 0.0:
+            tq = tq + g / (1.0 - g) * r.max()
         q = tq
     return None, res
 
@@ -329,34 +346,55 @@ class TestStackedOracle:
     @pytest.mark.parametrize(
         "op", [OperatorSpec(OperatorKind.HARD_MAX), OperatorSpec(OperatorKind.MELLOW_MAX, 5.0)]
     )
-    def test_equals_value_iteration_per_mdp(self, op):
-        # different discounts stop at different sweeps, so the stack shrinks;
-        # the gridworld pads the successor lists of the 9x4 random MDPs
+    def test_equals_written_out_oracle_per_mdp(self, op):
+        # the three stop at different sweeps, so the stack shrinks; the
+        # gridworld pads the successor lists of the 9x4 random MDPs, and its
+        # residual is never of one sign, so it iterates as value iteration
         mdps = [
             ap.generate_random_mdp(0, 9, 4, 3, 1.0, 0.95),
             ap.generate_gridworld(3, 3, 0.1, 1.0, 0.5),
             ap.generate_random_mdp(1, 9, 4, 2, 1.0, 0.8),
         ]
         got = solver.fixed_point_oracles(MdpStack(mdps), op)
-        sweeps = []
+        sweeps, vi_sweeps = [], []
         for q, mdp in zip(got, mdps):
-            want, n_sweeps = value_iteration(mdp, op)
+            want, n_sweeps = oracle_iteration(mdp, op)
+            vi, n_vi = value_iteration(mdp, op)
             sweeps.append(n_sweeps)
+            vi_sweeps.append(n_vi)
             assert q.tobytes() == want.tobytes()
             assert ap.fixed_point_oracle(mdp, op).tobytes() == want.tobytes()
+            # both are within ORACLE_TOL / (1 - gamma) of the fixed point
+            assert np.abs(q - vi).max() <= 2 * solver.ORACLE_TOL / (1 - mdp.gamma)
         assert len(set(sweeps)) == 3
+        assert sweeps[0] < vi_sweeps[0] and sweeps[2] < vi_sweeps[2]
+        assert sweeps[1] == vi_sweeps[1]
+        assert got[1].tobytes() == value_iteration(mdps[1], op)[0].tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 8])
+    def test_reaches_tolerance_where_an_ulp_exceeds_it(self, hardmax_op, seed):
+        # |Q| reaches 777 (seed 1) and 596 (seed 8), where one ulp is 1.1e-13,
+        # so only an exact floating-point fixed point passes ORACLE_TOL.
+        # Shifting every sweep circles above it on seed 1, and continuing
+        # from the midpoint of the bounds does on seed 8.
+        mdp = ap.generate_random_mdp(seed, 30, 4, 3, 10.0, 0.99)
+        vi, n_vi = value_iteration(mdp, hardmax_op)
+        q = ap.fixed_point_oracle(mdp, hardmax_op, max_iter=n_vi)
+        assert np.abs(ap.apply_bellman(mdp, q, hardmax_op) - q).max() <= solver.ORACLE_TOL
+        assert np.abs(q - vi).max() <= 2 * solver.ORACLE_TOL / (1 - mdp.gamma)
 
     def test_precision_error_names_the_first_unfinished_mdp(self, mm5):
+        # the oracle takes 11 sweeps on the fast MDP and 42 and 41 on the slow ones
         fast = ap.generate_random_mdp(0, 8, 2, 2, 1.0, 0.1)
         slow = [ap.generate_random_mdp(s, 8, 2, 2, 1.0, 0.9) for s in (1, 2)]
         with pytest.raises(OraclePrecisionError) as stacked:
-            solver.fixed_point_oracles(MdpStack([fast] + slow), mm5, max_iter=50)
+            solver.fixed_point_oracles(MdpStack([fast] + slow), mm5, max_iter=20)
         with pytest.raises(OraclePrecisionError) as alone:
-            ap.fixed_point_oracle(slow[0], mm5, max_iter=50)
-        assert value_iteration(fast, mm5, max_iter=50)[0] is not None
+            ap.fixed_point_oracle(slow[0], mm5, max_iter=20)
+        assert oracle_iteration(fast, mm5, max_iter=20)[0] is not None
         assert str(stacked.value) == str(alone.value)
-        assert stacked.value.residual == alone.value.residual == value_iteration(
-            slow[0], mm5, max_iter=50
+        assert stacked.value.residual == alone.value.residual == oracle_iteration(
+            slow[0], mm5, max_iter=20
         )[1]
 
     def test_non_finite_rewards_fail_in_the_sweep(self, mm5, monkeypatch):
@@ -862,7 +900,10 @@ class TestEnsembleGolden:
     """The lockstep engine's outputs on the benchmark's ensemble, pinned bit for bit.
 
     Recorded while the stacked solve still returned one MixingSolution per
-    run and numpy's Cholesky gated each stack as a whole.
+    run and numpy's Cholesky gated each stack as a whole.  The digest of
+    ``test_ensemble_30x4`` was recorded again when the oracle began to
+    extrapolate by its residual bounds: that moved each summary's
+    ``final_error_vs_oracle`` by at most 5.6e-12, and no other output.
     """
 
     MDPS = [ap.generate_random_mdp(j, 30, 4, 3, 1.0, 0.99) for j in range(3)]
@@ -882,7 +923,7 @@ class TestEnsembleGolden:
             2217, 2232, 2156, 39, 39, 35, 39, 39, 35, 2019, 2032, 1963
         ]
         assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == (
-            "046f7e932566092ae5c1a3ab2978f43e1f9cff4a6ec68cf00e692bca4fb2f382"
+            "d84243cd6045434830afb1246bdc7d08c18bcb737cfaaed69267a81177e44783"
         )
 
     def test_full_diagnostics_group_of_three(self, mm5):

@@ -76,11 +76,13 @@ class AndersonHistory:
     """Window of the most recent iterates and their operator images.
 
     Preallocated buffers hold the iterates X, the images F and the
-    residuals E = F - X, oldest first (n x (depth + 1) each), and the
-    iterate and residual differences D and H, newest first (n x depth
-    each).  :meth:`push` writes the new columns and one new difference
-    column of each kind in place; once the window is full it evicts the
-    oldest pair by shifting every column one place.
+    residuals E = F - X (slots of n entries each), and the iterate and
+    residual differences D and H.  The buffers are mirrored rings: with
+    ``depth`` >= 1, X/F/E have ``2 (depth + 1)`` slots and D/H ``2 depth``,
+    and :meth:`push` writes each new column at its slot and again one ring
+    size further on, then moves a head; nothing else moves.  So every
+    window is one contiguous run of slots, X/F/E oldest first and D/H
+    newest first.  A depth-0 history keeps its one slot and no mirror.
 
     The matrices handed out by :meth:`newest_iterate` and
     :func:`build_history_matrices` are views of these buffers, each
@@ -90,10 +92,10 @@ class AndersonHistory:
 
     With ``runs`` set, the history holds that many buffers side by side,
     for runs advanced in lockstep: every array gains a leading run axis,
-    and each run's columns are laid out as a one-run history lays out its
-    own.  Run ``r``'s window is the newest ``width[r]`` entries: :meth:`push`
-    grows every width up to ``depth + 1``; setting one to 1 restarts that
-    window and moves no data.
+    each run's columns are laid out as a one-run history lays out its
+    own, and all runs share the heads.  Run ``r``'s window is the newest
+    ``width[r]`` entries: :meth:`push` grows every width up to ``depth +
+    1``; setting one to 1 restarts that window and moves no data.
     """
 
     def __init__(self, depth: int, runs: int | None = None):
@@ -104,11 +106,14 @@ class AndersonHistory:
         self._n: int | None = None
         self._lead = () if runs is None else (runs,)
         self.width = [0] * (1 if runs is None else runs)
-        self._rows = (*self._lead, -1)  # shape of q and tq in push
-        # row j of _xfe[0], _xfe[1], _xfe[2] is column j of X, F, E;
-        # row i of _dh[0], _dh[1] is column i of D, H (after the run axis)
-        self._xfe = np.empty((3, *self._lead, depth + 1, 0))
-        self._dh = np.empty((2, *self._lead, depth, 0))
+        self._rows = (*self._lead, 1, -1)  # shape of q and tq in push; the 1 spans a slot's copies
+        copies = 2 if depth else 1  # a one-slot window needs no mirror
+        self._head = 0  # slot of the oldest X/F/E column
+        self._dhead = 0  # slot of the newest D/H column
+        # slot j of _xfe[0], _xfe[1], _xfe[2] holds a column of X, F, E;
+        # slot i of _dh[0], _dh[1] one of D, H (after the run axis)
+        self._xfe = np.empty((3, *self._lead, copies * (depth + 1), 0))
+        self._dh = np.empty((2, *self._lead, copies * depth, 0))
 
     def __len__(self) -> int:
         return self._len
@@ -118,7 +123,6 @@ class AndersonHistory:
 
         With a run axis, row ``r`` of ``q`` and ``tq`` goes to run ``r``.
         """
-        lead = self._lead
         q = np.asarray(q, dtype=np.float64).reshape(self._rows)
         tq = np.asarray(tq, dtype=np.float64).reshape(self._rows)
         if q.shape != tq.shape:
@@ -126,47 +130,43 @@ class AndersonHistory:
         n = q.shape[-1]
         if self._n is None:
             self._n = n
-            self._xfe = np.empty((3, *lead, self.depth + 1, n))
-            self._dh = np.empty((2, *lead, self.depth, n))
+            self._xfe = np.empty((*self._xfe.shape[:-1], n))
+            self._dh = np.empty((*self._dh.shape[:-1], n))
         elif n != self._n:
             raise ValueError(f"vector length {n} != history dimension {self._n}")
         k = self._len
-        xfe, dh = self._xfe, self._dh
-        # shift each whole buffer by one column as one flat move: numpy moves
-        # an overlapping 1-D slice in place, where a 2-D one goes through a
-        # temporary copy.  A column that crosses into the next window lands
-        # only in the column this push writes next (column k of X, F and E,
-        # column 0 of D and H), in every run's window.
-        if k == self.depth + 1:
-            flat = xfe.reshape(-1)
-            flat[:-n] = flat[n:]
+        if k == self.depth + 1:  # full: the new pair takes the oldest pair's slot
+            slot = self._head
+            self._head = (slot + 1) % k
             k -= 1
-        if k > 1:
-            flat = dh.reshape(-1)
-            flat[n:] = flat[:-n]
-        column = xfe[..., k, :]  # column k of X, F and E
+        else:
+            slot = k
+            self._len = k + 1
+        xfe = self._xfe
+        column = xfe[..., slot :: self.depth + 1, :]  # the new X, F, E column and its mirror
         column[0] = q
         column[1] = tq
         np.subtract(tq, q, out=column[2])
-        if k:
-            np.subtract(column[::2], xfe[::2, ..., k - 1, :], out=dh[..., 0, :])
-        self._len = k + 1
+        if k:  # slot - 1 = -1 reads the mirror of the ring's last slot
+            d = self._dhead = (self._dhead - 1) % self.depth
+            out = self._dh[..., d :: self.depth, :]  # the new D, H column and its mirror
+            np.subtract(column[::2], xfe[::2, ..., slot - 1, None, :], out=out)
         if min(self.width) <= k:  # some window has room for the new entry
             self.width = [w + 1 if w <= k else w for w in self.width]
 
     def take(self, rows) -> None:
         """Keep only the runs at ``rows`` of a history with a run axis, in that order."""
         self._lead = (len(rows),)
-        self._rows = (len(rows), -1)
+        self._rows = (len(rows), 1, -1)
         self.width = [self.width[r] for r in rows]
-        # take() keeps the buffers C-contiguous, as push's flat shifts need
+        # each kept run keeps its slots, so the shared heads stay valid
         self._xfe = self._xfe.take(rows, axis=1)
         self._dh = self._dh.take(rows, axis=1)
 
     def newest_iterate(self) -> np.ndarray:
         if not self._len:
             raise ValueError("history is empty")
-        return self._xfe[0, ..., self._len - 1, :]
+        return self._xfe[0, ..., self._head + self._len - 1, :]
 
 
 @dataclass
@@ -202,8 +202,9 @@ def build_history_matrices(history: AndersonHistory, width=None) -> HistoryMatri
     w = k if width is None else width
     if not 1 <= w <= k:
         raise ValueError(f"cannot build a window of width {w} from {k} entries")
-    dh = history._dh[..., : w - 1, :]
-    return HistoryMatrices(history._xfe[2, ..., k - w : k, :].mT, dh[0].mT, dh[1].mT)
+    end, d = history._head + k, history._dhead
+    dh = history._dh[..., d : d + w - 1, :]
+    return HistoryMatrices(history._xfe[2, ..., end - w : end, :].mT, dh[0].mT, dh[1].mT)
 
 
 @dataclass
@@ -584,8 +585,8 @@ def next_iterates(
     history: AndersonHistory, alpha: np.ndarray, mixed: np.ndarray, beta: float, rows=...
 ) -> np.ndarray:
     """``F alpha - (1-beta) * mixed`` of the runs at ``rows``; F is as wide as alpha."""
-    k = history._len
-    images = history._xfe[1, ..., k - alpha.shape[-1] : k, :][rows]
+    end = history._head + history._len
+    images = history._xfe[1, ..., end - alpha.shape[-1] : end, :][rows]
     return np.vecmat(alpha, images) - (1.0 - beta) * mixed
 
 

@@ -137,8 +137,10 @@ class TabularMdp:
 class MdpStack:
     """B same-shape MDPs, swept by one Bellman call.
 
-    Row ``b`` of ``rewards`` (``(B, S, A)``) and ``gamma`` (``(B, 1, 1)``)
-    belongs to ``mdps[b]``.  The successor lists are stacked
+    Row ``b`` of ``rewards`` (``(B, S, A)``), ``gamma`` (``(B, 1, 1)``) and
+    ``k`` (``(B,)``, each successor list's width) belongs to the ``b``-th
+    MDP.  The stack keeps no reference to the MDPs, so the stack an MDP
+    caches makes no reference cycle.  The successor lists are stacked
     successor-major as ``(k, B, S, A)``, padded to the largest ``k`` with
     successor 0 at probability 0.0, and offset by ``b * S``, so one gather
     from the stacked values ``v`` (length ``B * S``) serves every MDP; a
@@ -152,8 +154,8 @@ class MdpStack:
         shapes = {m.rewards.shape for m in mdps}
         if len(shapes) != 1:
             raise ValueError(f"MDPs differ in shape: {sorted(shapes)}")
-        k = max(m.successors.shape[2] for m in mdps)
-        successors = np.zeros((k, len(mdps), *mdps[0].rewards.shape), dtype=np.intp)
+        widths = np.array([m.successors.shape[2] for m in mdps])
+        successors = np.zeros((widths.max(), len(mdps), *mdps[0].rewards.shape), dtype=np.intp)
         probs = np.zeros(successors.shape)
         for row, m in enumerate(mdps):
             kb = m.successors.shape[2]
@@ -161,24 +163,24 @@ class MdpStack:
             probs[:kb, row] = m.probs.transpose(2, 0, 1)
         successors += (np.arange(len(mdps)) * mdps[0].n_states)[:, None, None]
         self._store(
-            mdps,
+            widths,
             successors,
             probs,
             np.stack([m.rewards for m in mdps]),
             np.array([m.gamma for m in mdps])[:, None, None],
         )
 
-    def _store(self, mdps, successors, probs, rewards, gamma) -> None:
-        self.mdps = mdps
+    def _store(self, k, successors, probs, rewards, gamma) -> None:
+        self.k = k
         # ndarray.take copies a read-only index array on every call (313 against
         # 42 us at 2000x8), so the gather keeps the writeable original
         self._gather, self.successors = successors, successors.view()
         self.probs, self.rewards, self.gamma = probs, rewards, gamma
-        for a in (self.successors, self.probs, self.rewards, self.gamma):
+        for a in (self.k, self.successors, self.probs, self.rewards, self.gamma):
             a.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.mdps)
+        return len(self.rewards)
 
     def take(self, rows) -> MdpStack:
         """The stack of the MDPs at ``rows``, in that order.
@@ -188,14 +190,14 @@ class MdpStack:
         padding is trimmed to the kept MDPs' largest ``k``, so the result
         equals ``MdpStack`` of those MDPs bitwise.
         """
-        mdps = tuple(self.mdps[r] for r in rows)
         rows = np.asarray(rows, dtype=np.intp)
-        k = max(m.successors.shape[2] for m in mdps)
+        widths = self.k[rows]
+        k = widths.max()
         successors = self._gather[:k].take(rows, axis=1)
-        successors -= ((rows - np.arange(len(rows))) * mdps[0].n_states)[:, None, None]
+        successors -= ((rows - np.arange(len(rows))) * self.rewards.shape[1])[:, None, None]
         sub = object.__new__(MdpStack)
         sub._store(
-            mdps,
+            widths,
             successors,
             self.probs[:k].take(rows, axis=1),
             self.rewards[rows],

@@ -15,6 +15,7 @@ from anderson_pi.anderson import (
     gain_theta,
     mixed_update,
     materialize_update_matrix,
+    next_iterates,
     quasi_newton_update,
     solve_alpha_kkt,
     solve_tau_regularized,
@@ -192,6 +193,75 @@ class TestHistoryBuffers:
         _, e, dq, de = reference_window(pairs[:3])
         assert all(np.array_equal(a, b) for a, b in zip(kept, [e, dq, de]))
         assert_window(h, pairs[1:])
+
+    @pytest.mark.parametrize("runs", [None, 3])
+    def test_push_into_a_full_window_moves_no_kept_column(self, runs):
+        # the previous window's views still hold, in place, every column the
+        # new window keeps: E drops its oldest (first) column, D and H their
+        # oldest (last) one
+        rng = np.random.default_rng(15)
+        lead = () if runs is None else (runs,)
+        h = AndersonHistory(3, runs=runs)
+        pairs = [(rng.standard_normal((*lead, 6)), rng.standard_normal((*lead, 6))) for _ in range(14)]
+        for pair in pairs[:4]:
+            h.push(*pair)
+        for pair in pairs[4:]:  # more than two wraps of the full window
+            old = build_history_matrices(h)
+            kept = [old.residuals.copy(), old.delta_q.copy(), old.delta_e.copy()]
+            h.push(*pair)
+            new = build_history_matrices(h)
+            assert np.array_equal(old.residuals[..., 1:], kept[0][..., 1:])
+            assert np.array_equal(new.residuals[..., :-1], kept[0][..., 1:])
+            for got, was, now in zip([old.delta_q, old.delta_e], kept[1:], [new.delta_q, new.delta_e]):
+                assert np.array_equal(got[..., :-1], was[..., :-1])
+                assert np.array_equal(now[..., 1:], was[..., :-1])
+
+    @pytest.mark.parametrize("runs", [None, 3])
+    @pytest.mark.parametrize("depth", range(6))
+    def test_ring_wraps_keep_every_window(self, depth, runs):
+        # the window fills, then the ring wraps more than three times;
+        # halfway through the second wrap run 0's window restarts and, under
+        # a run axis, take([2, 0]) reorders the runs.  Every window, newest
+        # iterate and next iterate is bitwise what the column stacks of the
+        # newest pairs give.
+        rng = np.random.default_rng(30 + depth)
+        size, n, beta = depth + 1, 5, 0.7
+        h = AndersonHistory(depth, runs=runs)
+        own = [[] for _ in range(runs or 1)]  # the pairs pushed to each run
+        widths = [0] * len(own)
+        for j in range(4 * size + size // 2 + 1):
+            if j == 2 * size + size // 2:
+                h.width[0] = widths[0] = 1
+                if runs:
+                    h.take([2, 0])
+                    own, widths = [own[2], own[0]], [widths[2], widths[0]]
+            q = rng.standard_normal((len(own), n))
+            tq = rng.standard_normal((len(own), n))
+            h.push(q if runs else q[0], tq if runs else tq[0])
+            for r, pairs in enumerate(own):
+                pairs.append((q[r], tq[r]))
+            widths = [min(w + 1, size) for w in widths]
+            assert h.width == widths
+            assert len(h) == min(j + 1, size)
+            newest = h.newest_iterate().reshape(len(own), n)
+            for w in range(1, len(h) + 1):
+                m = build_history_matrices(h, w)
+                alpha = rng.standard_normal((len(own), w))
+                mixed = rng.standard_normal((len(own), n))
+                one = slice(None) if runs else 0
+                step = next_iterates(h, alpha[one], mixed[one], beta).reshape(len(own), n)
+                for r, pairs in enumerate(own):
+                    window = pairs[-w:]
+                    x, e, dq, de = reference_window(window)
+                    got = m if runs is None else m.run(r)
+                    for a, b in [(got.residuals, e), (got.delta_q, dq), (got.delta_e, de)]:
+                        assert a.shape == b.shape
+                        assert a.shape[1] == 0 or a.strides[0] == 8  # each column contiguous
+                        assert np.array_equal(a, b)
+                    assert np.array_equal(newest[r], x[:, -1])
+                    f = np.stack([t for _, t in window])  # F's columns, each contiguous
+                    want = np.vecmat(alpha[r], f) - (1.0 - beta) * mixed[r]
+                    assert step[r].tobytes() == want.tobytes()
 
 
 class TestKktSolver:

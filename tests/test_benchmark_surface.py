@@ -70,22 +70,41 @@ def test_traced_ensemble_pass_records_no_error(perfbench, tmp_path):
     assert [(r.error, r.converged) for r in out.runs] == [("", True)] * len(out.runs)
 
 
-def test_traced_large_pass_records_no_error(perfbench, tmp_path):
-    # each run of this pass sweeps a one-MDP stack of the 2000x8 instance
+@pytest.fixture(scope="module")
+def traced_large_pass(perfbench, tmp_path_factory):
+    """The tracer and output of one traced large-2000x8 pass, and the originals it wrapped."""
     tracing, workloads = perfbench
     originals = [getattr(owner, attr) for owner, attr, *_ in tracing.TARGETS]
     mdps = workloads._large_generate(0)
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        out = workloads._large_pass(0, mdps, tmp_path)
+        out = workloads._large_pass(0, mdps, tmp_path_factory.mktemp("large"))
     finally:
         tracer.uninstall()
+    return tracer, out, originals
+
+
+def test_traced_large_pass_records_no_error(perfbench, traced_large_pass):
+    # each run of this pass sweeps a one-MDP stack of the 2000x8 instance
+    tracing, workloads = perfbench
+    tracer, out, originals = traced_large_pass
     assert [getattr(owner, attr) for owner, attr, *_ in tracing.TARGETS] == originals
     assert tracer.calls("solver.run") == len(workloads.LARGE_CONFIGS)
     assert tracer.calls("solver.oracle") == out.oracle_calls == 1
     assert out.errors == []
     assert [(r.error, r.converged) for r in out.runs] == [("", True)] * len(out.runs)
+
+
+def test_traced_large_pass_times_every_push(traced_large_pass):
+    # anderson.assemble spans AndersonHistory.push, once per iteration and
+    # once more for the iterate the run stops at (iterations + 1 per run),
+    # and the engine's one build_history_matrices of the widest window after
+    # each push: these runs restart no window, so no narrower one is built
+    tracer, out, _ = traced_large_pass
+    pushes = sum(r.iterations + 1 for r in out.runs)
+    assert pushes > 2 * len(out.runs)
+    assert tracer.calls("anderson.assemble") == 2 * pushes
 
 
 def test_traced_ladder_exhausted_solve_is_counted(perfbench):

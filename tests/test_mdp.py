@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -101,11 +103,26 @@ class TestFromSuccessors:
     def test_stack_is_kept_and_read_only(self):
         mdp = ap.generate_random_mdp(0, 5, 2, 2, 1.0, 0.9)
         assert mdp.stack is mdp.stack
-        assert mdp.stack.mdps == (mdp,)
+        assert len(mdp.stack) == 1
+        assert mdp.stack.rewards[0].tobytes() == mdp.rewards.tobytes()
         for stack in (mdp.stack, MdpStack([mdp, mdp])):
             for name in ("successors", "probs", "rewards", "gamma"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(stack, name)[0, 0, 0] = 1
+
+    def test_swept_mdp_is_freed_without_the_cycle_collector(self, mm5):
+        # the cached stack holds no reference back to its MDP, so reference
+        # counting alone frees a swept MDP
+        mdp = ap.generate_random_mdp(0, 5, 2, 2, 1.0, 0.9)
+        ap.apply_bellman(mdp, np.zeros((5, 2)), mm5)
+        assert "stack" in vars(mdp)
+        ref = weakref.ref(mdp)
+        gc.disable()
+        try:
+            del mdp
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestGridworld:

@@ -465,7 +465,7 @@ class TestEnsemble:
         calls = []
 
         def counting_oracles(stack, op, *args, **kwargs):
-            calls.extend((id(mdp), op) for mdp in stack.mdps)
+            calls.extend((rewards.tobytes(), op) for rewards in stack.rewards)
             return stacked(stack, op, *args, **kwargs)
 
         # run_ensemble computes its oracles one stack of same-shape MDPs at a time

@@ -6,10 +6,16 @@ plot-ready curves), ``check`` (the property suite).
 
 Exit codes are a stable scripting contract:
     0  success
-    2  usage / input error
+    2  usage / input error: a flag, config value or scheme spec refused
+       (a repeated spec key too), an input file that cannot be read, or
+       an ``-o`` that cannot be written; one ``error:`` line on stderr
     3  solver (or the reference oracle) stopped at max_iter without converging
     4  divergence
     5  an asserted bound failed in ``check``
+
+Commands raise their usage and input errors; ``main`` alone turns them
+into the exit code.  ``check`` and ``compare`` make ``-o`` before they
+compute, so a bad path fails before the suite or the ensemble runs.
 
 Every command is deterministic given its flags: all randomness is
 seeded through flags and output files carry no timestamps.  Trace files
@@ -20,6 +26,7 @@ repeated runs byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -27,13 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .mdp import (
-    MdpFormatError,
-    generate_gridworld,
-    generate_random_mdp,
-    load_mdp,
-    save_mdp,
-)
+from .mdp import generate_gridworld, generate_random_mdp, load_mdp, save_mdp
 from .operators import OperatorKind, OperatorSpec
 from .solver import (
     COMPACT_JSON,
@@ -221,7 +222,7 @@ def _load_config_defaults(argv: list[str]) -> dict | None:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise MdpFormatError("config file must hold a flat JSON object")
+        raise ValueError("config file must hold a flat JSON object")
     return {str(k).replace("-", "_"): v for k, v in data.items()}
 
 
@@ -229,44 +230,43 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
-def cmd_gen_mdp(args) -> int:
-    if args.kind is None or args.gamma is None or args.out is None:
-        missing = [
-            flag
-            for flag, v in (("--kind", args.kind), ("--gamma", args.gamma), ("-o", args.out))
-            if v is None
-        ]
-        _err(f"gen-mdp requires {', '.join(missing)}")
-        return EXIT_USAGE
+@contextlib.contextmanager
+def _reading(what: str):
+    """Name ``what`` (the file being read) in an input error raised inside.
+
+    A TypeError there is content of the wrong JSON type, such as an object for q0.
+    """
     try:
-        if args.kind == "random":
-            missing = [
-                name
-                for name, v in (
-                    ("--seed", args.seed),
-                    ("--states", args.states),
-                    ("--actions", args.actions),
-                    ("--branching", args.branching),
-                )
-                if v is None
-            ]
-            if missing:
-                _err(f"gen-mdp --kind random requires {', '.join(missing)}")
-                return EXIT_USAGE
-            mdp = generate_random_mdp(
-                args.seed, args.states, args.actions, args.branching,
-                args.reward_scale, args.gamma,
-            )
-        else:
-            if args.width is None or args.height is None:
-                _err("gen-mdp --kind grid requires --width and --height")
-                return EXIT_USAGE
-            mdp = generate_gridworld(
-                args.width, args.height, args.slip, args.goal_reward, args.gamma
-            )
-    except (ValueError, OverflowError) as exc:  # a flag out of range
-        _err(str(exc))
-        return EXIT_USAGE
+        yield
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+
+
+def _require(command: str, flags) -> None:
+    missing = [flag for flag, value in flags if value is None]
+    if missing:
+        raise ValueError(f"{command} requires {', '.join(missing)}")
+
+
+def cmd_gen_mdp(args) -> int:
+    _require("gen-mdp", (("--kind", args.kind), ("--gamma", args.gamma), ("-o", args.out)))
+    if args.kind == "random":
+        _require("gen-mdp --kind random", (
+            ("--seed", args.seed),
+            ("--states", args.states),
+            ("--actions", args.actions),
+            ("--branching", args.branching),
+        ))
+        mdp = generate_random_mdp(
+            args.seed, args.states, args.actions, args.branching,
+            args.reward_scale, args.gamma,
+        )
+    else:
+        if args.width is None or args.height is None:
+            raise ValueError("gen-mdp --kind grid requires --width and --height")
+        mdp = generate_gridworld(
+            args.width, args.height, args.slip, args.goal_reward, args.gamma
+        )
     save_mdp(mdp, args.out)
     print(
         f"wrote {args.out}: {mdp.n_states} states, {mdp.n_actions} actions, "
@@ -276,27 +276,14 @@ def cmd_gen_mdp(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.mdp is None:
-        _err("solve requires --mdp")
-        return EXIT_USAGE
-    try:
+    _require("solve", (("--mdp", args.mdp),))
+    with _reading(f"cannot load MDP {args.mdp}"):
         mdp = load_mdp(args.mdp)
-    except (OSError, MdpFormatError) as exc:
-        _err(f"cannot load MDP {args.mdp}: {exc}")
-        return EXIT_USAGE
-    try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+    cfg = _config_from_args(args)
     q0 = None
     if args.q0:
-        try:
-            with open(args.q0, "r", encoding="utf-8") as fh:
-                q0 = np.asarray(json.load(fh), dtype=np.float64)
-        except (OSError, ValueError) as exc:
-            _err(f"cannot load q0 {args.q0}: {exc}")
-            return EXIT_USAGE
+        with _reading(f"cannot load q0 {args.q0}"), open(args.q0, "r", encoding="utf-8") as fh:
+            q0 = np.asarray(json.load(fh), dtype=np.float64)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     exit_code = EXIT_OK
@@ -308,17 +295,10 @@ def cmd_solve(args) -> int:
         trace = exc.trace
         exit_code = EXIT_DIVERGENCE
         _err(str(exc))
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
     write_trace_csv(trace, outdir / "trace.csv", include_timing=args.timing)
     oracle_err = None
     if args.oracle and exit_code == EXIT_OK:
-        try:
-            oracle = fixed_point_oracle(mdp, cfg.operator)
-        except ValueError as exc:
-            _err(str(exc))
-            return EXIT_USAGE
+        oracle = fixed_point_oracle(mdp, cfg.operator)
         oracle_err = float(np.abs(trace.final_q - oracle).max())
     summary = {
         "command": "solve",
@@ -353,6 +333,8 @@ def _parse_scheme_spec(spec: str, args) -> SolverConfig:
             key = key.strip()
             if key not in ("m", "beta", "eta", "omega", "safeguard"):
                 raise ValueError(f"unknown key {key!r} in scheme spec {spec!r}")
+            if key in overrides:
+                raise ValueError(f"repeated key {key!r} in scheme spec {spec!r}")
             overrides[key] = value
     safeguard = overrides.get("safeguard", "0").strip()
     if safeguard not in ("0", "1"):
@@ -379,47 +361,32 @@ def _parse_seed_range(text: str) -> range:
 
 def cmd_compare(args) -> int:
     if not args.schemes or len(args.schemes) < 2:
-        _err("compare needs at least two --scheme specs")
-        return EXIT_USAGE
-    try:
-        configs = [_parse_scheme_spec(s, args) for s in args.schemes]
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+        raise ValueError("compare needs at least two --scheme specs")
+    configs = [_parse_scheme_spec(s, args) for s in args.schemes]
     mdps, seeds, labels = [], [], []
-    if args.mdps:
-        for path in args.mdps:
-            try:
-                mdps.append(load_mdp(path))
-            except (OSError, MdpFormatError) as exc:
-                _err(f"cannot load MDP {path}: {exc}")
-                return EXIT_USAGE
-            seeds.append(None)
-            labels.append(str(path))
+    for path in args.mdps or ():
+        with _reading(f"cannot load MDP {path}"):
+            mdps.append(load_mdp(path))
+        seeds.append(None)
+        labels.append(str(path))
     if args.gen:
-        try:
-            seed_range = _parse_seed_range(args.seeds)
-        except ValueError as exc:
-            _err(str(exc))
-            return EXIT_USAGE
-        for seed in seed_range:
-            try:
-                mdp = generate_random_mdp(
-                    seed, args.states, args.actions, args.branching,
-                    args.reward_scale, args.gamma,
-                )
-            except (ValueError, OverflowError) as exc:
-                _err(str(exc))
-                return EXIT_USAGE
-            mdps.append(mdp)
+        for seed in _parse_seed_range(args.seeds):
+            mdps.append(generate_random_mdp(
+                seed, args.states, args.actions, args.branching, args.reward_scale, args.gamma,
+            ))
             seeds.append(seed)
             labels.append(f"random(seed={seed})")
     if not mdps:
-        _err("compare needs --mdp files or --gen with a seed range")
-        return EXIT_USAGE
-    report = run_ensemble(configs, mdps, mdp_seeds=seeds, mdp_labels=labels)
+        raise ValueError("compare needs --mdp files or --gen with a seed range")
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    made = [p for p in (outdir, *outdir.parents) if not p.exists()]
+    outdir.mkdir(parents=True, exist_ok=True)  # a bad -o fails before the ensemble runs
+    try:
+        report = run_ensemble(configs, mdps, mdp_seeds=seeds, mdp_labels=labels)
+    except OraclePrecisionError:  # compare then writes no file
+        for p in made:
+            p.rmdir()
+        raise
     with open(outdir / "report.jsonl", "w", encoding="utf-8") as fh:
         fh.write(report.to_jsonl())
     with open(outdir / "curves.csv", "w", encoding="utf-8") as fh:
@@ -455,22 +422,21 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:  # the suite's stable-aa configs take --eta, --beta and --omega as they are
-        if not (np.isfinite(args.eta) and args.eta > 0.0):
-            raise ValueError(f"eta must be finite and positive, got {args.eta}")
-        if args.pairs < 1:
-            raise ValueError(f"pairs must be >= 1, got {args.pairs}")
-        if args.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {args.seed}")
-        SolverConfig(
-            scheme=Scheme.STABLE_AA,
-            operator=OperatorSpec(OperatorKind.MELLOW_MAX, args.omega),
-            beta=args.beta,
-            eta=args.eta,
-        )
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_USAGE
+    # the suite's stable-aa configs take --eta, --beta and --omega as they are
+    if not (np.isfinite(args.eta) and args.eta > 0.0):
+        raise ValueError(f"eta must be finite and positive, got {args.eta}")
+    if args.pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {args.pairs}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
+    SolverConfig(
+        scheme=Scheme.STABLE_AA,
+        operator=OperatorSpec(OperatorKind.MELLOW_MAX, args.omega),
+        beta=args.beta,
+        eta=args.eta,
+    )
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)  # a bad -o fails before the suite runs
     records = diagnostics.run_check_suite(
         seed=args.seed,
         n_pairs=args.pairs,
@@ -478,8 +444,6 @@ def cmd_check(args) -> int:
         beta=args.beta,
         omega=args.omega,
     )
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     diagnostics.write_check_report(
         records,
         outdir / "check_report.jsonl",
@@ -506,18 +470,19 @@ def cmd_check(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; every usage or input error it raises is one line and exit 2."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = _build_parser(_load_config_defaults(argv))
-    except (OSError, ValueError, MdpFormatError) as exc:
-        _err(f"cannot load --config: {exc}")
-        return EXIT_USAGE
-    args = parser.parse_args(argv)
-    try:
+        with _reading("cannot load --config"):
+            parser = _build_parser(_load_config_defaults(argv))
+        args = parser.parse_args(argv)
         return args.func(args)
     except OraclePrecisionError as exc:  # the reference oracle stopped at its cap
         _err(str(exc))
         return EXIT_MAX_ITER
+    except (ValueError, OverflowError, OSError) as exc:  # MdpFormatError is a ValueError
+        _err(str(exc))
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -281,6 +281,8 @@ def generate_random_mdp(
         raise ValueError(f"need n_states, n_actions >= 1, got ({n_states}, {n_actions})")
     if not (1 <= branching <= n_states):
         raise ValueError(f"branching must be in [1, n_states], got {branching}")
+    if not np.isfinite(reward_scale):
+        raise ValueError(f"reward_scale must be finite, got {reward_scale}")
     _check_discount(gamma)
     rng = np.random.default_rng(seed)
     successors = np.empty((n_states, n_actions, branching), dtype=np.intp)
@@ -320,6 +322,8 @@ def generate_gridworld(
         raise ValueError(f"grid dimensions must be >= 1, got ({width}, {height})")
     if not (0.0 <= slip_prob < 1.0):
         raise ValueError(f"slip_prob must be in [0,1), got {slip_prob}")
+    if not np.isfinite(goal_reward):
+        raise ValueError(f"goal_reward must be finite, got {goal_reward}")
     _check_discount(gamma)
     n_states = width * height
     n_actions = 4

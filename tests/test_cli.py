@@ -66,8 +66,13 @@ class TestGenMdp:
             (["--kind", "grid", "--width", 0], "grid dimensions"),
             (["--kind", "grid", "--slip", 1.0], "slip_prob"),
             (["--kind", "random", "--reward-scale", 1e308], "range exceeds"),
+            (["--kind", "random", "--reward-scale", "nan"], "reward_scale must be finite"),
+            (["--kind", "random", "--reward-scale", "inf"], "reward_scale must be finite"),
+            (["--kind", "grid", "--goal-reward", "inf"], "goal_reward must be finite"),
+            (["--kind", "grid", "--goal-reward=-inf"], "goal_reward must be finite"),
         ],
-        ids=["gamma1", "branching", "states0", "width0", "slip1", "reward-scale"],
+        ids=["gamma1", "branching", "states0", "width0", "slip1", "reward-scale",
+             "reward-scale-nan", "reward-scale-inf", "goal-reward-inf", "goal-reward-minus-inf"],
     )
     def test_out_of_range_generator_flag_is_usage_error(
         self, flags, message, tmp_path, capsys
@@ -190,6 +195,16 @@ class TestSolve:
             "--tol", "1e-8", "--q0", q0_path, "-o", tmp_path,
         )
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize("text", ["[[1, 2", '{"q": 1}', '"q"', "[[1, [2]]]"],
+                             ids=["truncated", "object", "string", "ragged"])
+    def test_unreadable_q0_is_usage_error(self, text, mdp_file, tmp_path, capsys):
+        q0_path = tmp_path / "q0.json"
+        q0_path.write_text(text)
+        argv = ["solve", "--mdp", mdp_file, "--q0", q0_path, "-o", tmp_path / "out"]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert f"error: cannot load q0 {q0_path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_oracle_with_noncontractive_operator_is_usage_error(
         self, mdp_file, tmp_path
@@ -475,6 +490,15 @@ class TestCompare:
         assert "safeguard must be 0 or 1" in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize("spec", ["kkt:m=5,m=6", "kkt:m=3,safeguard=1,safeguard=0"])
+    def test_repeated_spec_key_is_usage_error(self, spec, tmp_path, capsys):
+        argv = ["compare", "--scheme", "vanilla", "--scheme", spec, "--gen", "random",
+                "--seeds", "0:2", "-o", str(tmp_path / "cmp")]
+        assert cli.main(argv) == 2
+        key = spec.split(",")[-1].split("=")[0]
+        assert f"error: repeated key {key!r} in scheme spec {spec!r}" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
     def test_safeguard_zero_is_the_plain_spec(self, tmp_path):
         outputs = []
         for spec in ("kkt:m=3", "kkt:m=3,safeguard=0"):
@@ -535,6 +559,39 @@ class TestCheck:
             if b["bound_id"] == "Theorem3(rhs<beta)" and not b["satisfied"]
         ]
         assert findings
+
+
+class TestExitMap:
+    @pytest.mark.parametrize(
+        "command,where",
+        [("gen-mdp", "under-file"), ("gen-mdp", "missing-dir"), ("solve", "under-file"),
+         ("compare", "under-file"), ("check", "under-file")],
+    )
+    def test_unwritable_out_is_usage_error(
+        self, command, where, mdp_file, tmp_path, monkeypatch, capsys
+    ):
+        # the suite and the ensemble must not start when -o cannot be made
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before -o was made")
+
+        monkeypatch.setattr(cli, "run_ensemble", must_not_run)
+        monkeypatch.setattr(cli.diagnostics, "run_check_suite", must_not_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = (blocker if where == "under-file" else tmp_path / "missing") / "out"
+        argv = {
+            "gen-mdp": ["gen-mdp", "--kind", "grid", "--width", 3, "--height", 3,
+                        "--gamma", 0.9],
+            "solve": ["solve", "--mdp", mdp_file],
+            "compare": ["compare", "--scheme", "vanilla", "--scheme", "kkt:m=3", "--gen",
+                        "random", "--seeds", "0:2"],
+            "check": ["check", "--pairs", 10],
+        }[command]
+        assert cli.main([str(a) for a in [*argv, "-o", out]]) == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [blocker]
 
 
 class TestDeterminism:

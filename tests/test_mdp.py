@@ -56,6 +56,11 @@ class TestRandomGenerator:
         mdp = ap.generate_random_mdp(5, 10, 3, 2, 0.25, 0.9)
         assert np.abs(mdp.rewards).max() <= 0.25
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reward_scale(self, scale):
+        with pytest.raises(ValueError, match="reward_scale must be finite"):
+            ap.generate_random_mdp(0, 5, 2, 2, scale, 0.9)
+
 
 class TestFromSuccessors:
     def test_rejects_mismatched_shapes(self):
@@ -160,6 +165,12 @@ class TestGridworld:
             ap.generate_gridworld(2, 2, 1.0, 1.0, 0.9)
         with pytest.raises(ValueError):
             ap.generate_gridworld(2, 2, -0.1, 1.0, 0.9)
+
+    @pytest.mark.parametrize("reward", [np.nan, np.inf, -np.inf])
+    def test_non_finite_goal_reward(self, reward):
+        # inf times the zero entering probability of a far state would be nan
+        with pytest.raises(ValueError, match="goal_reward must be finite"):
+            ap.generate_gridworld(3, 3, 0.1, reward, 0.9)
 
 
 class TestValidate:

@@ -131,7 +131,9 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     s.add_argument("--safeguard", action="store_true",
                    help="clear history and take a plain step when the residual "
                         "more than doubles")
-    s.add_argument("--diagnostics", choices=("basic", "full"), default="basic")
+    s.add_argument("--diagnostics", choices=("basic", "full"), default="basic",
+                   help="full: stable-aa also records the Prop2_2 gap and ||G~||_2 "
+                        "(trace columns, not in trace.csv); other schemes as basic")
     s.add_argument("--q0", type=str, default=None,
                    help="JSON file with the starting Q table (default zeros)")
     s.add_argument("--oracle", action="store_true",

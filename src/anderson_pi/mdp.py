@@ -263,6 +263,12 @@ def validate(mdp: TabularMdp) -> list[str]:
     return violations
 
 
+def _describe(violations: list[str]) -> str:
+    """The first five of ``violations``, and how many there are if more."""
+    shown, more = "; ".join(violations[:5]), len(violations) - 5
+    return f"{len(violations)} violations: {shown}; and {more} more" if more > 0 else shown
+
+
 def generate_random_mdp(
     seed: int,
     n_states: int,
@@ -361,7 +367,7 @@ def save_mdp(mdp: TabularMdp, path) -> None:
     """Write ``mdp`` as a JSON document with 17-significant-digit reals."""
     violations = validate(mdp)
     if violations:
-        raise ValueError("cannot save invalid MDP: " + "; ".join(violations))
+        raise ValueError("cannot save invalid MDP: " + _describe(violations))
     p = _dense(mdp)
     rewards_rows = [
         "[" + ", ".join(_fmt(v) for v in row) + "]" for row in mdp.rewards
@@ -433,5 +439,5 @@ def load_mdp(path) -> TabularMdp:
     mdp = TabularMdp(ns, na, transitions, rewards, float(data["gamma"]))
     violations = validate(mdp)
     if violations:
-        raise MdpFormatError("; ".join(violations))
+        raise MdpFormatError(_describe(violations))
     return mdp

@@ -408,19 +408,19 @@ class _DiagnosticsChunk:
     writes, in the queued rows of the run's column of the group, the
     coefficient gap against the unregularized solution and ``||G~||_2``,
     from one stacked solve and one stacked norm computation.  The windows
-    of one chunk have one width: a window of another width, or a full
-    chunk, settles the chunk first.  Each window is copied in the history's
-    layout, each column contiguous, so each result is bitwise the one its
-    window gives alone.  Of each solution the chunk keeps what the extras
-    read: ``alpha``, ``ridge_scale + jitter`` and whether it was solved.
+    of one chunk have one width: a window of another width settles the
+    chunk first, and so does a full chunk, ``DIAGNOSTICS_CHUNK_BYTES`` of
+    windows.  Each window is copied in the history's layout, each column
+    contiguous, so each result is bitwise the one its window gives alone.
+    Of each solution the chunk keeps what the extras read: ``alpha``,
+    ``ridge_scale + jitter`` and whether it was solved.
     """
 
-    def __init__(self, n: int, beta: float):
-        self.n, self.beta = n, beta
-        self.rows: list[int] = []  # the iteration of each queued window
-        self.e = self.d = self.h = np.empty((0, 0, n))  # E, D and H columns, per window
-        self.alpha = np.empty((0, 0))
-        self.reg, self.solved = np.empty(0), np.empty(0, bool)
+    def __init__(self, beta: float):
+        self.beta = beta
+        # per queued window: its iteration, E, D and H transposed, alpha,
+        # ridge_scale + jitter and whether it was solved
+        self.queue: list[tuple] = []
 
     def add(
         self,
@@ -432,46 +432,37 @@ class _DiagnosticsChunk:
         r: int,
     ) -> None:
         """Queue iteration ``k``, solution row ``i``, of the run in column ``r`` of ``group``."""
-        cols = window.residuals.shape[1]
-        if cols != self.e.shape[1]:
+        e = window.residuals.T
+        if self.queue and e.shape != self.queue[0][1].shape:
             self.settle(group, r)
-            n = self.n
-            size = max(1, DIAGNOSTICS_CHUNK_BYTES // (8 * n * (3 * cols - 2)))
-            self.e = np.empty((size, cols, n))
-            self.d, self.h = np.empty((2, size, cols - 1, n))
-            self.alpha = np.empty((size, cols))
-            self.reg, self.solved = np.empty(size), np.empty(size, bool)
-        c = len(self.rows)
-        self.e[c], self.d[c], self.h[c] = window.residuals.T, window.delta_q.T, window.delta_e.T
-        self.alpha[c] = sols.alpha[i]
-        self.reg[c] = sols.ridge_scale[i] + sols.jitter[i]
-        self.solved[c] = not sols.fallback[i]
-        self.rows.append(k)
-        if c + 1 == len(self.e):
+        self.queue.append((
+            k, e.copy(), window.delta_q.T.copy(), window.delta_e.T.copy(), sols.alpha[i],
+            sols.ridge_scale[i] + sols.jitter[i], not sols.fallback[i],
+        ))
+        cols, n = e.shape
+        if len(self.queue) == max(1, DIAGNOSTICS_CHUNK_BYTES // (8 * n * (3 * cols - 2))):
             self.settle(group, r)
 
     def settle(self, group: _GroupColumns, r: int) -> None:
         """Write the queued rows' extras into column ``r`` of ``group``."""
-        c = len(self.rows)
-        if not c:
+        if not self.queue:
             return
-        windows = anderson.HistoryMatrices(self.e[:c].mT, self.d[:c].mT, self.h[:c].mT)
+        rows, e, d, h, alpha, reg, solved = map(np.array, zip(*self.queue))
+        self.queue = []
+        windows = anderson.HistoryMatrices(e.mT, d.mT, h.mT)
         unregularized = anderson.solve_stacked(
             windows,
             anderson.KIND_UNCONSTRAINED,
             0.0,
             *anderson.residual_norms(windows.e_newest),
         )
-        cols, rows = group.arrays, self.rows
+        cols = group.arrays
         cols["coeff_gap_lhs"][rows, r], cols["coeff_gap_rhs"][rows, r] = (
-            anderson.coefficient_gap_bound(
-                self.alpha[:c], unregularized.alpha, self.d.shape[1]
-            )
+            anderson.coefficient_gap_bound(alpha, unregularized.alpha, d.shape[1])
         )
         cols["update_norm_lhs"][rows, r] = anderson._update_norms(
-            windows, self.beta, self.reg[:c], self.solved[:c]
+            windows, self.beta, reg, solved
         )
-        self.rows = []
 
 
 def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> SolverTrace:
@@ -596,21 +587,36 @@ def _run_lockstep(
     # MDP's chunk holds its windows until the chunk settles
     chunks = []
     if cfg.diagnostics_level == "full" and cfg.eta > 0.0:
-        chunks = [_DiagnosticsChunk(n, beta) for _ in mdps]
+        chunks = [_DiagnosticsChunk(beta) for _ in mdps]
     history = anderson.AndersonHistory(cfg.m, runs=len(mdps))
     group = _GroupColumns(_column_names(cfg), len(mdps), cfg.m)
     q = np.zeros(stack.rewards.shape) if q0 is None else q0
     live = list(range(len(mdps)))  # MDP index of each row of the group
     out: list[SolverTrace | DivergenceError | None] = [None] * len(mdps)
-    prev_res = [np.inf] * len(mdps)  # the safeguard's reference, per row
 
-    def finish(r, length, converged, iterations, final_q):
-        """Run ``r``'s trace of ``length`` rows; its chunk settles first."""
-        if chunks:
-            chunks[live[r]].settle(group, r)
-        return SolverTrace(
-            converged, iterations, final_q.copy(), cfg, n, **group.run(r, length)
-        )
+    def leave(ends, *arrays):
+        """Take the runs of ``ends`` out of the group; return the other rows of ``arrays``.
+
+        ``ends`` maps a row of the group to its run's ``(length, converged,
+        iterations, final_q, failure)``.  The run's chunk settles, and its
+        trace keeps its first ``length`` rows, in a DivergenceError with
+        message ``failure`` unless that is empty.
+        """
+        nonlocal stack, live
+        for r, (length, converged, iterations, final_q, failure) in ends.items():
+            if chunks:
+                chunks[live[r]].settle(group, r)
+            trace = SolverTrace(
+                converged, iterations, final_q.copy(), cfg, n, **group.run(r, length)
+            )
+            out[live[r]] = DivergenceError(failure, trace) if failure else trace
+        keep = [r for r in range(len(live)) if r not in ends]
+        live = [live[r] for r in keep]
+        if live:
+            stack = stack.take(keep)
+            history.take(keep)
+            group.take(keep)
+        return [a[keep] for a in arrays]
 
     k = 0
     while live:
@@ -618,19 +624,11 @@ def _run_lockstep(
         tq = apply_bellman(stack, q, cfg.operator)
         if not np.isfinite(tq).all():  # then find the runs at fault
             finite = np.isfinite(tq).reshape(len(live), -1).all(axis=1)
-            for r in np.flatnonzero(~finite).tolist():
-                out[live[r]] = DivergenceError(
-                    f"Bellman image non-finite at iteration {k}",
-                    finish(r, k, False, k, q[r]),
-                )
-            keep = np.flatnonzero(finite)
-            live = [live[r] for r in keep]
+            failure = f"Bellman image non-finite at iteration {k}"
+            ends = {r: (k, False, k, q[r], failure) for r in np.flatnonzero(~finite).tolist()}
+            q, tq = leave(ends, q, tq)
             if not live:
                 break
-            stack, q, tq = stack.take(keep), q[keep], tq[keep]
-            history.take(keep)
-            group.take(keep)
-            prev_res = [prev_res[r] for r in keep]
         history.push(q, tq)
         widest = anderson.build_history_matrices(history)
         e_inf, e_l2 = anderson.residual_norms(widest.e_newest)
@@ -639,18 +637,16 @@ def _run_lockstep(
         cols["residual_inf"][k] = e_inf
         cols["residual_l2"][k] = e_l2
         res_inf = e_inf.tolist()
-        if cfg.safeguard:
-            hits = [x > 2.0 * y for x, y in zip(res_inf, prev_res)]
+        if cfg.safeguard and k:  # row k - 1 is the live runs' previous residual
+            hits = (e_inf > 2.0 * cols["residual_inf"][k - 1]).tolist()
             history.width = [1 if hit else w for hit, w in zip(hits, history.width)]
             cols["safeguard_triggered"][k] = hits
-        widths = history.width
-        cols["width"][k] = widths
-        if widths.count(widths[0]) == len(widths):  # one width, as without restarts
-            classes, nxt = {widths[0]: range(len(live))}, None
-        else:  # the rows of each width; nxt is filled class by class
-            classes, nxt = {}, np.empty((len(live), n))
-            for r, w in enumerate(widths):
-                classes.setdefault(w, []).append(r)
+        classes = {}  # the rows of each width
+        for r, w in enumerate(history.width):
+            classes.setdefault(w, []).append(r)
+        cols["width"][k] = history.width
+        # with several classes, nxt is filled class by class
+        nxt = np.empty((len(live), n)) if len(classes) > 1 else None
         for w, rows in classes.items():
             matrices = widest
             if w < len(history):
@@ -682,27 +678,18 @@ def _run_lockstep(
             or not np.abs(nxt).max() <= DIVERGENCE_LIMIT
         ):
             diverged = ~(np.abs(nxt).reshape(len(live), -1).max(axis=1) <= DIVERGENCE_LIMIT)
-            keep = []
-            for r, j in enumerate(live):
-                converged = res_inf[r] <= cfg.tol
-                if converged or k >= cfg.max_iter:
+            failure = f"iterate diverged at iteration {k + 1}"
+            ends = {}
+            for r, x in enumerate(res_inf):
+                if (converged := x <= cfg.tol) or k >= cfg.max_iter:
                     iterations = k if converged else cfg.max_iter
-                    out[j] = finish(r, k + 1, converged, iterations, q[r])
+                    ends[r] = (k + 1, converged, iterations, q[r], "")
                 elif diverged[r]:
-                    out[j] = DivergenceError(
-                        f"iterate diverged at iteration {k + 1}",
-                        finish(r, k + 1, False, k + 1, nxt[r]),
-                    )
-                else:
-                    keep.append(r)
-            live = [live[r] for r in keep]
+                    ends[r] = (k + 1, False, k + 1, nxt[r], failure)
+            (nxt,) = leave(ends, nxt)
             if not live:
                 break
-            stack, nxt = stack.take(keep), nxt[keep]
-            history.take(keep)
-            group.take(keep)
-            res_inf = [res_inf[r] for r in keep]
-        q, prev_res = nxt, res_inf
+        q = nxt
         k += 1
     return out
 

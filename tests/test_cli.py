@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -150,6 +153,20 @@ class TestSolve:
             "solve", "--mdp", tmp_path / "nope.json", "--scheme", "vanilla", "-o", tmp_path
         )
         assert proc.returncode == 2
+
+    def test_many_violations_give_a_short_message(self, mdp_file, tmp_path, capsys):
+        # all 120 rewards of the 30x4 file are null: the message names the
+        # first violations and the count, not all 120
+        data = json.loads(mdp_file.read_text())
+        data["rewards"] = [[None] * 4 for _ in range(30)]
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(data))
+        argv = ["solve", "--mdp", path, "--scheme", "vanilla", "-o", tmp_path / "out"]
+        assert cli.main([str(a) for a in argv]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot load MDP {path}: 120 violations: ")
+        assert "reward (s=0, a=0) is not finite" in line and line.endswith("and 115 more")
+        assert len(line.encode()) < 1024
 
     @pytest.mark.parametrize("op", ["mellowmax", "softmax"])
     def test_infinite_omega_is_usage_error(self, op, mdp_file, tmp_path, capsys):
@@ -592,6 +609,39 @@ class TestExitMap:
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [blocker]
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_examples():
+    """``(argv, files)`` of each command of the README's CLI block.
+
+    ``files`` are the file names the comment above the command gives; the
+    command writes them into its ``-o``.
+    """
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    examples, files = [], []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("#"):
+            files = re.findall(r"[\w.]+\.(?:csv|jsonl|json)\b", line)
+        elif line.strip():
+            examples.append((shlex.split(line), files))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_cli_block_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        examples = readme_cli_examples()
+        assert examples and all(argv[0] == "anderson-pi" for argv, _ in examples)
+        for argv, files in examples:
+            assert cli.main(argv[1:]) == 0, argv
+            out = tmp_path / argv[argv.index("-o") + 1]
+            assert out.exists(), argv
+            for name in files:
+                assert (out / name).is_file(), (argv, name)
 
 
 class TestDeterminism:

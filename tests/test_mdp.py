@@ -288,6 +288,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match="invalid MDP"):
             ap.save_mdp(bad, tmp_path / "x.json")
 
+    def test_save_names_the_first_five_violations(self, tmp_path):
+        mdp = ap.generate_random_mdp(0, 30, 4, 3, 1.0, 0.9)
+        bad = ap.TabularMdp(30, 4, mdp.transitions, np.full((30, 4), np.nan), 0.9)
+        violations = ap.validate(bad)
+        assert len(violations) == 120
+        with pytest.raises(ValueError) as info:
+            ap.save_mdp(bad, tmp_path / "x.json")
+        assert str(info.value) == (
+            "cannot save invalid MDP: 120 violations: "
+            + "; ".join(violations[:5]) + "; and 115 more"
+        )
+        assert not (tmp_path / "x.json").exists()
+
     def test_arrays_immutable(self, grid3):
         with pytest.raises(ValueError):
             grid3.transitions[0, 0, 0] = 0.5

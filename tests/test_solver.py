@@ -841,6 +841,25 @@ class TestDiagnosticsChunks:
     def chunk_size(self, n, m):
         return solver.DIAGNOSTICS_CHUNK_BYTES // (8 * n * (3 * (m + 1) - 2))
 
+    def test_chunks_settle_in_batches(self, mm5, monkeypatch):
+        # one window per width while the window fills, then full chunks of
+        # 16 windows of width m + 1 and the remainder when the run leaves
+        stacks = []
+        norms = anderson._update_norms
+
+        def counting(matrices, *args):
+            stacks.append(len(matrices.delta_e))
+            return norms(matrices, *args)
+
+        monkeypatch.setattr(anderson, "_update_norms", counting)
+        mdp = ap.generate_random_mdp(0, 30, 4, 3, 1.0, 0.95)
+        cfg = cfg_for(
+            Scheme.STABLE_AA, mm5, m=5, eta=0.1, tol=1e-10, diagnostics_level="full"
+        )
+        assert ap.run(mdp, cfg).iterations == 297
+        assert self.chunk_size(120, 5) == 16
+        assert stacks == [1, 1, 1, 1] + [16] * 18 + [5]
+
     def test_max_iter_stop_mid_chunk(self, mm5):
         mdp = ap.generate_random_mdp(0, 30, 4, 3, 1.0, 0.95)
         cfg = cfg_for(

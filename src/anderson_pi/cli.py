@@ -356,9 +356,13 @@ def _parse_scheme_spec(spec: str, args) -> SolverConfig:
 
 def _parse_seed_range(text: str) -> range:
     start_s, _, stop_s = text.partition(":")
-    if not stop_s:
-        raise ValueError(f"--seeds must look like start:stop, got {text!r}")
-    return range(int(start_s), int(stop_s))
+    try:
+        start, stop = int(start_s), int(stop_s)
+    except ValueError:
+        raise ValueError(f"--seeds must look like start:stop, got {text!r}") from None
+    if not 0 <= start < stop:
+        raise ValueError(f"--seeds needs 0 <= start < stop, got {text!r}")
+    return range(start, stop)
 
 
 def cmd_compare(args) -> int:

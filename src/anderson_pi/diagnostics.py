@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import anderson
-from .mdp import MdpStack, TabularMdp, generate_random_mdp
+from .mdp import TabularMdp, generate_random_mdp
 from .operators import OperatorKind, OperatorSpec, apply_bellman
 from .solver import COMPACT_JSON, Scheme, SolverConfig, SolverTrace, run
 
@@ -131,7 +131,7 @@ def check_contraction(
     # the pairs of a chunk are drawn at once, the same stream as Q, Q', Q, Q',
     # ..., and swept as one stack, whose rows are each the MDP's own sweep
     chunk = max(1, min(n_pairs, CONTRACTION_CHUNK))  # no pairs: no records
-    stack = MdpStack([mdp] * (2 * chunk))
+    stack = mdp.stack.take([0] * (2 * chunk))
     q = np.zeros((2 * chunk, mdp.n_states, mdp.n_actions))
     image_gaps, gaps = [], []  # ||TQ - TQ'||_inf and ||Q - Q'||_inf per pair
     for start in range(0, n_pairs, chunk):

@@ -129,10 +129,6 @@ class TabularMdp:
         """
         return _dense(self)
 
-    @property
-    def n_entries(self) -> int:
-        return self.n_states * self.n_actions
-
 
 class MdpStack:
     """B same-shape MDPs, swept by one Bellman call.
@@ -283,6 +279,8 @@ def generate_random_mdp(
     bitwise-identical arrays.  The successor lists are filled directly,
     so no dense tensor is ever allocated.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if n_states < 1 or n_actions < 1:
         raise ValueError(f"need n_states, n_actions >= 1, got ({n_states}, {n_actions})")
     if not (1 <= branching <= n_states):

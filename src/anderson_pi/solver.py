@@ -482,7 +482,7 @@ def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> Sol
         if not np.isfinite(q0).all():
             raise ValueError("q0 contains non-finite entries")
         q0 = q0[None]
-    (outcome,) = _run_lockstep([mdp], cfg, q0)
+    (outcome,) = _run_lockstep(mdp.stack, cfg, q0)
     if isinstance(outcome, DivergenceError):
         raise outcome
     return outcome
@@ -506,7 +506,7 @@ def fixed_point_oracle(
     defined for the contractive aggregators (hard max, mellowmax).  The
     one-MDP case of :func:`fixed_point_oracles`.
     """
-    return fixed_point_oracles(MdpStack([mdp]), op, max_iter)[0]
+    return fixed_point_oracles(mdp.stack, op, max_iter)[0]
 
 
 def fixed_point_oracles(
@@ -562,9 +562,9 @@ def fixed_point_oracles(
 
 
 def _run_lockstep(
-    mdps: list[TabularMdp], cfg: SolverConfig, q0: np.ndarray | None = None
+    stack: MdpStack, cfg: SolverConfig, q0: np.ndarray | None = None
 ) -> list[SolverTrace | DivergenceError]:
-    """Iterate ``cfg`` on same-shape MDPs together: the package's one iteration loop.
+    """Iterate ``cfg`` on the MDPs of ``stack`` together: the package's one iteration loop.
 
     ``q0`` holds one start iterate per MDP, ``(B, S, A)``; None starts every
     run from zeros.  Returns, per MDP, its trace or the DivergenceError
@@ -579,20 +579,19 @@ def _run_lockstep(
     of iterations, and every row has them when the run's trace is taken.
     A run that stops leaves the group with its columns.
     """
-    stack = MdpStack(mdps)
     beta = cfg.effective_beta()
     kind = _KINDS[cfg.scheme]
-    n = mdps[0].n_entries
+    n = stack.rewards[0].size
     # eta > 0 means stable-aa: the only scheme full diagnostics add to; each
     # MDP's chunk holds its windows until the chunk settles
     chunks = []
     if cfg.diagnostics_level == "full" and cfg.eta > 0.0:
-        chunks = [_DiagnosticsChunk(beta) for _ in mdps]
-    history = anderson.AndersonHistory(cfg.m, runs=len(mdps))
-    group = _GroupColumns(_column_names(cfg), len(mdps), cfg.m)
+        chunks = [_DiagnosticsChunk(beta) for _ in range(len(stack))]
+    history = anderson.AndersonHistory(cfg.m, runs=len(stack))
+    group = _GroupColumns(_column_names(cfg), len(stack), cfg.m)
     q = np.zeros(stack.rewards.shape) if q0 is None else q0
-    live = list(range(len(mdps)))  # MDP index of each row of the group
-    out: list[SolverTrace | DivergenceError | None] = [None] * len(mdps)
+    live = list(range(len(stack)))  # MDP index of each row of the group
+    out: list[SolverTrace | DivergenceError | None] = [None] * len(stack)
 
     def leave(ends, *arrays):
         """Take the runs of ``ends`` out of the group; return the other rows of ``arrays``.
@@ -806,7 +805,8 @@ def run_ensemble(
     Every config runs on each group of same-shape MDPs through
     :func:`_run_lockstep`, which advances the group's runs together, a
     safeguard config's too.  Each run's trace is the one ``run`` gives.
-    Oracles are computed per exact operator, one stack per shape.
+    Each shape group is stacked once, and that stack serves the group's
+    oracles, one per exact operator, and every config.
     Divergence in one run is recorded as a failure, never aborts the
     ensemble.
 
@@ -826,19 +826,20 @@ def run_ensemble(
         for label, cfg in zip(labels, configs)
     ]
     groups = _shape_groups(mdps)
+    stacks = [MdpStack(mdps[j] for j in group) for group in groups]
 
     # keyed by the exact operator: labels round omega
     oracles: dict[tuple[int, OperatorSpec], np.ndarray] = {}
     for op in dict.fromkeys(cfg.operator for cfg in configs):
         if op.kind in CONTRACTIVE_KINDS:
-            for group in groups:
-                found = fixed_point_oracles(MdpStack([mdps[j] for j in group]), op)
+            for group, stack in zip(groups, stacks):
+                found = fixed_point_oracles(stack, op)
                 oracles.update(((j, op), q) for j, q in zip(group, found))
 
     outcomes: dict[tuple[int, int], SolverTrace | DivergenceError] = {}
     for i, cfg in enumerate(configs):
-        for group in groups:
-            found = _run_lockstep([mdps[j] for j in group], cfg)
+        for group, stack in zip(groups, stacks):
+            found = _run_lockstep(stack, cfg)
             outcomes.update(((i, j), o) for j, o in zip(group, found))
 
     tasks = [(i, j) for i in range(len(configs)) for j in range(len(mdps))]

@@ -90,6 +90,14 @@ class TestGenMdp:
         assert message in captured.out + captured.err
         assert not out.exists()
 
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        argv = ["gen-mdp", "--kind", "random", "--seed=-1", "--states", 5, "--actions", 2,
+                "--branching", 2, "--gamma", 0.9, "-o", out]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_required_flags_can_come_from_config(self, tmp_path):
         cfg = {
             "kind": "grid", "width": 3, "height": 3, "gamma": 0.9,
@@ -388,6 +396,25 @@ class TestCompare:
         assert message in captured.out + captured.err
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize(
+        "seeds,message",
+        [
+            ("0:10:2", "--seeds must look like start:stop, got '0:10:2'"),
+            ("a:3", "--seeds must look like start:stop, got 'a:3'"),
+            ("3", "--seeds must look like start:stop, got '3'"),
+            ("-2:1", "--seeds needs 0 <= start < stop, got '-2:1'"),
+            ("5:2", "--seeds needs 0 <= start < stop, got '5:2'"),
+            ("4:4", "--seeds needs 0 <= start < stop, got '4:4'"),
+        ],
+        ids=["step", "not-a-number", "no-stop", "negative", "reversed", "empty"],
+    )
+    def test_bad_seed_range_names_the_flag(self, seeds, message, tmp_path, capsys):
+        argv = ["compare", "--scheme", "vanilla", "--scheme", "kkt:m=3", "--gen",
+                "random", f"--seeds={seeds}", "-o", tmp_path / "cmp"]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "cmp").exists()
+
     def test_single_scheme_is_usage_error(self, tmp_path):
         proc = run_cli(
             "compare", "--scheme", "vanilla", "--gen", "random", "--seeds", "0:2",
@@ -434,9 +461,9 @@ class TestCompare:
         groups = []
         lockstep = solver._run_lockstep
 
-        def recording(mdps, cfg):
-            groups.append((len(mdps), cfg.safeguard))
-            return lockstep(mdps, cfg)
+        def recording(stack, cfg):
+            groups.append((len(stack), cfg.safeguard))
+            return lockstep(stack, cfg)
 
         monkeypatch.setattr(solver, "_run_lockstep", recording)
         argv = ["compare", "--scheme", "vanilla", "--scheme",
@@ -631,7 +658,23 @@ def readme_cli_examples():
     return examples
 
 
+def readme_library_example() -> str:
+    """The ``python`` block under "## Library use" of the README."""
+    text = README.read_text(encoding="utf-8")
+    return text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
 class TestReadmeExamples:
+    def test_library_block_runs(self):
+        # the block solves to tol 1e-10 at gamma 0.95 and prints the iteration
+        # count and the error against the oracle
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(readme_library_example(), {})
+        iterations, error = out.getvalue().split()
+        assert int(iterations) > 0
+        assert float(error) <= 1e-10 / (1.0 - 0.95)
+
     def test_cli_block_runs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         examples = readme_cli_examples()

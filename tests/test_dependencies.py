@@ -26,3 +26,9 @@ def imported_modules(path: Path) -> set[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_imports_only_stdlib_and_numpy(path):
     assert imported_modules(path) - ALLOWED == set()
+
+
+def test_reference_imports_only_stdlib_and_numpy():
+    # the reference is the engine's cross-check, so it must not share its code
+    reference = Path(__file__).with_name("reference_aa.py")
+    assert imported_modules(reference) - (ALLOWED - {"anderson_pi"}) == set()

@@ -61,6 +61,11 @@ class TestRandomGenerator:
         with pytest.raises(ValueError, match="reward_scale must be finite"):
             ap.generate_random_mdp(0, 5, 2, 2, scale, 0.9)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)], ids=["int", "numpy-int"])
+    def test_negative_seed_is_named(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+            ap.generate_random_mdp(seed, 5, 2, 2, 1.0, 0.9)
+
 
 class TestFromSuccessors:
     def test_rejects_mismatched_shapes(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import anderson_pi as ap
-from anderson_pi import anderson, solver
+from anderson_pi import anderson, diagnostics, solver
 from anderson_pi.mdp import MdpStack
 from anderson_pi.operators import OperatorKind, OperatorSpec
 from anderson_pi.solver import (
@@ -496,6 +496,50 @@ class TestEnsemble:
         assert [s.scheme for s in rep.summaries] == rep.config_labels
 
 
+class TestStackBuilds:
+    """Each MDP group is stacked once; the engine and the oracle sweep the stack given."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        sizes = []  # the number of MDPs of each MdpStack built
+        init = MdpStack.__init__
+
+        def counting(self, mdps):
+            mdps = tuple(mdps)
+            sizes.append(len(mdps))
+            init(self, mdps)
+
+        monkeypatch.setattr(MdpStack, "__init__", counting)
+        return sizes
+
+    def test_ensemble_builds_one_stack_per_shape_group(self, built, mm5, hardmax_op):
+        # 3 configs over 2 operators and 2 shape groups: building a stack per
+        # config and per oracle would make 2 x (3 + 2)
+        mdps = [ap.generate_random_mdp(s, 10, 3, 2, 1.0, 0.9) for s in range(2)]
+        mdps.append(ap.generate_gridworld(3, 3, 0.1, 1.0, 0.9))
+        configs = [
+            cfg_for(Scheme.VANILLA_VI, mm5),
+            cfg_for(Scheme.ANDERSON_KKT, hardmax_op, m=3),
+            cfg_for(Scheme.STABLE_AA, mm5, m=3, eta=0.1, safeguard=True),
+        ]
+        rep = ap.run_ensemble(configs, mdps)
+        assert built == [2, 1]
+        assert not any(s.failed for s in rep.summaries)
+
+    def test_runs_and_oracle_sweep_the_mdps_own_stack(self, built, mm5):
+        mdp = ap.generate_random_mdp(3, 10, 3, 2, 1.0, 0.9)
+        ap.run(mdp, cfg_for(Scheme.VANILLA_VI, mm5))
+        ap.run(mdp, cfg_for(Scheme.STABLE_AA, mm5, m=3, eta=0.1, diagnostics_level="full"))
+        ap.fixed_point_oracle(mdp, mm5)
+        assert built == [1]
+
+    def test_check_contraction_slices_the_mdps_stack(self, built, mm5):
+        mdp = ap.generate_random_mdp(4, 10, 3, 2, 1.0, 0.9)
+        records = diagnostics.check_contraction(mdp, mm5, 300, seed=0)
+        assert built == [1]  # mdp.stack, which the pairs' stack repeats
+        assert len(records) == 300 and all(r.satisfied for r in records)
+
+
 def one_run(mdp, cfg):
     """What ``run`` gives: its trace, or the DivergenceError it raises."""
     try:
@@ -534,7 +578,7 @@ def assert_same_outcome(got, want):
 
 
 def assert_lockstep_matches_run(mdps, cfg):
-    got = solver._run_lockstep(mdps, cfg)
+    got = solver._run_lockstep(MdpStack(mdps), cfg)
     assert len(got) == len(mdps)
     outcomes = [one_run(mdp, cfg) for mdp in mdps]
     for g, want in zip(got, outcomes):
@@ -595,7 +639,7 @@ class TestLockstep:
         monkeypatch.setattr(anderson, "solve_stacked", counting)
         mdps = [ap.generate_random_mdp(s, 10, 3, 2, 1.0, 0.9) for s in range(4)]
         cfg = cfg_for(Scheme.ANDERSON_KKT, mm5, m=3, tol=1e-16, max_iter=200)
-        got = solver._run_lockstep(mdps, cfg)
+        got = solver._run_lockstep(MdpStack(mdps), cfg)
         monkeypatch.undo()
         outcomes = [one_run(mdp, cfg) for mdp in mdps]
         for g, want in zip(got, outcomes):
@@ -683,9 +727,9 @@ class TestLockstep:
         groups = []
         lockstep = solver._run_lockstep
 
-        def recording(mdps, cfg):
-            groups.append((len(mdps), cfg.safeguard))
-            return lockstep(mdps, cfg)
+        def recording(stack, cfg):
+            groups.append((len(stack), cfg.safeguard))
+            return lockstep(stack, cfg)
 
         monkeypatch.setattr(solver, "_run_lockstep", recording)
         mdps = [ap.generate_random_mdp(s, 30, 4, 3, 1.0, 0.95) for s in range(2)]
@@ -797,7 +841,7 @@ class TestFullDiagnosticsGolden:
             Scheme.STABLE_AA, mm5, m=3, eta=1e-3, tol=1e-16, max_iter=400,
             safeguard=True, diagnostics_level="full",
         )
-        traces = solver._run_lockstep(mdps, cfg)
+        traces = solver._run_lockstep(MdpStack(mdps), cfg)
         restarts = [[r.k for r in t.records if r.safeguard_triggered] for t in traces]
         assert restarts == [[], [64, 92], [71], [221, 346]]
         assert [t.iterations for t in traces] == [67, 163, 86, 400]
@@ -949,7 +993,7 @@ class TestEnsembleGolden:
         cfg = cfg_for(
             Scheme.STABLE_AA, mm5, m=5, eta=0.5, tol=1e-10, diagnostics_level="full"
         )
-        traces = solver._run_lockstep(self.MDPS, cfg)
+        traces = solver._run_lockstep(MdpStack(self.MDPS), cfg)
         assert [t.iterations for t in traces] == [2175, 2189, 2115]
         assert [trace_columns_digest(t) for t in traces] == [
             "6de82a9a119fd47a1a97d87a7803a7da923e5852da93392f7d834d7666cd5db3",

@@ -70,7 +70,7 @@ class BetaConvention(enum.Enum):
 
 
 class DivergenceError(RuntimeError):
-    """Iterates left the finite/bounded region; carries the partial trace."""
+    """Iterates left the finite/bounded region; raised by :func:`run` with the trace."""
 
     def __init__(self, message: str, trace: "SolverTrace"):
         super().__init__(message)
@@ -236,6 +236,8 @@ class SolverTrace:
     and the update norm outside full diagnostics.  ``reg_share`` and the
     full-diagnostics columns have no value in a row of width 1.
     :attr:`records` builds a :class:`TraceRecord` of a row when it is read.
+    ``failure`` says why a run stopped early (a non-finite Bellman image or
+    a diverged iterate); it is empty if the run converged or hit ``max_iter``.
     """
 
     converged: bool
@@ -259,6 +261,7 @@ class SolverTrace:
     coeff_gap_lhs: np.ndarray | None = None
     coeff_gap_rhs: np.ndarray | None = None
     update_norm_lhs: np.ndarray | None = None
+    failure: str = ""
 
     @property
     def records(self) -> "TraceRecords":
@@ -482,10 +485,10 @@ def run(mdp: TabularMdp, cfg: SolverConfig, q0: np.ndarray | None = None) -> Sol
         if not np.isfinite(q0).all():
             raise ValueError("q0 contains non-finite entries")
         q0 = q0[None]
-    (outcome,) = _run_lockstep(mdp.stack, cfg, q0)
-    if isinstance(outcome, DivergenceError):
-        raise outcome
-    return outcome
+    (trace,) = _run_lockstep(mdp.stack, cfg, q0)
+    if trace.failure:
+        raise DivergenceError(trace.failure, trace)
+    return trace
 
 
 def fixed_point_oracle(
@@ -563,12 +566,12 @@ def fixed_point_oracles(
 
 def _run_lockstep(
     stack: MdpStack, cfg: SolverConfig, q0: np.ndarray | None = None
-) -> list[SolverTrace | DivergenceError]:
+) -> list[SolverTrace]:
     """Iterate ``cfg`` on the MDPs of ``stack`` together: the package's one iteration loop.
 
     ``q0`` holds one start iterate per MDP, ``(B, S, A)``; None starts every
-    run from zeros.  Returns, per MDP, its trace or the DivergenceError
-    that stopped it.  Each run's trace is bitwise the one its MDP gives
+    run from zeros.  Returns each MDP's trace; a failed run's trace says why
+    in its ``failure``.  Each run's trace is bitwise the one its MDP gives
     alone, but for ``wall_nanos``, which holds the whole group's iteration
     time.  Each iteration does one sweep of the stack and one coefficient
     solve per window width (the safeguard restarts a run's window at width
@@ -591,24 +594,23 @@ def _run_lockstep(
     group = _GroupColumns(_column_names(cfg), len(stack), cfg.m)
     q = np.zeros(stack.rewards.shape) if q0 is None else q0
     live = list(range(len(stack)))  # MDP index of each row of the group
-    out: list[SolverTrace | DivergenceError | None] = [None] * len(stack)
+    out: list[SolverTrace | None] = [None] * len(stack)
 
     def leave(ends, *arrays):
         """Take the runs of ``ends`` out of the group; return the other rows of ``arrays``.
 
         ``ends`` maps a row of the group to its run's ``(length, converged,
         iterations, final_q, failure)``.  The run's chunk settles, and its
-        trace keeps its first ``length`` rows, in a DivergenceError with
-        message ``failure`` unless that is empty.
+        trace keeps its first ``length`` rows.
         """
         nonlocal stack, live
         for r, (length, converged, iterations, final_q, failure) in ends.items():
             if chunks:
                 chunks[live[r]].settle(group, r)
-            trace = SolverTrace(
-                converged, iterations, final_q.copy(), cfg, n, **group.run(r, length)
+            out[live[r]] = SolverTrace(
+                converged, iterations, final_q.copy(), cfg, n, **group.run(r, length),
+                failure=failure,
             )
-            out[live[r]] = DivergenceError(failure, trace) if failure else trace
         keep = [r for r in range(len(live)) if r not in ends]
         live = [live[r] for r in keep]
         if live:
@@ -747,19 +749,18 @@ class EnsembleReport:
 
 
 def _summarize(
-    outcome: SolverTrace | DivergenceError,
+    trace: SolverTrace,
     label: str,
     mdp_label: str,
     mdp_seed: int | None,
     oracle: np.ndarray | None,
 ) -> RunSummary:
-    """The summary of one run's trace, or of the DivergenceError that stopped it.
+    """The summary of one run's trace.
 
-    A failed run reports its iterations and last residual, but no thetas
-    and no jitter or safeguard counts.
+    A failed run reports its iterations, last residual and ``failure``,
+    but no thetas and no jitter or safeguard counts.
     """
-    failed = isinstance(outcome, DivergenceError)
-    trace = outcome.trace if failed else outcome
+    failed = bool(trace.failure)
     rows = slice(0) if failed else slice(None)
     thetas = trace.theta[rows]
     err = None
@@ -781,7 +782,7 @@ def _summarize(
         theta_max=float(thetas.max()) if thetas.size else None,
         jitter_count=int(trace.jitter_flags()[rows].sum()),
         safeguard_count=int(trace.safeguard_triggered[rows].sum()),
-        message=str(outcome) if failed else "",
+        message=trace.failure,
     )
 
 
@@ -836,28 +837,23 @@ def run_ensemble(
                 found = fixed_point_oracles(stack, op)
                 oracles.update(((j, op), q) for j, q in zip(group, found))
 
-    outcomes: dict[tuple[int, int], SolverTrace | DivergenceError] = {}
+    traces: dict[tuple[int, int], SolverTrace] = {}
     for i, cfg in enumerate(configs):
         for group, stack in zip(groups, stacks):
             found = _run_lockstep(stack, cfg)
-            outcomes.update(((i, j), o) for j, o in zip(group, found))
+            traces.update(((i, j), t) for j, t in zip(group, found))
 
-    tasks = [(i, j) for i in range(len(configs)) for j in range(len(mdps))]
+    traces = {(i, j): traces[(i, j)] for i in range(len(configs)) for j in range(len(mdps))}
     summaries = [
         _summarize(
-            outcomes[(i, j)],
+            trace,
             config_labels[i],
             mdp_labels[j],
             mdp_seeds[j],
             oracles.get((j, configs[i].operator)),
         )
-        for i, j in tasks
+        for (i, j), trace in traces.items()
     ]
-
-    traces = {
-        task: o.trace if isinstance(o := outcomes[task], DivergenceError) else o
-        for task in tasks
-    }
     return EnsembleReport(summaries, traces, config_labels, list(mdp_labels))
 
 

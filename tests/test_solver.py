@@ -569,11 +569,12 @@ def assert_same_trace(got, want):
 
 
 def assert_same_outcome(got, want):
+    """``got``, an engine trace, against ``want``, what ``run`` gives (see ``one_run``)."""
     if isinstance(want, DivergenceError):
-        assert isinstance(got, DivergenceError) and str(got) == str(want)
-        assert_same_trace(got.trace, want.trace)
+        assert got.failure == str(want)
+        assert_same_trace(got, want.trace)
     else:
-        assert not isinstance(got, DivergenceError), str(got)
+        assert got.failure == "", got.failure
         assert_same_trace(got, want)
 
 

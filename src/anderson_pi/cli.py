@@ -44,6 +44,7 @@ from .solver import (
     Scheme,
     SolverConfig,
     fixed_point_oracle,
+    require_contractive,
     run,
     run_ensemble,
     write_trace_csv,
@@ -282,6 +283,8 @@ def cmd_solve(args) -> int:
     with _reading(f"cannot load MDP {args.mdp}"):
         mdp = load_mdp(args.mdp)
     cfg = _config_from_args(args)
+    if args.oracle:  # refused before the run writes anything
+        require_contractive(cfg.operator)
     q0 = None
     if args.q0:
         with _reading(f"cannot load q0 {args.q0}"), open(args.q0, "r", encoding="utf-8") as fh:
@@ -343,12 +346,23 @@ def _parse_scheme_spec(spec: str, args) -> SolverConfig:
         raise ValueError(
             f"safeguard must be 0 or 1, got {safeguard!r} in scheme spec {spec!r}"
         )
+
+    def number(key, kind, default):
+        """The spec's value of ``key`` as ``kind`` (int or float), else ``default``."""
+        try:
+            return kind(overrides[key]) if key in overrides else default
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(
+                f"{key} must be {what}, got {overrides[key]!r} in scheme spec {spec!r}"
+            ) from None
+
     return _config_from_args(argparse.Namespace(**vars(args) | {
         "scheme": name,
-        "omega": float(overrides.get("omega", args.omega)),
-        "m": int(overrides.get("m", 0)),
-        "beta": float(overrides.get("beta", args.beta)),
-        "eta": float(overrides.get("eta", 0.0)),
+        "omega": number("omega", float, args.omega),
+        "m": number("m", int, 0),
+        "beta": number("beta", float, args.beta),
+        "eta": number("eta", float, 0.0),
         "safeguard": safeguard == "1",
         "diagnostics": "basic",
     }))

@@ -31,7 +31,7 @@ import numpy as np
 from . import anderson
 from .mdp import TabularMdp, generate_random_mdp
 from .operators import OperatorKind, OperatorSpec, apply_bellman
-from .solver import COMPACT_JSON, Scheme, SolverConfig, SolverTrace, run
+from .solver import COMPACT_JSON, BetaConvention, Scheme, SolverConfig, SolverTrace, run
 
 CONTRACTION_SLACK = 1e-12
 THETA_SLACK = 1e-9
@@ -162,12 +162,16 @@ def check_update_norm_bound(
 ) -> tuple[list[BoundCheckRecord], list[str]]:
     """Spectral-norm bound on the update matrix, from the norms a run stored.
 
-    Needs a full-diagnostics run with eta > 0.  The bound is asserted
-    only where its right side |2/eta - beta| is at least beta; smaller
-    right sides (eta near 2/beta) are recorded as report-only findings.
-    Returns ``(records, skipped)``; every stored norm gives a record, so
+    Needs a full-diagnostics run with eta > 0.  ``beta`` is read in the
+    run's ``beta_convention``, as its stored norms were, so an ``eq13``
+    beta means ``1 - beta`` below.  The bound is asserted only where its
+    right side |2/eta - beta| is at least beta; smaller right sides (eta
+    near 2/beta) are recorded as report-only findings.  Returns
+    ``(records, skipped)``; every stored norm gives a record, so
     ``skipped`` is always empty.
     """
+    if trace.config.beta_convention is BetaConvention.EQ13:
+        beta = 1.0 - beta
     rhs = abs(2.0 / eta - beta)
     asserted = rhs >= beta
     bound_id = "Theorem3" if asserted else "Theorem3(rhs<beta)"

@@ -31,7 +31,11 @@ def _frozen(a, dtype=np.float64) -> np.ndarray:
 
 
 def _successor_lists(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero entries of a dense ``(S, A, S)`` tensor as padded rows."""
+    """The nonzero entries of a dense ``(S, A, S)`` tensor as padded rows.
+
+    NaN, negative and too-large entries are kept, in ``np.argwhere``'s
+    order, so :func:`validate` names them as the dense tensor would.
+    """
     ns, na, _ = p.shape
     flat = p.reshape(ns * na, ns)
     rows, cols = np.nonzero(flat)  # row-major, so ascending within a row
@@ -123,9 +127,9 @@ class TabularMdp:
     def transitions(self) -> np.ndarray:
         """Dense read-only ``P[s, a, s']``, built on first access and kept.
 
-        The package never reads it: the Bellman sweep works on the
-        successor lists, and :func:`validate` and :func:`save_mdp` build
-        their own copies with :func:`_dense` and drop them when done.
+        The package never reads it: the Bellman sweep and :func:`validate`
+        work on the successor lists, and :func:`save_mdp` builds its own
+        copy with :func:`_dense` and drops it when done.
         """
         return _dense(self)
 
@@ -241,12 +245,11 @@ def validate(mdp: TabularMdp) -> list[str]:
     bad_r = np.argwhere(~np.isfinite(mdp.rewards))
     for s, a in bad_r:
         violations.append(f"reward (s={s}, a={a}) is not finite")
-    p = _dense(mdp)
-    finite = np.isfinite(p)
-    in_range = finite & (p >= 0.0) & (p <= 1.0)
-    for s, a, t in np.argwhere(~in_range):
+    p = mdp.probs
+    for s, a, i in np.argwhere(~((p >= 0.0) & (p <= 1.0))):  # nan fails too
         violations.append(
-            f"transition (s={s}, a={a}, s'={t}) = {p[s, a, t]!r} outside [0,1]"
+            f"transition (s={s}, a={a}, s'={mdp.successors[s, a, i]}) = {p[s, a, i]!r} "
+            "outside [0,1]"
         )
     with np.errstate(invalid="ignore"):
         sums = p.sum(axis=2)

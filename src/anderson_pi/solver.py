@@ -512,6 +512,12 @@ def fixed_point_oracle(
     return fixed_point_oracles(mdp.stack, op, max_iter)[0]
 
 
+def require_contractive(op: OperatorSpec) -> None:
+    """Refuse an operator the oracle is not defined for: one that is not a contraction."""
+    if op.kind not in CONTRACTIVE_KINDS:
+        raise ValueError(f"oracle requires a contractive operator, got {op.label()}")
+
+
 def fixed_point_oracles(
     stack: MdpStack, op: OperatorSpec, max_iter: int = ORACLE_MAX_ITER
 ) -> list[np.ndarray]:
@@ -522,8 +528,7 @@ def fixed_point_oracles(
     ``ORACLE_TOL`` within ``max_iter`` sweeps, the first of them raises
     :class:`OraclePrecisionError` with its own residual.
     """
-    if op.kind not in CONTRACTIVE_KINDS:
-        raise ValueError(f"oracle requires a contractive operator, got {op.kind}")
+    require_contractive(op)
     out: list[np.ndarray | None] = [None] * len(stack)
     live = list(range(len(stack)))  # MDP index of each row of the stack
     q = np.zeros(stack.rewards.shape)

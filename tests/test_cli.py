@@ -242,6 +242,22 @@ class TestSolve:
         assert proc.returncode == 2
         assert "contractive" in proc.stderr
 
+    def test_oracle_with_noncontractive_operator_is_refused_before_the_run(
+        self, mdp_file, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("run called")
+
+        monkeypatch.setattr(cli, "run", never)
+        out = tmp_path / "fresh"
+        argv = ["solve", "--mdp", mdp_file, "--op", "softmax", "--omega", 5, "--oracle",
+                "-o", out]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            "error: oracle requires a contractive operator, got softmax(omega=5)\n"
+        )
+        assert not out.exists()
+
     def test_oracle_at_its_cap_is_max_iter_exit(self, mdp_file, tmp_path, monkeypatch, capsys):
         def capped(mdp, op):
             raise ap.OraclePrecisionError("oracle did not reach 1e-13", residual=1e-9)
@@ -411,6 +427,27 @@ class TestCompare:
     def test_bad_seed_range_names_the_flag(self, seeds, message, tmp_path, capsys):
         argv = ["compare", "--scheme", "vanilla", "--scheme", "kkt:m=3", "--gen",
                 "random", f"--seeds={seeds}", "-o", tmp_path / "cmp"]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("kkt:m=abc", "m must be an integer, got 'abc' in scheme spec 'kkt:m=abc'"),
+            ("kkt:m=2.5", "m must be an integer, got '2.5' in scheme spec 'kkt:m=2.5'"),
+            ("kkt:m=3,beta=half",
+             "beta must be a number, got 'half' in scheme spec 'kkt:m=3,beta=half'"),
+            ("stable-aa:m=3,eta=",
+             "eta must be a number, got '' in scheme spec 'stable-aa:m=3,eta='"),
+            ("vanilla:omega=5x",
+             "omega must be a number, got '5x' in scheme spec 'vanilla:omega=5x'"),
+        ],
+        ids=["m-word", "m-float", "beta", "eta-empty", "omega"],
+    )
+    def test_bad_spec_value_names_the_key_and_spec(self, spec, message, tmp_path, capsys):
+        argv = ["compare", "--scheme", "vanilla", "--scheme", spec, "--gen",
+                "random", "--seeds", "0:2", "-o", tmp_path / "cmp"]
         assert cli.main([str(a) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "cmp").exists()

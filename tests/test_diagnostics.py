@@ -21,7 +21,7 @@ from anderson_pi.diagnostics import (
     write_check_report,
 )
 from anderson_pi.operators import OperatorKind, OperatorSpec
-from anderson_pi.solver import Scheme, SolverConfig
+from anderson_pi.solver import BetaConvention, Scheme, SolverConfig
 
 
 def history_from_pairs(pairs):
@@ -130,6 +130,27 @@ class TestUpdateNormBound:
         trace = self.make_trace(0.5)
         last = [r for r in trace.records if r.update_norm_lhs is not None][-1]
         assert last.update_norm_lhs == pytest.approx(1.0, abs=0.2)
+
+    def test_beta_is_read_in_the_runs_convention(self):
+        # eq2 beta 0.7 and eq13 beta 0.3 are one run: its stored norms, and
+        # each config's own beta, give the same records
+        mdp = ap.generate_random_mdp(0, 20, 3, 3, 1.0, 0.95)
+        sides = []
+        for beta, convention in ((0.7, BetaConvention.EQ2), (0.3, BetaConvention.EQ13)):
+            cfg = SolverConfig(
+                scheme=Scheme.STABLE_AA,
+                operator=OperatorSpec(OperatorKind.MELLOW_MAX, 5.0),
+                m=5,
+                beta=beta,
+                beta_convention=convention,
+                eta=2.0,
+                diagnostics_level="full",
+            )
+            records, _ = check_update_norm_bound(ap.run(mdp, cfg), cfg.eta, cfg.beta)
+            sides.append([(r.lhs, r.rhs, r.satisfied, r.asserted) for r in records])
+        assert len(sides[0]) == 593
+        assert sides[0] == sides[1]
+        assert {rhs for _, rhs, _, _ in sides[0]} == {0.30000000000000004}
 
 
 def bounds(reg, non, m, eta):

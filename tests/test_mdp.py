@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import anderson_pi as ap
+from anderson_pi import mdp as mdp_module
 from anderson_pi.mdp import MdpFormatError, MdpStack
 
 from conftest import hand_value_iteration
@@ -202,6 +203,32 @@ class TestValidate:
         before = mdp.transitions.copy()
         ap.validate(mdp)
         assert np.array_equal(mdp.transitions, before)
+
+    def test_reads_the_successor_lists(self, tmp_path, monkeypatch):
+        # neither validate nor load_mdp builds a dense P; a bad entry is
+        # still named by its successor, in ascending order
+        mdp = ap.generate_random_mdp(2, 6, 2, 3, 1.0, 0.9)
+        path = tmp_path / "m.json"
+        ap.save_mdp(mdp, path)
+
+        def refuse(_):
+            raise AssertionError("dense P built")
+
+        monkeypatch.setattr(mdp_module, "_dense", refuse)
+        assert ap.validate(mdp) == []
+        back = ap.load_mdp(path)
+        assert back.successors.tobytes() == mdp.successors.tobytes()
+        assert back.probs.tobytes() == mdp.probs.tobytes()
+        probs = mdp.probs.copy()
+        probs[4, 1] = [np.nan, -0.5, 1.5]
+        bad = ap.TabularMdp.from_successors(6, 2, mdp.successors, probs, mdp.rewards, 0.9)
+        t = mdp.successors[4, 1].tolist()
+        assert ap.validate(bad) == [
+            f"transition (s=4, a=1, s'={t[0]}) = {np.float64(np.nan)!r} outside [0,1]",
+            f"transition (s=4, a=1, s'={t[1]}) = {np.float64(-0.5)!r} outside [0,1]",
+            f"transition (s=4, a=1, s'={t[2]}) = {np.float64(1.5)!r} outside [0,1]",
+            f"transition row (s=4, a=1) sums to {np.float64(np.nan)!r}, expected 1 within 1e-12",
+        ]
 
 
 class TestPersistence:

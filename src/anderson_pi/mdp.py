@@ -16,7 +16,9 @@ import numpy as np
 
 PROB_SUM_TOL = 1e-12
 
-_FILE_KEYS = ("n_states", "n_actions", "gamma", "rewards", "transitions")
+_FILE_KEYS = ("n_states", "n_actions", "gamma", "rewards")
+# a file's transitions: the stored successor lists, or the legacy dense tensor
+_FORMS = (("successors", "probs"), ("transitions",))
 
 
 class MdpFormatError(ValueError):
@@ -97,8 +99,8 @@ class TabularMdp:
                 f"successors {succ.shape} and probs {np.shape(probs)} must both "
                 f"be ({n_states}, {n_actions}, k) with k >= 1"
             )
-        if succ.min() < 0 or succ.max() >= n_states:
-            raise ValueError(f"successor index outside [0, {n_states})")
+        if succ.dtype.kind not in "iu" or succ.min() < 0 or succ.max() >= n_states:
+            raise ValueError(f"successors must be integers, none outside [0, {n_states})")
         mdp = object.__new__(cls)
         mdp._store(n_states, n_actions, succ, probs, rewards, gamma)
         return mdp
@@ -127,9 +129,9 @@ class TabularMdp:
     def transitions(self) -> np.ndarray:
         """Dense read-only ``P[s, a, s']``, built on first access and kept.
 
-        The package never reads it: the Bellman sweep and :func:`validate`
-        work on the successor lists, and :func:`save_mdp` builds its own
-        copy with :func:`_dense` and drops it when done.
+        A convenience for inspection and the tests: the package never
+        reads it, since the Bellman sweep, :func:`validate` and the MDP
+        file all work on the successor lists.  At 2000x8 it takes 256 MB.
         """
         return _dense(self)
 
@@ -251,6 +253,12 @@ def validate(mdp: TabularMdp) -> list[str]:
             f"transition (s={s}, a={a}, s'={mdp.successors[s, a, i]}) = {p[s, a, i]!r} "
             "outside [0,1]"
         )
+    s, a, i = np.nonzero(p != 0.0)  # row-major, so each row in list order
+    t = mdp.successors[s, a, i]
+    for j in np.flatnonzero((s[1:] == s[:-1]) & (a[1:] == a[:-1]) & (t[1:] <= t[:-1])):
+        violations.append(
+            f"successors of row (s={s[j]}, a={a[j]}) not ascending: s'={t[j + 1]} after {t[j]}"
+        )
     with np.errstate(invalid="ignore"):
         sums = p.sum(axis=2)
     bad_rows = np.argwhere(~(np.abs(sums - 1.0) <= PROB_SUM_TOL))
@@ -336,81 +344,65 @@ def generate_gridworld(
     n_actions = 4
     goal = (height - 1) * width + (width - 1)
     moves = ((0, 1), (1, 0), (0, -1), (-1, 0))  # up, right, down, left as (dx, dy)
-    p = np.zeros((n_states, n_actions, n_states))
+    successors = np.zeros((n_states, n_actions, len(moves)), dtype=np.intp)
+    probs = np.zeros(successors.shape)  # a row has at most one successor per move
     r = np.zeros((n_states, n_actions))
+    k = 1
     for y in range(height):
         for x in range(width):
             s = y * width + x
             if s == goal:
-                p[s, :, s] = 1.0
+                successors[s, :, 0], probs[s, :, 0] = s, 1.0
                 continue
             for a in range(n_actions):
+                row = {}
                 for d, (dx, dy) in enumerate(moves):
                     prob = (1.0 - slip_prob) if d == a else slip_prob / 3.0
                     if prob == 0.0:
                         continue
                     nx, ny = x + dx, y + dy
-                    if 0 <= nx < width and 0 <= ny < height:
-                        t = ny * width + nx
-                    else:
-                        t = s
-                    p[s, a, t] += prob
-                r[s, a] = goal_reward * p[s, a, goal]
-    return TabularMdp(n_states, n_actions, p, r, gamma)
-
-
-def _fmt(x: float) -> str:
-    # 17 significant decimal digits round-trip any IEEE double exactly
-    return format(float(x), ".17g")
+                    t = ny * width + nx if 0 <= nx < width and 0 <= ny < height else s
+                    row[t] = row.get(t, 0.0) + prob  # in move order, which fixes the bits
+                r[s, a] = goal_reward * row.get(goal, 0.0)
+                k = max(k, len(row))
+                successors[s, a, : len(row)], probs[s, a, : len(row)] = zip(*sorted(row.items()))
+    return TabularMdp.from_successors(
+        n_states, n_actions, successors[:, :, :k], probs[:, :, :k], r, gamma
+    )
 
 
 def save_mdp(mdp: TabularMdp, path) -> None:
-    """Write ``mdp`` as a JSON document with 17-significant-digit reals."""
+    """Write ``mdp``'s successor lists as one JSON line.
+
+    ``json`` writes each real as its ``repr``, which reads back bit-exactly.
+    """
     violations = validate(mdp)
     if violations:
         raise ValueError("cannot save invalid MDP: " + _describe(violations))
-    p = _dense(mdp)
-    rewards_rows = [
-        "[" + ", ".join(_fmt(v) for v in row) + "]" for row in mdp.rewards
-    ]
-    trans_blocks = []
-    for s in range(mdp.n_states):
-        rows = [
-            "[" + ", ".join(_fmt(v) for v in p[s, a]) + "]"
-            for a in range(mdp.n_actions)
-        ]
-        trans_blocks.append("[" + ", ".join(rows) + "]")
-    text = (
-        "{\n"
-        f'  "n_states": {mdp.n_states},\n'
-        f'  "n_actions": {mdp.n_actions},\n'
-        f'  "gamma": {_fmt(mdp.gamma)},\n'
-        '  "rewards": [\n    '
-        + ",\n    ".join(rewards_rows)
-        + "\n  ],\n"
-        '  "transitions": [\n    '
-        + ",\n    ".join(trans_blocks)
-        + "\n  ]\n"
-        "}\n"
-    )
+    data = {key: getattr(mdp, key) for key in (*_FILE_KEYS, *_FORMS[0])}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(json.dumps(data, default=lambda a: a.tolist()) + "\n")
 
 
-def _as_array(data, name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _as_array(data, name: str) -> np.ndarray:
+    """``data`` as an array, refusing strings; the constructors check its shape.
+
+    An integer array stays integer and any other becomes float64, with a
+    JSON ``null`` as nan for :func:`validate` to report.
+    """
     try:
-        arr = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(data)
+        if arr.dtype.kind in "US" or arr.dtype.kind == "O" and any(
+            isinstance(x, str) for x in arr.flat
+        ):
+            raise TypeError("holds a string")
+        return arr if arr.dtype.kind in "iu" else arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:  # ragged nesting, or not a number
         raise MdpFormatError(f"field '{name}': not a numeric array ({exc})") from None
-    if arr.shape != shape:
-        raise MdpFormatError(
-            f"field '{name}': dimension mismatch, expected {shape}, got {arr.shape}"
-        )
-    return arr
 
 
 def load_mdp(path) -> TabularMdp:
-    """Parse an MDP file, rejecting schema violations with field context."""
+    """Parse an MDP file in either form, rejecting schema violations with field context."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -421,10 +413,15 @@ def load_mdp(path) -> TabularMdp:
         ) from None
     if not isinstance(data, dict):
         raise MdpFormatError("top-level value must be an object")
-    missing = [k for k in _FILE_KEYS if k not in data]
+    forms = [form for form in _FORMS if any(k in data for k in form)]
+    if len(forms) > 1:
+        raise MdpFormatError("both 'successors'/'probs' and the legacy 'transitions' given")
+    form = (forms or _FORMS)[0]
+    keys = (*_FILE_KEYS, *form)
+    missing = [k for k in keys if k not in data]
     if missing:
         raise MdpFormatError(f"missing key(s): {', '.join(missing)}")
-    extra = [k for k in data if k not in _FILE_KEYS]
+    extra = [k for k in data if k not in keys]
     if extra:
         raise MdpFormatError(f"unexpected key(s): {', '.join(sorted(extra))}")
     for name in ("n_states", "n_actions"):
@@ -435,9 +432,12 @@ def load_mdp(path) -> TabularMdp:
     if isinstance(data["gamma"], bool) or not isinstance(data["gamma"], (int, float)):
         raise MdpFormatError("field 'gamma': must be a number")
     ns, na = data["n_states"], data["n_actions"]
-    rewards = _as_array(data["rewards"], "rewards", (ns, na))
-    transitions = _as_array(data["transitions"], "transitions", (ns, na, ns))
-    mdp = TabularMdp(ns, na, transitions, rewards, float(data["gamma"]))
+    arrays = [_as_array(data[k], k) for k in (*form, "rewards")]
+    build = TabularMdp.from_successors if form == _FORMS[0] else TabularMdp
+    try:
+        mdp = build(ns, na, *arrays, float(data["gamma"]))
+    except ValueError as exc:  # a shape, or a successor out of range
+        raise MdpFormatError(str(exc)) from None
     violations = validate(mdp)
     if violations:
         raise MdpFormatError(_describe(violations))

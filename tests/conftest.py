@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -60,3 +61,15 @@ def hand_value_iteration(mdp, tol=1e-13, max_iter=10**6):
             return q
         q = tq
     raise AssertionError("hand VI did not converge")
+
+
+def write_dense_file(mdp, path):
+    """Write ``mdp`` in the legacy dense file form, with ``transitions`` as ``[S][A][S]``."""
+    data = {
+        "n_states": mdp.n_states,
+        "n_actions": mdp.n_actions,
+        "gamma": mdp.gamma,
+        "rewards": mdp.rewards.tolist(),
+        "transitions": mdp.transitions.tolist(),
+    }
+    Path(path).write_text(json.dumps(data))

@@ -13,6 +13,8 @@ import pytest
 import anderson_pi as ap
 from anderson_pi import cli
 
+from conftest import write_dense_file
+
 CLI = [sys.executable, "-m", "anderson_pi.cli"]
 
 
@@ -342,6 +344,57 @@ class TestSolve:
         assert cli.main([str(a) for a in argv]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestMdpFileForms:
+    @pytest.mark.parametrize(
+        "mdp",
+        [
+            ap.generate_random_mdp(0, 30, 4, 3, 1.0, 0.95),
+            ap.generate_gridworld(3, 3, 0.1, 1.0, 0.95),
+        ],
+        ids=["random-30x4", "grid-3x3"],
+    )
+    def test_dense_and_list_files_solve_alike(self, mdp, tmp_path):
+        # a legacy dense file loads to the lists a list file holds, and every
+        # solve output matches but for the file's path in summary.json
+        outputs, loaded = {}, {}
+        for form, write in (("dense", write_dense_file), ("lists", ap.save_mdp)):
+            path, out = tmp_path / f"{form}.json", tmp_path / form
+            write(mdp, path)
+            back = ap.load_mdp(path)
+            loaded[form] = [getattr(back, n).tobytes() for n in ("successors", "probs", "rewards")]
+            assert back.gamma == mdp.gamma
+            argv = ["solve", "--mdp", path, "--scheme", "stable-aa", "-m", 3, "--eta", 0.1,
+                    "--op", "mellowmax", "--omega", 5, "--tol", "1e-10", "--oracle", "-o", out]
+            assert cli.main([str(a) for a in argv]) == 0
+            outputs[form] = {
+                f.name: f.read_bytes().replace(str(path).encode(), b"<mdp>") for f in out.iterdir()
+            }
+        assert loaded["dense"] == loaded["lists"]
+        assert sorted(outputs["lists"]) == ["summary.json", "trace.csv"]
+        assert outputs["dense"] == outputs["lists"]
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d, m: d.update(transitions=m.transitions.tolist()),
+             "both 'successors'/'probs' and the legacy 'transitions' given"),
+            (lambda d, m: d.pop("probs"), "missing key(s): probs"),
+            (lambda d, m: d["rewards"][0].__setitem__(0, "0.0"),
+             "field 'rewards': not a numeric array (holds a string)"),
+        ],
+        ids=["both-forms", "successors-without-probs", "string-reward"],
+    )
+    def test_malformed_file_is_usage_error(self, edit, message, tmp_path, capsys):
+        mdp, path = ap.generate_gridworld(3, 3, 0.1, 1.0, 0.9), tmp_path / "m.json"
+        ap.save_mdp(mdp, path)
+        data = json.loads(path.read_text())
+        edit(data, mdp)
+        path.write_text(json.dumps(data))
+        argv = ["solve", "--mdp", path, "--scheme", "vanilla", "-o", tmp_path / "out"]
+        assert cli.main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: cannot load MDP {path}: {message}\n"
 
 
 class TestCompare:

@@ -74,6 +74,6 @@ def test_nothing_unwraps_a_divergence_error():
     assert checks == []
 
 
-def test_only_the_dense_convenience_and_the_writer_build_a_dense_p():
-    # validate and the sweep read the successor lists
-    assert _callers("_dense") == ["mdp.TabularMdp.transitions", "mdp.save_mdp"]
+def test_only_the_dense_convenience_builds_a_dense_p():
+    # validate, the sweep and the MDP file all work on the successor lists
+    assert _callers("_dense") == ["mdp.TabularMdp.transitions"]

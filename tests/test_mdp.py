@@ -1,5 +1,7 @@
 import gc
 import json
+import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,7 +12,7 @@ import anderson_pi as ap
 from anderson_pi import mdp as mdp_module
 from anderson_pi.mdp import MdpFormatError, MdpStack
 
-from conftest import hand_value_iteration
+from conftest import hand_value_iteration, write_dense_file
 
 
 class TestRandomGenerator:
@@ -230,6 +232,27 @@ class TestValidate:
             f"transition row (s=4, a=1) sums to {np.float64(np.nan)!r}, expected 1 within 1e-12",
         ]
 
+    def test_unordered_successors_named(self):
+        # a row's nonzero entries must list their successors strictly
+        # ascending; zero-probability entries are skipped
+        succ = [[[0, 2, 1]], [[1, 0, 2]], [[2, 2, 0]]]
+        probs = [[[0.25, 0.25, 0.5]], [[0.5, 0.0, 0.5]], [[0.5, 0.5, 0.0]]]
+        mdp = ap.TabularMdp.from_successors(3, 1, succ, probs, np.zeros((3, 1)), 0.9)
+        assert ap.validate(mdp) == [
+            "successors of row (s=0, a=0) not ascending: s'=1 after 2",
+            "successors of row (s=2, a=0) not ascending: s'=2 after 2",
+        ]
+
+
+def saved_row(mdp, form, path):
+    """``mdp`` saved at ``path`` in ``form``, read back as a dict, and the dict's row (0, 0)."""
+    if form == "lists":
+        ap.save_mdp(mdp, path)
+    else:
+        write_dense_file(mdp, path)
+    data = json.loads(path.read_text())
+    return data, data["probs" if form == "lists" else "transitions"][0][0]
+
 
 class TestPersistence:
     def test_round_trip_exact(self, tmp_path, grid3):
@@ -268,14 +291,55 @@ class TestPersistence:
         with pytest.raises(MdpFormatError, match="gamma"):
             ap.load_mdp(path)
 
-    def test_negative_probability(self, tmp_path, grid3):
+    @pytest.mark.parametrize("form", ["lists", "dense"])
+    def test_negative_probability(self, tmp_path, form):
+        # row (0, 0) of the slippery grid lists s' = 0, 1, 3 in both forms
         path = tmp_path / "m.json"
-        ap.save_mdp(grid3, path)
-        data = json.loads(path.read_text())
-        data["transitions"][0][0][0] = -0.5
-        data["transitions"][0][0][1] = 1.5
+        data, row = saved_row(ap.generate_gridworld(3, 3, 0.1, 1.0, 0.9), form, path)
+        row[0], row[1] = -0.5, 1.5
         path.write_text(json.dumps(data))
-        with pytest.raises(MdpFormatError, match="outside"):
+        with pytest.raises(MdpFormatError) as info:
+            ap.load_mdp(path)
+        assert str(info.value).startswith(
+            f"transition (s=0, a=0, s'=0) = {np.float64(-0.5)!r} outside [0,1]; "
+            f"transition (s=0, a=0, s'=1) = {np.float64(1.5)!r} outside [0,1]; "
+            "transition row (s=0, a=0) sums to "
+        )
+
+    @pytest.mark.parametrize("field", ["rewards", "successors", "probs", "transitions"])
+    def test_string_entry_is_refused(self, tmp_path, field):
+        # JSON strings used to parse as numbers: "1" loaded as 1.0
+        path = tmp_path / "m.json"
+        grid = ap.generate_gridworld(3, 3, 0.1, 1.0, 0.9)
+        if field == "transitions":
+            write_dense_file(grid, path)
+        else:
+            ap.save_mdp(grid, path)
+        data = json.loads(path.read_text())
+        row = data[field][0] if field == "rewards" else data[field][0][0]
+        row[0] = str(row[0])
+        path.write_text(json.dumps(data))
+        message = f"field '{field}': not a numeric array (holds a string)"
+        with pytest.raises(MdpFormatError, match=re.escape(message)):
+            ap.load_mdp(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d["successors"][0][0].__setitem__(0, 1.0), "successors must be integers"),
+            (lambda d: d["successors"][0][0].__setitem__(0, 9), "none outside [0, 9)"),
+            (lambda d: d["probs"].pop(), "successors (9, 4, 4) and probs (8, 4, 4) must both"),
+            (lambda d: d.update(successors=[[[]] * 4] * 9), "successors (9, 4, 0) and probs"),
+        ],
+        ids=["float-successor", "successor-out-of-range", "probs-shape", "empty-lists"],
+    )
+    def test_malformed_lists_are_named(self, tmp_path, edit, message):
+        path = tmp_path / "m.json"
+        ap.save_mdp(ap.generate_gridworld(3, 3, 0.1, 1.0, 0.9), path)
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(MdpFormatError, match=re.escape(message)):
             ap.load_mdp(path)
 
     def test_extra_key_rejected(self, tmp_path, grid3):
@@ -302,17 +366,45 @@ class TestPersistence:
         with pytest.raises(MdpFormatError, match="line 3"):
             ap.load_mdp(path)
 
-    def test_row_sum_violation_on_load(self, tmp_path, grid3):
+    @pytest.mark.parametrize("form", ["lists", "dense"])
+    def test_row_sum_violation_on_load(self, tmp_path, grid3, form):
         path = tmp_path / "m.json"
-        ap.save_mdp(grid3, path)
-        data = json.loads(path.read_text())
-        data["transitions"][0][0][0] = 0.9
-        data["transitions"][0][0][1] = 0.0
-        for t in range(2, 9):
-            data["transitions"][0][0][t] = 0.0
+        data, row = saved_row(grid3, form, path)
+        row[:] = [0.9] + [0.0] * (len(row) - 1)
         path.write_text(json.dumps(data))
-        with pytest.raises(MdpFormatError, match="sums to"):
+        with pytest.raises(MdpFormatError) as info:
             ap.load_mdp(path)
+        assert str(info.value) == (
+            f"transition row (s=0, a=0) sums to {np.float64(0.9)!r}, expected 1 within 1e-12"
+        )
+
+    def test_file_is_one_line_of_the_stored_lists(self, tmp_path):
+        # json writes each real as its repr, so -0.0 rewards come back signed
+        grid = ap.generate_gridworld(3, 2, 0.1, -1.0, 0.9)
+        assert np.signbit(grid.rewards).any()
+        path = tmp_path / "m.json"
+        ap.save_mdp(grid, path)
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert list(json.loads(text)) == [
+            "n_states", "n_actions", "gamma", "rewards", "successors", "probs"
+        ]
+        back = ap.load_mdp(path)
+        for name in ("successors", "probs", "rewards"):
+            assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
+
+    def test_grid_round_trip_builds_no_dense_p(self, tmp_path):
+        # the 1600-state grid's dense P alone would take 1600 * 4 * 1600 * 8 = 82 MB
+        tracemalloc.start()
+        try:
+            grid = ap.generate_gridworld(40, 40, 0.1, 1.0, 0.95)
+            ap.save_mdp(grid, tmp_path / "g.json")
+            back = ap.load_mdp(tmp_path / "g.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.successors.tobytes() == grid.successors.tobytes()
+        assert peak < 16 * 2**20
 
     def test_save_rejects_invalid(self, tmp_path):
         mdp = ap.generate_random_mdp(0, 2, 2, 1, 1.0, 0.9)
